@@ -63,12 +63,14 @@ use std::time::{Duration, Instant};
 use ruu_analysis::dataflow_bound;
 use ruu_exec::{ArchState, ExecError};
 use ruu_issue::{Mechanism, SimError};
-use ruu_sim_core::{MachineConfig, StallHistogram, StallReason};
+use ruu_sim_core::{JsonWriter, MachineConfig, StallHistogram, StallReason};
 use ruu_workloads::{livermore, VerifyError, Workload};
 
-pub mod json;
-
-use json::JsonWriter;
+/// The JSON writer, which lives in `ruu-sim-core` so the Chrome trace
+/// observer can share it; re-exported here for report consumers.
+pub mod json {
+    pub use ruu_sim_core::JsonWriter;
+}
 
 /// A failure while executing one (job × workload) simulation unit.
 #[derive(Debug, Clone)]

@@ -2,7 +2,7 @@
 //! tags, reservation-station operands, the fetch frontend with branch dead
 //! cycles, and per-cycle broadcast records.
 
-use ruu_isa::{semantics, Inst, Opcode, Program, Reg};
+use ruu_isa::{semantics, Inst, Program, Reg};
 use ruu_sim_core::{MachineConfig, PipelineObserver, RunStats, StallReason};
 
 /// A register-instance tag: names one in-flight producer of a register.
@@ -137,15 +137,9 @@ impl Frontend {
         Frontend {
             pc: start,
             next_fetch_cycle: 0,
-            halted: true, // overwritten below; placate clippy about field init
+            halted: false,
             pending_branch: None,
         }
-        .with_halted(false)
-    }
-
-    fn with_halted(mut self, h: bool) -> Self {
-        self.halted = h;
-        self
     }
 
     /// Current program counter (next instruction to decode).
@@ -204,6 +198,15 @@ impl Frontend {
         self.halted = true;
     }
 
+    /// Sends fetch to `pc` from `next_fetch_cycle` on, un-halting it (a
+    /// predicted path may have decoded a `Halt` that turned out to be on
+    /// the wrong path).
+    pub fn redirect(&mut self, pc: u32, next_fetch_cycle: u64) {
+        self.pc = pc;
+        self.next_fetch_cycle = next_fetch_cycle;
+        self.halted = false;
+    }
+
     /// Parks a conditional branch whose condition is not yet available.
     pub fn park_branch(&mut self, pc: u32, inst: Inst, cond: Operand) {
         debug_assert!(self.pending_branch.is_none(), "branch already parked");
@@ -220,11 +223,7 @@ impl Frontend {
         config: &MachineConfig,
         stats: &mut RunStats,
     ) -> bool {
-        let taken = if inst.opcode == Opcode::Jump {
-            true
-        } else {
-            semantics::branch_taken(inst.opcode, cond_value)
-        };
+        let taken = semantics::branch_taken(inst.opcode, cond_value);
         stats.branches += 1;
         let penalty = if taken {
             stats.taken_branches += 1;
@@ -272,7 +271,7 @@ pub fn charge_frontend_stall(slot: &FetchSlot, stats: &mut RunStats) -> Option<S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruu_isa::Asm;
+    use ruu_isa::{Asm, Opcode};
 
     fn prog() -> Program {
         let mut a = Asm::new("t");

@@ -6,6 +6,19 @@
 //! | Mechanism | Paper | Type |
 //! |---|---|---|
 //! | Simple in-order, blocking issue | §2.2, Table 1 | [`SimpleIssue`] |
+//! | Tomasulo: distributed stations, a tag per register | §3.1 | [`TaggedSim`], [`WindowKind::Distributed`] |
+//! | Tag Unit + distributed stations | §3.2.1 | [`TaggedSim`], [`WindowKind::TagUnitDistributed`] |
+//! | Tag Unit + merged station pool | §3.2.2 | [`TaggedSim`], [`WindowKind::Pooled`] |
+//! | RSTU | §3.2.3, Tables 2–3 | [`TaggedSim`], [`WindowKind::Merged`] |
+//! | In-order issue, precise: reorder buffer (± bypass), history buffer, future file | §4 | [`InOrderPrecise`] |
+//! | RUU, with full / no / limited bypass | §5–6, Tables 4–6 | [`Ruu`], [`Bypass`] |
+//! | Speculative RUU: branch prediction + nullification | §7 | [`SpecRuu`] |
+//!
+//! [`Mechanism`] names each of them with its sizing parameters and builds
+//! it behind the uniform [`IssueSimulator`] interface. The tagged
+//! mechanisms, the RUU and the speculative RUU are one out-of-order core
+//! that differs only by where stations and tags live, when results update
+//! state, and what happens to unresolved branches.
 //!
 //! All simulators share the [`ruu_sim_core::MachineConfig`] machine model
 //! and compute real operand values in their reservation stations
@@ -16,6 +29,7 @@ use std::fmt;
 
 pub mod common;
 pub mod mechanism;
+mod ooo;
 pub mod predict;
 pub mod reorder;
 pub mod ruu;
@@ -32,7 +46,7 @@ pub use predict::{
     TageLite, TwoBit,
 };
 pub use reorder::{InOrderPrecise, PreciseScheme};
-pub use ruu::{Bypass, CycleRecord, CycleTrace, InterruptFrame, RunOutcome, Ruu};
+pub use ruu::{Bypass, InterruptFrame, RunOutcome, Ruu};
 pub use simple::SimpleIssue;
 pub use simulator::IssueSimulator;
 pub use spec_ruu::{SpecRunResult, SpecRuu, SpecStats};

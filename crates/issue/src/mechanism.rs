@@ -200,12 +200,7 @@ impl fmt::Display for Mechanism {
             Mechanism::RsPool { rs, tags } => write!(f, "rs-pool(rs={rs},tags={tags})"),
             Mechanism::Rstu { entries } => write!(f, "rstu({entries})"),
             Mechanism::Ruu { entries, bypass } => {
-                let b = match bypass {
-                    Bypass::Full => "bypass",
-                    Bypass::None => "no-bypass",
-                    Bypass::LimitedA => "limited-bypass",
-                };
-                write!(f, "ruu({entries},{b})")
+                write!(f, "ruu({entries},{})", bypass_name(bypass))
             }
             Mechanism::InOrderPrecise { scheme, entries } => {
                 write!(f, "{}({entries})", scheme.name())
@@ -214,15 +209,16 @@ impl fmt::Display for Mechanism {
                 entries,
                 bypass,
                 predictor,
-            } => {
-                let b = match bypass {
-                    Bypass::Full => "bypass",
-                    Bypass::None => "no-bypass",
-                    Bypass::LimitedA => "limited-bypass",
-                };
-                write!(f, "spec-ruu({entries},{b},{predictor})")
-            }
+            } => write!(f, "spec-ruu({entries},{},{predictor})", bypass_name(bypass)),
         }
+    }
+}
+
+fn bypass_name(bypass: Bypass) -> &'static str {
+    match bypass {
+        Bypass::Full => "bypass",
+        Bypass::None => "no-bypass",
+        Bypass::LimitedA => "limited-bypass",
     }
 }
 

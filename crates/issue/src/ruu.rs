@@ -22,18 +22,17 @@
 //! * [`Bypass::LimitedA`] — the A register file is shadowed by a *future
 //!   file* updated from the result bus; all other files behave as
 //!   [`Bypass::None`] (Table 6, §6.3).
-
-use std::collections::{BTreeMap, VecDeque};
+//!
+//! The RUU runs on the shared out-of-order core; it is the speculative
+//! RUU ([`crate::SpecRuu`]) with speculation turned off, so unresolved
+//! branches park in decode.
 
 use ruu_exec::{ArchState, Memory};
-use ruu_isa::{semantics, FuClass, Inst, Program, Reg, NUM_REGS};
-use ruu_sim_core::{
-    DCache, FuPool, LoadRegUnit, LrOutcome, MachineConfig, MemOpKind, NullObserver,
-    PipelineObserver, RunResult, RunStats, SlotReservation, StallReason,
-};
+use ruu_isa::Program;
+use ruu_sim_core::{MachineConfig, RunResult};
 
-use crate::common::{Broadcasts, FetchSlot, Frontend, Operand, Tag};
-use crate::SimError;
+use crate::ooo::{Branches, OutOfOrder, Policy, Stations, Update};
+use crate::{IssueSimulator, SimError};
 
 /// Operand-bypass policy of the RUU (paper §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,84 +47,36 @@ pub enum Bypass {
     LimitedA,
 }
 
-/// The machine state captured when the RUU takes a precise interrupt.
+/// The machine state captured when an interrupt is taken. On the RUU it
+/// is precise; on the tagged machines ([`crate::TaggedSim`]) it is
+/// whatever state the out-of-order completions had reached.
 #[derive(Debug, Clone)]
 pub struct InterruptFrame {
-    /// The precise register state: every instruction before the faulting
-    /// one has updated it; none after (nor the faulting one) has.
+    /// The register state. Precise on the RUU: every instruction before
+    /// the faulting one has updated it; none after (nor the faulting
+    /// one) has.
     pub state: ArchState,
-    /// The precise memory: committed stores only.
+    /// The memory. Precise on the RUU: committed stores only.
     pub memory: Memory,
     /// Program counter of the faulting instruction (restart point).
     pub resume_pc: u32,
-    /// Dynamic instructions committed before the interrupt (window
-    /// entries only; branches resolve in the issue stage).
+    /// Dynamic instructions that updated state before the interrupt
+    /// (branches excluded; they resolve in the issue stage).
     pub committed: u64,
     /// Cycle at which the interrupt was taken.
     pub cycle: u64,
 }
 
-/// Outcome of [`Ruu::run_with_exception`].
+/// Outcome of a `run_with_exception` ([`Ruu::run_with_exception`],
+/// [`crate::TaggedSim::run_with_exception`]).
 #[derive(Debug, Clone)]
 pub enum RunOutcome {
     /// The program ran to completion (the designated instruction never
-    /// committed — e.g. it was never reached).
+    /// reached its update point — e.g. it was never reached).
     Completed(RunResult),
-    /// The designated instruction reached the commit point and the
-    /// interrupt was taken with this precise frame.
+    /// The designated instruction reached the point where it would update
+    /// state, and the interrupt was taken with this frame.
     Interrupted(InterruptFrame),
-}
-
-/// One cycle of RUU activity, for pipeline visualisation (see
-/// `examples/pipeline_trace.rs`).
-#[derive(Debug, Clone, Default)]
-pub struct CycleRecord {
-    /// The cycle number.
-    pub cycle: u64,
-    /// Window occupancy at the start of the cycle.
-    pub occupancy: u32,
-    /// pc of the instruction that entered the RUU (or resolved, for a
-    /// branch) this cycle.
-    pub issued_pc: Option<u32>,
-    /// Sequence numbers dispatched to functional units this cycle.
-    pub dispatched: Vec<u64>,
-    /// Sequence numbers whose results appeared on the result bus.
-    pub finished: Vec<u64>,
-    /// Sequence numbers committed to the architectural state.
-    pub committed: Vec<u64>,
-}
-
-/// A bounded per-cycle activity log from [`Ruu::run_traced`].
-#[derive(Debug, Clone, Default)]
-pub struct CycleTrace {
-    /// Records for the first `capacity` cycles of the run.
-    pub cycles: Vec<CycleRecord>,
-    capacity: usize,
-}
-
-impl CycleTrace {
-    fn new(capacity: usize) -> Self {
-        CycleTrace {
-            cycles: Vec::new(),
-            capacity,
-        }
-    }
-
-    fn start_cycle(&mut self, cycle: u64, occupancy: u32) -> bool {
-        if self.cycles.len() >= self.capacity {
-            return false;
-        }
-        self.cycles.push(CycleRecord {
-            cycle,
-            occupancy,
-            ..CycleRecord::default()
-        });
-        true
-    }
-
-    fn cur(&mut self) -> Option<&mut CycleRecord> {
-        self.cycles.last_mut()
-    }
 }
 
 /// Configuration + entry point for the RUU simulator.
@@ -134,6 +85,23 @@ pub struct Ruu {
     config: MachineConfig,
     entries: usize,
     bypass: Bypass,
+}
+
+impl OutOfOrder for Ruu {
+    fn machine(&self) -> &MachineConfig {
+        &self.config
+    }
+
+    fn policy(&self) -> Policy {
+        Policy {
+            stations: Stations::Queue {
+                entries: self.entries,
+                bypass: self.bypass,
+            },
+            update: Update::AtCommit,
+            branches: Branches::Park,
+        }
+    }
 }
 
 impl Ruu {
@@ -176,14 +144,12 @@ impl Ruu {
     /// [`SimError::InstLimit`] if more than `limit` instructions issue;
     /// [`SimError::Deadlock`] on internal lack of progress (a bug).
     pub fn run(&self, program: &Program, mem: Memory, limit: u64) -> Result<RunResult, SimError> {
-        match self.run_inner(ArchState::new(), mem, program, limit, None)? {
-            RunOutcome::Completed(r) => Ok(r),
-            RunOutcome::Interrupted(_) => unreachable!("no fault was injected"),
-        }
+        self.run_from(ArchState::new(), mem, program, limit)
     }
 
     /// Runs `program` from an explicit architectural state (restart after
-    /// an interrupt).
+    /// an interrupt). [`IssueSimulator::run_observed`] does the same while
+    /// reporting every pipeline event to an observer.
     ///
     /// # Errors
     /// As for [`Ruu::run`].
@@ -194,30 +160,7 @@ impl Ruu {
         program: &Program,
         limit: u64,
     ) -> Result<RunResult, SimError> {
-        match self.run_inner(state, mem, program, limit, None)? {
-            RunOutcome::Completed(r) => Ok(r),
-            RunOutcome::Interrupted(_) => unreachable!("no fault was injected"),
-        }
-    }
-
-    /// Runs `program` from an explicit architectural state, reporting
-    /// every pipeline event to `obs`.
-    ///
-    /// # Errors
-    /// As for [`Ruu::run`].
-    pub fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        let mut core = Core::new(self, state, mem, program, limit, None, obs);
-        match core.run()? {
-            RunOutcome::Completed(r) => Ok(r),
-            RunOutcome::Interrupted(_) => unreachable!("no fault was injected"),
-        }
+        IssueSimulator::run_from(self, state, mem, program, limit)
     }
 
     /// Runs `program`, injecting an exception on the dynamic instruction
@@ -238,755 +181,7 @@ impl Ruu {
         limit: u64,
         fault_seq: u64,
     ) -> Result<RunOutcome, SimError> {
-        self.run_inner(ArchState::new(), mem, program, limit, Some(fault_seq))
-    }
-
-    fn run_inner(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        fault_seq: Option<u64>,
-    ) -> Result<RunOutcome, SimError> {
-        let mut nobs = NullObserver;
-        let mut core = Core::new(self, state, mem, program, limit, fault_seq, &mut nobs);
-        core.run()
-    }
-
-    /// Runs `program` while logging per-cycle activity for the first
-    /// `trace_cycles` cycles (issue, dispatch, result-bus and commit
-    /// events) — a software logic analyser on the RUU's ports.
-    ///
-    /// # Errors
-    /// As for [`Ruu::run`].
-    pub fn run_traced(
-        &self,
-        program: &Program,
-        mem: Memory,
-        limit: u64,
-        trace_cycles: usize,
-    ) -> Result<(RunResult, CycleTrace), SimError> {
-        let mut nobs = NullObserver;
-        let mut core = Core::new(self, ArchState::new(), mem, program, limit, None, &mut nobs);
-        core.trace = Some(CycleTrace::new(trace_cycles));
-        match core.run()? {
-            RunOutcome::Completed(r) => {
-                let trace = core.trace.take().expect("trace was installed");
-                Ok((r, trace))
-            }
-            RunOutcome::Interrupted(_) => unreachable!("no fault was injected"),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MemPhase {
-    /// Not a memory operation.
-    NotMem,
-    /// In the address-generation queue, not yet matched against the load
-    /// registers.
-    AwaitingLr,
-    /// Load, no match: waiting to dispatch to the memory unit.
-    ToMemory,
-    /// Load, matched a pending operation: waiting for its data.
-    AwaitingData,
-    /// Load with data in hand: waiting for a result-bus slot.
-    Forwarding,
-    /// Store with its address recorded: waiting for data + memory port.
-    StorePending,
-    /// Finished with the memory system.
-    Done,
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    seq: u64,
-    pc: u32,
-    inst: Inst,
-    dst_tag: Option<Tag>,
-    ops: [Operand; 2],
-    dispatched: bool,
-    executed: bool,
-    result: Option<u64>,
-    ea: Option<u64>,
-    mem_phase: MemPhase,
-    lr_provider: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// The entry's result appears on the result bus (ALU op or load).
-    Finish(u64),
-    /// A store's address+data have been handed to the memory port.
-    StoreExec(u64),
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct FfEntry {
-    value: u64,
-    valid: bool,
-}
-
-struct Core<'a> {
-    cfg: &'a MachineConfig,
-    program: &'a Program,
-    bypass: Bypass,
-    capacity: usize,
-    limit: u64,
-    fault_seq: Option<u64>,
-
-    cycle: u64,
-    arch: ArchState,
-    mem: Memory,
-    ni: [u32; NUM_REGS],
-    li: [u64; NUM_REGS],
-    ff: [FfEntry; 8],
-    window: VecDeque<Entry>,
-    mem_queue: VecDeque<u64>,
-    forward_queue: Vec<u64>,
-    events: BTreeMap<u64, Vec<Event>>,
-    lr: LoadRegUnit,
-    fus: FuPool,
-    bus: SlotReservation,
-    dcache: DCache,
-    frontend: Frontend,
-    broadcasts: Broadcasts,
-    stats: RunStats,
-    issued: u64,
-    committed: u64,
-    trace: Option<CycleTrace>,
-    obs: &'a mut dyn PipelineObserver,
-    events_scheduled: u64,
-    last_progress: (u64, u64, u64),
-    last_progress_cycle: u64,
-}
-
-impl<'a> Core<'a> {
-    fn new(
-        ruu: &'a Ruu,
-        state: ArchState,
-        mem: Memory,
-        program: &'a Program,
-        limit: u64,
-        fault_seq: Option<u64>,
-        obs: &'a mut dyn PipelineObserver,
-    ) -> Self {
-        let cfg = &ruu.config;
-        let dcache = DCache::new(
-            &cfg.dcache,
-            cfg.fu_latency(FuClass::Memory),
-            mem.len() as u64,
-        );
-        Core {
-            cfg,
-            program,
-            bypass: ruu.bypass,
-            capacity: ruu.entries,
-            limit,
-            fault_seq,
-            cycle: 0,
-            frontend: Frontend::new(state.pc),
-            arch: state,
-            mem,
-            ni: [0; NUM_REGS],
-            li: [0; NUM_REGS],
-            ff: [FfEntry::default(); 8],
-            window: VecDeque::new(),
-            mem_queue: VecDeque::new(),
-            forward_queue: Vec::new(),
-            events: BTreeMap::new(),
-            lr: LoadRegUnit::new(cfg.load_registers),
-            fus: FuPool::new(),
-            bus: SlotReservation::new(cfg.result_buses),
-            dcache,
-            broadcasts: Broadcasts::default(),
-            stats: RunStats::default(),
-            issued: 0,
-            committed: 0,
-            trace: None,
-            obs,
-            events_scheduled: 0,
-            last_progress: (0, 0, 0),
-            last_progress_cycle: 0,
-        }
-    }
-
-    fn tag_mask(&self) -> u64 {
-        (1u64 << self.cfg.counter_bits) - 1
-    }
-
-    fn pos(&self, seq: u64) -> usize {
-        self.window
-            .iter()
-            .position(|e| e.seq == seq)
-            .expect("entry for live seq is in the window")
-    }
-
-    fn note(&mut self, f: impl FnOnce(&mut CycleRecord)) {
-        let cycle = self.cycle;
-        if let Some(t) = self.trace.as_mut() {
-            if let Some(rec) = t.cur() {
-                // Only record into the live cycle; once the trace is full
-                // (capacity reached) later cycles are not logged.
-                if rec.cycle == cycle {
-                    f(rec);
-                }
-            }
-        }
-    }
-
-    fn schedule(&mut self, cycle: u64, ev: Event) {
-        self.events_scheduled += 1;
-        self.events.entry(cycle).or_default().push(ev);
-    }
-
-    /// Broadcast on the result bus: gates waiting stations, the parked
-    /// branch, and updates the A future file.
-    fn broadcast_result(&mut self, tag: Tag, value: u64) {
-        self.broadcasts.push(tag, value);
-        for e in &mut self.window {
-            for op in &mut e.ops {
-                op.gate(tag, value);
-            }
-        }
-        if let Some(pb) = self.frontend.pending_branch_mut() {
-            pb.cond.gate(tag, value);
-        }
-        if tag.reg.is_a() && tag.instance == (self.li[tag.reg.index()] & self.tag_mask()) {
-            self.ff[tag.reg.num() as usize] = FfEntry { value, valid: true };
-        }
-    }
-
-    /// Broadcast on the RUU→register-file (commit) bus: gates waiting
-    /// stations and the parked branch, but does not touch the future file
-    /// (which mirrors the result bus).
-    fn broadcast_commit(&mut self, tag: Tag, value: u64) {
-        self.broadcasts.push(tag, value);
-        for e in &mut self.window {
-            for op in &mut e.ops {
-                op.gate(tag, value);
-            }
-        }
-        if let Some(pb) = self.frontend.pending_branch_mut() {
-            pb.cond.gate(tag, value);
-        }
-    }
-
-    /// A forwarded load received its data: queue its broadcast.
-    fn wake_forwarded_load(&mut self, seq: u64, value: u64) {
-        let i = self.pos(seq);
-        let e = &mut self.window[i];
-        debug_assert_eq!(e.mem_phase, MemPhase::AwaitingData);
-        e.result = Some(value);
-        e.mem_phase = MemPhase::Forwarding;
-        self.forward_queue.push(seq);
-        self.stats.forwarded_loads += 1;
-    }
-
-    // ---- phase 1: completions --------------------------------------
-
-    fn phase_completions(&mut self) {
-        let Some(evs) = self.events.remove(&self.cycle) else {
-            return;
-        };
-        for ev in evs {
-            match ev {
-                Event::Finish(seq) => {
-                    self.note(|r| r.finished.push(seq));
-                    self.obs.complete(self.cycle, seq);
-                    let i = self.pos(seq);
-                    let e = &mut self.window[i];
-                    e.executed = true;
-                    let dst_tag = e.dst_tag;
-                    let value = e.result;
-                    let is_load = e.inst.is_load();
-                    let was_provider = e.lr_provider;
-                    if is_load {
-                        e.mem_phase = MemPhase::Done;
-                    }
-                    if let Some(tag) = dst_tag {
-                        let v = value.expect("finished producer has a result");
-                        self.broadcast_result(tag, v);
-                    }
-                    if is_load {
-                        if was_provider {
-                            let v = value.expect("finished load has data");
-                            for w in self.lr.provider_ready(seq, v) {
-                                self.wake_forwarded_load(w, v);
-                            }
-                        }
-                        self.lr.retire(seq);
-                    }
-                }
-                Event::StoreExec(seq) => {
-                    self.obs.complete(self.cycle, seq);
-                    let i = self.pos(seq);
-                    let e = &mut self.window[i];
-                    e.executed = true;
-                    let data = e.ops[1].value();
-                    for w in self.lr.provider_ready(seq, data) {
-                        self.wake_forwarded_load(w, data);
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- phase 2: memory address generation (in program order) ------
-
-    fn phase_addr_gen(&mut self) {
-        let Some(&seq) = self.mem_queue.front() else {
-            return;
-        };
-        let i = self.pos(seq);
-        let (ready, kind, imm) = {
-            let e = &self.window[i];
-            (
-                e.ops[0].is_ready(),
-                if e.inst.is_load() {
-                    MemOpKind::Load
-                } else {
-                    MemOpKind::Store
-                },
-                e.inst.imm,
-            )
-        };
-        if !ready {
-            return;
-        }
-        let base = self.window[i].ops[0].value();
-        // Canonicalize so the load registers compare the word actually
-        // touched; raw effective addresses may alias one memory word.
-        let ea = self
-            .mem
-            .canonicalize(semantics::effective_address(base, imm));
-        let Some(outcome) = self.lr.process(seq, kind, ea) else {
-            return; // no free load register; retry next cycle
-        };
-        self.mem_queue.pop_front();
-        let e = &mut self.window[i];
-        e.ea = Some(ea);
-        match outcome {
-            LrOutcome::ToMemory => {
-                e.mem_phase = MemPhase::ToMemory;
-                e.lr_provider = true;
-            }
-            LrOutcome::Forwarded { value } => {
-                e.result = Some(value);
-                e.mem_phase = MemPhase::Forwarding;
-                self.forward_queue.push(seq);
-                self.stats.forwarded_loads += 1;
-            }
-            LrOutcome::WaitOn { .. } => {
-                e.mem_phase = MemPhase::AwaitingData;
-            }
-            LrOutcome::StoreRecorded => {
-                e.mem_phase = MemPhase::StorePending;
-            }
-        }
-    }
-
-    // ---- phase 3: forwarded-load broadcasts ---------------------------
-
-    fn phase_forwards(&mut self) {
-        let lat = self.cfg.forward_latency;
-        let mut remaining = Vec::new();
-        let queue = std::mem::take(&mut self.forward_queue);
-        for seq in queue {
-            if self.bus.try_reserve(self.cycle + lat) {
-                self.note(|r| r.dispatched.push(seq));
-                self.obs
-                    .dispatch(self.cycle, seq, FuClass::Memory, self.cycle + lat);
-                self.schedule(self.cycle + lat, Event::Finish(seq));
-            } else {
-                remaining.push(seq);
-            }
-        }
-        self.forward_queue = remaining;
-    }
-
-    // ---- phase 4: dispatch to the functional units --------------------
-
-    fn dispatchable(&self) -> Vec<(bool, u64)> {
-        let mut out = Vec::new();
-        for e in &self.window {
-            if e.dispatched || e.executed {
-                continue;
-            }
-            match e.mem_phase {
-                MemPhase::ToMemory => out.push((true, e.seq)),
-                MemPhase::StorePending if e.ops[0].is_ready() && e.ops[1].is_ready() => {
-                    out.push((true, e.seq));
-                }
-                MemPhase::NotMem
-                    if e.inst.fu_class().is_some()
-                        && e.ops[0].is_ready()
-                        && e.ops[1].is_ready() =>
-                {
-                    out.push((false, e.seq));
-                }
-                _ => {}
-            }
-        }
-        // Load/store priority first (stable within each class = age order,
-        // paper §5.1).
-        out.sort_by_key(|&(is_mem, _)| !is_mem);
-        out
-    }
-
-    fn phase_dispatch(&mut self) {
-        let mut paths = self.cfg.dispatch_paths;
-        for (_, seq) in self.dispatchable() {
-            if paths == 0 {
-                break;
-            }
-            let i = self.pos(seq);
-            let e = &self.window[i];
-            match e.mem_phase {
-                MemPhase::ToMemory => {
-                    let ea = e.ea.expect("address generated");
-                    let plan = self.dcache.plan(ea, self.cycle);
-                    let Some(lat) = plan.latency() else {
-                        continue; // every outstanding-miss register busy: retry
-                    };
-                    if self.fus.can_accept(FuClass::Memory, self.cycle)
-                        && self.bus.available(self.cycle + lat)
-                    {
-                        self.fus.accept(FuClass::Memory, self.cycle);
-                        self.bus.try_reserve(self.cycle + lat);
-                        let v = self.mem.read(ea);
-                        let e = &mut self.window[i];
-                        e.result = Some(v);
-                        e.dispatched = true;
-                        self.note(|r| r.dispatched.push(seq));
-                        self.obs
-                            .dispatch(self.cycle, seq, FuClass::Memory, self.cycle + lat);
-                        if self.dcache.is_finite() {
-                            let plan = self.dcache.access(ea, self.cycle);
-                            self.obs.mem_access(self.cycle, ea, plan.is_hit(), lat);
-                        }
-                        self.schedule(self.cycle + lat, Event::Finish(seq));
-                        paths -= 1;
-                    }
-                }
-                MemPhase::StorePending if self.fus.can_accept(FuClass::Memory, self.cycle) => {
-                    self.fus.accept(FuClass::Memory, self.cycle);
-                    self.window[i].dispatched = true;
-                    self.note(|r| r.dispatched.push(seq));
-                    self.obs.dispatch(
-                        self.cycle,
-                        seq,
-                        FuClass::Memory,
-                        self.cycle + self.cfg.store_exec_latency,
-                    );
-                    self.schedule(
-                        self.cycle + self.cfg.store_exec_latency,
-                        Event::StoreExec(seq),
-                    );
-                    paths -= 1;
-                }
-                MemPhase::NotMem => {
-                    let fu = e.inst.fu_class().expect("ALU entry has a unit");
-                    let lat = self.cfg.fu_latency(fu);
-                    if self.fus.can_accept(fu, self.cycle) && self.bus.available(self.cycle + lat) {
-                        self.fus.accept(fu, self.cycle);
-                        self.bus.try_reserve(self.cycle + lat);
-                        let e = &mut self.window[i];
-                        let v = semantics::alu_result(
-                            e.inst.opcode,
-                            e.ops[0].value(),
-                            e.ops[1].value(),
-                            e.inst.imm,
-                        );
-                        e.result = Some(v);
-                        e.dispatched = true;
-                        self.note(|r| r.dispatched.push(seq));
-                        self.obs.dispatch(self.cycle, seq, fu, self.cycle + lat);
-                        self.schedule(self.cycle + lat, Event::Finish(seq));
-                        paths -= 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    // ---- phase 5: in-order commit --------------------------------------
-
-    fn phase_commit(&mut self) -> Option<InterruptFrame> {
-        for _ in 0..self.cfg.commit_width {
-            let Some(head) = self.window.front() else {
-                break;
-            };
-            if !head.executed {
-                break;
-            }
-            if self.fault_seq == Some(head.seq) {
-                // Precise interrupt: the faulting instruction does not
-                // update any state; everything older already has.
-                let mut state = self.arch.clone();
-                state.pc = head.pc;
-                return Some(InterruptFrame {
-                    state,
-                    memory: self.mem.clone(),
-                    resume_pc: head.pc,
-                    committed: self.committed,
-                    cycle: self.cycle,
-                });
-            }
-            let e = self.window.pop_front().expect("head exists");
-            self.note(|r| r.committed.push(e.seq));
-            self.obs.commit(self.cycle, e.seq);
-            if e.inst.is_store() {
-                let ea = e.ea.expect("executed store has an address");
-                self.mem.write(ea, e.ops[1].value());
-                self.lr.retire(e.seq);
-            }
-            if let Some(tag) = e.dst_tag {
-                let v = e.result.expect("executed producer has a result");
-                self.arch.set_reg(tag.reg, v);
-                self.ni[tag.reg.index()] -= 1;
-                self.broadcast_commit(tag, v);
-            }
-            self.committed += 1;
-        }
-        None
-    }
-
-    // ---- phase 6: decode / issue ----------------------------------------
-
-    fn read_operand(&self, r: Reg) -> Operand {
-        if self.ni[r.index()] == 0 {
-            return Operand::Ready(self.arch.reg(r));
-        }
-        let tag = Tag {
-            reg: r,
-            instance: self.li[r.index()] & self.tag_mask(),
-        };
-        if let Some(v) = self.broadcasts.lookup(tag) {
-            return Operand::Ready(v);
-        }
-        match self.bypass {
-            Bypass::Full => {
-                match self
-                    .window
-                    .iter()
-                    .find(|e| e.dst_tag == Some(tag) && e.executed)
-                {
-                    Some(e) => Operand::Ready(e.result.expect("executed producer has a result")),
-                    None => Operand::Waiting(tag),
-                }
-            }
-            Bypass::None => Operand::Waiting(tag),
-            Bypass::LimitedA => {
-                if r.is_a() {
-                    let ff = self.ff[r.num() as usize];
-                    if ff.valid {
-                        Operand::Ready(ff.value)
-                    } else {
-                        Operand::Waiting(tag)
-                    }
-                } else {
-                    Operand::Waiting(tag)
-                }
-            }
-        }
-    }
-
-    fn phase_issue(&mut self) -> Result<(), SimError> {
-        match self.frontend.peek(self.cycle, self.program) {
-            FetchSlot::Halted => {
-                self.frontend.set_halted();
-                self.stats.stall(StallReason::Drained);
-                self.obs.stall(self.cycle, StallReason::Drained);
-            }
-            FetchSlot::Dead => {
-                self.stats.stall(StallReason::DeadCycle);
-                self.obs.stall(self.cycle, StallReason::DeadCycle);
-            }
-            FetchSlot::BranchParked => {
-                let pb = *self.frontend.pending_branch().expect("branch is parked");
-                if pb.cond.is_ready() {
-                    self.frontend.resolve_branch(
-                        self.cycle,
-                        &pb.inst,
-                        pb.cond.value(),
-                        self.cfg,
-                        &mut self.stats,
-                    );
-                    self.note(|r| r.issued_pc = Some(pb.pc));
-                    self.obs.issue(self.cycle, self.issued);
-                    self.issued += 1;
-                    self.stats.issue_cycles += 1;
-                } else {
-                    self.stats.stall(StallReason::BranchWait);
-                    self.obs.stall(self.cycle, StallReason::BranchWait);
-                }
-            }
-            FetchSlot::Inst(pc, inst) => {
-                if self.issued >= self.limit {
-                    return Err(SimError::InstLimit { limit: self.limit });
-                }
-                self.obs.fetch(self.cycle, pc);
-                if inst.is_branch() {
-                    let cond = match inst.src1 {
-                        Some(r) => self.read_operand(r),
-                        None => Operand::Ready(0),
-                    };
-                    if cond.is_ready() {
-                        self.frontend.resolve_branch(
-                            self.cycle,
-                            &inst,
-                            cond.value(),
-                            self.cfg,
-                            &mut self.stats,
-                        );
-                        self.note(|r| r.issued_pc = Some(pc));
-                        self.obs.issue(self.cycle, self.issued);
-                        self.issued += 1;
-                        self.stats.issue_cycles += 1;
-                    } else {
-                        self.frontend.park_branch(pc, inst, cond);
-                        self.stats.stall(StallReason::BranchWait);
-                        self.obs.stall(self.cycle, StallReason::BranchWait);
-                    }
-                    return Ok(());
-                }
-
-                if self.window.len() >= self.capacity {
-                    self.stats.stall(StallReason::WindowFull);
-                    self.obs.stall(self.cycle, StallReason::WindowFull);
-                    return Ok(());
-                }
-                if let Some(d) = inst.dst {
-                    if self.ni[d.index()] >= self.cfg.max_instances() {
-                        self.stats.stall(StallReason::RegInstanceLimit);
-                        self.obs.stall(self.cycle, StallReason::RegInstanceLimit);
-                        return Ok(());
-                    }
-                }
-                if inst.is_mem() && self.lr.is_full() {
-                    self.stats.stall(StallReason::LoadRegFull);
-                    self.obs.stall(self.cycle, StallReason::LoadRegFull);
-                    return Ok(());
-                }
-
-                // Read source operands (value or tag).
-                let ops = [
-                    inst.src1
-                        .map_or(Operand::Ready(0), |r| self.read_operand(r)),
-                    inst.src2
-                        .map_or(Operand::Ready(0), |r| self.read_operand(r)),
-                ];
-
-                // Acquire the destination instance.
-                let dst_tag = inst.dst.map(|d| {
-                    self.ni[d.index()] += 1;
-                    self.li[d.index()] += 1;
-                    if d.is_a() {
-                        self.ff[d.num() as usize].valid = false;
-                    }
-                    Tag {
-                        reg: d,
-                        instance: self.li[d.index()] & self.tag_mask(),
-                    }
-                });
-
-                let seq = self.issued;
-                let is_mem = inst.is_mem();
-                let no_fu = inst.fu_class().is_none(); // Nop
-                self.window.push_back(Entry {
-                    seq,
-                    pc,
-                    inst,
-                    dst_tag,
-                    ops,
-                    dispatched: no_fu,
-                    executed: no_fu,
-                    result: None,
-                    ea: None,
-                    mem_phase: if is_mem {
-                        MemPhase::AwaitingLr
-                    } else {
-                        MemPhase::NotMem
-                    },
-                    lr_provider: false,
-                });
-                if is_mem {
-                    self.mem_queue.push_back(seq);
-                }
-                self.note(|r| r.issued_pc = Some(pc));
-                self.obs.issue(self.cycle, seq);
-                self.issued += 1;
-                self.stats.issue_cycles += 1;
-                self.frontend.advance();
-            }
-        }
-        Ok(())
-    }
-
-    fn drained(&self) -> bool {
-        self.frontend.halted()
-            && self.window.is_empty()
-            && self.mem_queue.is_empty()
-            && self.forward_queue.is_empty()
-            && self.events.is_empty()
-    }
-
-    fn run(&mut self) -> Result<RunOutcome, SimError> {
-        loop {
-            self.broadcasts.clear();
-            let occ = self.window.len() as u32;
-            self.stats.observe_occupancy(occ);
-            if let Some(t) = self.trace.as_mut() {
-                t.start_cycle(self.cycle, occ);
-            }
-
-            self.phase_completions();
-            self.phase_addr_gen();
-            self.phase_forwards();
-            self.phase_dispatch();
-            if let Some(frame) = self.phase_commit() {
-                return Ok(RunOutcome::Interrupted(frame));
-            }
-            self.phase_issue()?;
-
-            let progress = (self.issued, self.committed, self.events_scheduled);
-            if progress != self.last_progress {
-                self.last_progress = progress;
-                self.last_progress_cycle = self.cycle;
-            } else if self.cycle - self.last_progress_cycle > 100_000 {
-                // Nothing issued, committed, or entered the pipelines for
-                // far longer than any latency in the machine: a bug.
-                return Err(SimError::Deadlock { cycle: self.cycle });
-            }
-
-            self.obs.cycle_end(self.cycle, occ);
-            if self.drained() {
-                self.cycle += 1;
-                break;
-            }
-            self.cycle += 1;
-            // Keep the reservation table small on long runs.
-            if self.cycle.is_multiple_of(4096) {
-                self.bus.release_before(self.cycle);
-            }
-        }
-
-        let mut state = self.arch.clone();
-        state.pc = self.frontend.pc();
-        let cs = self.dcache.stats();
-        self.stats.dcache_accesses = cs.accesses;
-        self.stats.dcache_hits = cs.hits;
-        self.stats.dcache_misses = cs.misses;
-        Ok(RunOutcome::Completed(RunResult {
-            cycles: self.cycle,
-            instructions: self.issued,
-            state,
-            memory: self.mem.clone(),
-            stats: std::mem::take(&mut self.stats),
-        }))
+        self.run_faulting(program, mem, limit, fault_seq)
     }
 }
 
@@ -994,7 +189,8 @@ impl<'a> Core<'a> {
 mod tests {
     use super::*;
     use ruu_exec::Trace;
-    use ruu_isa::Asm;
+    use ruu_isa::{Asm, Reg};
+    use ruu_sim_core::StallReason;
 
     fn cfg() -> MachineConfig {
         MachineConfig::paper()
@@ -1337,65 +533,6 @@ mod tests {
             let r = run_bp(&prog, 8, bp);
             assert_eq!(&r.state, g.final_state(), "{bp:?}");
         }
-    }
-
-    #[test]
-    fn cycle_trace_records_the_pipeline() {
-        let prog = || {
-            let mut a = Asm::new("t");
-            a.a_imm(Reg::a(1), 5);
-            a.a_add(Reg::a(2), Reg::a(1), Reg::a(1));
-            a.a_add(Reg::a(3), Reg::a(2), Reg::a(1));
-            a.halt();
-            a
-        };
-        let p = prog().assemble().unwrap();
-        let (r, t) = Ruu::new(cfg(), 8, Bypass::Full)
-            .run_traced(&p, Memory::new(1 << 8), 1000, 64)
-            .unwrap();
-        assert_eq!(t.cycles.len() as u64, r.cycles.min(64));
-        // Every dynamic instruction shows up once in issue, dispatch and
-        // commit across the trace.
-        let issued: Vec<u32> = t.cycles.iter().filter_map(|c| c.issued_pc).collect();
-        assert_eq!(issued, vec![0, 1, 2]);
-        let committed: Vec<u64> = t.cycles.iter().flat_map(|c| c.committed.clone()).collect();
-        assert_eq!(committed, vec![0, 1, 2]);
-        let dispatched: Vec<u64> = t.cycles.iter().flat_map(|c| c.dispatched.clone()).collect();
-        assert_eq!(dispatched.len(), 3);
-        // Commit order is program order and each commit follows its finish.
-        for seq in 0..3u64 {
-            let fin = t
-                .cycles
-                .iter()
-                .position(|c| c.finished.contains(&seq))
-                .unwrap();
-            let com = t
-                .cycles
-                .iter()
-                .position(|c| c.committed.contains(&seq))
-                .unwrap();
-            assert!(com >= fin, "seq {seq}");
-        }
-    }
-
-    #[test]
-    fn cycle_trace_is_bounded() {
-        let prog = || {
-            let mut a = Asm::new("t");
-            let top = a.new_label();
-            a.a_imm(Reg::a(0), 50);
-            a.bind(top);
-            a.a_sub_imm(Reg::a(0), Reg::a(0), 1);
-            a.br_an(top);
-            a.halt();
-            a
-        };
-        let p = prog().assemble().unwrap();
-        let (r, t) = Ruu::new(cfg(), 8, Bypass::Full)
-            .run_traced(&p, Memory::new(1 << 8), 10_000, 10)
-            .unwrap();
-        assert!(r.cycles > 10);
-        assert_eq!(t.cycles.len(), 10);
     }
 
     #[test]

@@ -18,10 +18,7 @@ use ruu_isa::Program;
 use ruu_sim_core::{MachineConfig, PipelineObserver, RunResult};
 
 use crate::reorder::InOrderPrecise;
-use crate::ruu::Ruu;
 use crate::simple::SimpleIssue;
-use crate::spec_ruu::SpecRuu;
-use crate::tagged::TaggedSim;
 use crate::SimError;
 
 /// A configured, runnable issue-mechanism simulator.
@@ -103,60 +100,6 @@ impl IssueSimulator for SimpleIssue {
     }
 }
 
-impl IssueSimulator for TaggedSim {
-    fn config(&self) -> &MachineConfig {
-        TaggedSim::config(self)
-    }
-
-    fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        TaggedSim::run_from(self, state, mem, program, limit)
-    }
-
-    fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        TaggedSim::run_observed(self, state, mem, program, limit, obs)
-    }
-}
-
-impl IssueSimulator for Ruu {
-    fn config(&self) -> &MachineConfig {
-        Ruu::config(self)
-    }
-
-    fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        Ruu::run_from(self, state, mem, program, limit)
-    }
-
-    fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        Ruu::run_observed(self, state, mem, program, limit, obs)
-    }
-}
-
 impl IssueSimulator for InOrderPrecise {
     fn config(&self) -> &MachineConfig {
         InOrderPrecise::config(self)
@@ -184,48 +127,11 @@ impl IssueSimulator for InOrderPrecise {
     }
 }
 
-/// The speculative RUU behind the uniform interface: each run builds a
-/// fresh predictor from the simulator's [`SpecRuu::predictor`]
-/// configuration, so `&self` runs stay independent and repeatable. The
-/// architectural [`RunResult`] is returned; the speculation counters are
-/// available via [`SpecRuu::run`] directly.
-impl IssueSimulator for SpecRuu {
-    fn config(&self) -> &MachineConfig {
-        SpecRuu::config(self)
-    }
-
-    fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        let mut pred = self.predictor().build();
-        let mut nobs = ruu_sim_core::NullObserver;
-        SpecRuu::run_from_observed(self, state, mem, program, limit, pred.as_mut(), &mut nobs)
-            .map(|r| r.run)
-    }
-
-    fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        let mut pred = self.predictor().build();
-        SpecRuu::run_from_observed(self, state, mem, program, limit, pred.as_mut(), obs)
-            .map(|r| r.run)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::predict::TwoBit;
-    use crate::{Bypass, Mechanism, PreciseScheme, WindowKind};
+    use crate::{Bypass, Mechanism, PreciseScheme, Ruu, SpecRuu, TaggedSim, WindowKind};
     use ruu_isa::{Asm, Reg};
 
     fn tiny_program() -> Program {

@@ -19,19 +19,16 @@
 //!
 //! Everything architectural is untouched by speculation, so the golden-
 //! equivalence tests hold for this machine exactly as for the base RUU.
-
-use std::collections::{BTreeMap, VecDeque};
+//! Both run on the shared out-of-order core; only the branch policy
+//! differs.
 
 use ruu_exec::{ArchState, Memory};
-use ruu_isa::{semantics, FuClass, Inst, Opcode, Program, Reg, NUM_REGS};
-use ruu_sim_core::{
-    DCache, FuPool, LoadRegUnit, LrOutcome, MachineConfig, MemOpKind, NullObserver,
-    PipelineObserver, RunResult, RunStats, SlotReservation, StallReason,
-};
+use ruu_isa::Program;
+use ruu_sim_core::{MachineConfig, NullObserver, PipelineObserver, RunResult};
 
-use crate::common::{Broadcasts, Operand, Tag};
+use crate::ooo::{expect_completed, Branches, Core, OutOfOrder, Policy};
 use crate::predict::{Predictor, PredictorConfig};
-use crate::ruu::Bypass;
+use crate::ruu::{Bypass, Ruu};
 use crate::SimError;
 
 /// Statistics specific to speculative execution.
@@ -60,9 +57,8 @@ pub struct SpecRunResult {
 /// The speculative RUU simulator.
 #[derive(Debug, Clone)]
 pub struct SpecRuu {
-    config: MachineConfig,
-    entries: usize,
-    bypass: Bypass,
+    /// The same RUU with speculation turned off.
+    ruu: Ruu,
     predictor: PredictorConfig,
 }
 
@@ -91,14 +87,11 @@ impl SpecRuu {
         bypass: Bypass,
         predictor: PredictorConfig,
     ) -> Self {
-        assert!(entries > 0, "the RUU needs at least one entry");
         if let Err(e) = predictor.validate() {
             panic!("invalid predictor configuration: {e}");
         }
         SpecRuu {
-            config,
-            entries,
-            bypass,
+            ruu: Ruu::new(config, entries, bypass),
             predictor,
         }
     }
@@ -106,7 +99,7 @@ impl SpecRuu {
     /// The machine configuration.
     #[must_use]
     pub fn config(&self) -> &MachineConfig {
-        &self.config
+        self.ruu.config()
     }
 
     /// The predictor configuration used by the trait-object entry points.
@@ -127,29 +120,14 @@ impl SpecRuu {
         limit: u64,
         predictor: &mut dyn Predictor,
     ) -> Result<SpecRunResult, SimError> {
-        let mut nobs = NullObserver;
-        self.run_observed(program, mem, limit, predictor, &mut nobs)
+        let state = ArchState::new();
+        self.run_from_observed(state, mem, program, limit, predictor, &mut NullObserver)
     }
 
-    /// As [`SpecRuu::run`], reporting every pipeline event to `obs`
-    /// (including [`PipelineObserver::flush`] on each misprediction
+    /// As [`SpecRuu::run`], starting from an explicit architectural state
+    /// (fetch starts at `state.pc`) and reporting every pipeline event to
+    /// `obs` (including [`PipelineObserver::flush`] on each misprediction
     /// squash).
-    ///
-    /// # Errors
-    /// As for [`SpecRuu::run`].
-    pub fn run_observed(
-        &self,
-        program: &Program,
-        mem: Memory,
-        limit: u64,
-        predictor: &mut dyn Predictor,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<SpecRunResult, SimError> {
-        self.run_from_observed(ArchState::new(), mem, program, limit, predictor, obs)
-    }
-
-    /// As [`SpecRuu::run_observed`], starting from an explicit
-    /// architectural state (fetch starts at `state.pc`).
     ///
     /// # Errors
     /// As for [`SpecRuu::run`].
@@ -162,796 +140,26 @@ impl SpecRuu {
         predictor: &mut dyn Predictor,
         obs: &mut dyn PipelineObserver,
     ) -> Result<SpecRunResult, SimError> {
-        let mut core = SCore::new(self, state, mem, program, limit, predictor, obs);
-        core.run()
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MemPhase {
-    NotMem,
-    AwaitingLr,
-    ToMemory,
-    AwaitingData,
-    Forwarding,
-    StorePending,
-    Done,
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    seq: u64,
-    inst: Inst,
-    dst_tag: Option<Tag>,
-    ops: [Operand; 2],
-    dispatched: bool,
-    executed: bool,
-    result: Option<u64>,
-    ea: Option<u64>,
-    mem_phase: MemPhase,
-    lr_provider: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Finish(u64),
-    StoreExec(u64),
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct FfEntry {
-    value: u64,
-    valid: bool,
-}
-
-/// Snapshot taken when a branch is predicted, for misprediction repair.
-/// Branches whose condition was already known at decode also get a record
-/// (with `assumed_taken` = the actual outcome, so they can never
-/// "mispredict"): a branch only *counts* architecturally when it reaches
-/// the front of the record queue, i.e. when it is itself known to be on
-/// the correct path.
-#[derive(Debug, Clone)]
-struct BranchRecord {
-    seq: u64,
-    pc: u32,
-    inst: Inst,
-    assumed_taken: bool,
-    /// `true` if the direction came from the predictor (may mispredict).
-    speculative: bool,
-    cond: Operand,
-    /// pc of the *other* path, fetched on misprediction.
-    repair_pc: u32,
-    /// LI counters at prediction time (only issue advances LI, and every
-    /// post-branch issue is squashed, so restoring is exact).
-    li: [u64; NUM_REGS],
-    /// A future file at prediction time (restoring is conservative: a
-    /// legitimate older broadcast in between re-arrives via the commit
-    /// bus, so a stale-invalid entry only delays, never corrupts).
-    ff: [FfEntry; 8],
-}
-
-struct SCore<'a> {
-    cfg: &'a MachineConfig,
-    program: &'a Program,
-    bypass: Bypass,
-    capacity: usize,
-    limit: u64,
-    predictor: &'a mut dyn Predictor,
-
-    cycle: u64,
-    arch: ArchState,
-    mem: Memory,
-    ni: [u32; NUM_REGS],
-    li: [u64; NUM_REGS],
-    ff: [FfEntry; 8],
-    window: VecDeque<Entry>,
-    branches: VecDeque<BranchRecord>,
-    mem_queue: VecDeque<u64>,
-    forward_queue: Vec<u64>,
-    events: BTreeMap<u64, Vec<Event>>,
-    lr: LoadRegUnit,
-    fus: FuPool,
-    bus: SlotReservation,
-    dcache: DCache,
-    broadcasts: Broadcasts,
-    stats: RunStats,
-    spec: SpecStats,
-    obs: &'a mut dyn PipelineObserver,
-
-    pc: u32,
-    next_fetch_cycle: u64,
-    /// Fetch-stall cycles strictly before this cycle are misprediction
-    /// repair (squash + redirect) rather than ordinary branch bubbles.
-    repair_until: u64,
-    halted: bool,
-
-    seq_counter: u64,
-    /// Architectural completions: commits + resolved branches.
-    completed: u64,
-    events_scheduled: u64,
-    last_progress: (u64, u64),
-    last_progress_cycle: u64,
-}
-
-impl<'a> SCore<'a> {
-    fn new(
-        sim: &'a SpecRuu,
-        state: ArchState,
-        mem: Memory,
-        program: &'a Program,
-        limit: u64,
-        predictor: &'a mut dyn Predictor,
-        obs: &'a mut dyn PipelineObserver,
-    ) -> Self {
-        let pc = state.pc;
-        let cfg = &sim.config;
-        let dcache = DCache::new(
-            &cfg.dcache,
-            cfg.fu_latency(FuClass::Memory),
-            mem.len() as u64,
-        );
-        SCore {
-            cfg,
-            program,
-            bypass: sim.bypass,
-            capacity: sim.entries,
-            limit,
-            predictor,
-            cycle: 0,
-            arch: state,
-            mem,
-            ni: [0; NUM_REGS],
-            li: [0; NUM_REGS],
-            ff: [FfEntry::default(); 8],
-            window: VecDeque::new(),
-            branches: VecDeque::new(),
-            mem_queue: VecDeque::new(),
-            forward_queue: Vec::new(),
-            events: BTreeMap::new(),
-            lr: LoadRegUnit::new(sim.config.load_registers),
-            fus: FuPool::new(),
-            bus: SlotReservation::new(sim.config.result_buses),
-            dcache,
-            broadcasts: Broadcasts::default(),
-            stats: RunStats::default(),
-            spec: SpecStats::default(),
-            obs,
-            pc,
-            next_fetch_cycle: 0,
-            repair_until: 0,
-            halted: false,
-            seq_counter: 0,
-            completed: 0,
-            events_scheduled: 0,
-            last_progress: (0, 0),
-            last_progress_cycle: 0,
-        }
-    }
-
-    fn tag_mask(&self) -> u64 {
-        (1u64 << self.cfg.counter_bits) - 1
-    }
-
-    fn pos(&self, seq: u64) -> usize {
-        self.window
-            .iter()
-            .position(|e| e.seq == seq)
-            .expect("entry for live seq is in the window")
-    }
-
-    fn schedule(&mut self, cycle: u64, ev: Event) {
-        self.events_scheduled += 1;
-        self.events.entry(cycle).or_default().push(ev);
-    }
-
-    fn gate_all(&mut self, tag: Tag, value: u64) {
-        self.broadcasts.push(tag, value);
-        for e in &mut self.window {
-            for op in &mut e.ops {
-                op.gate(tag, value);
-            }
-        }
-        for b in &mut self.branches {
-            b.cond.gate(tag, value);
-        }
-    }
-
-    fn broadcast_result(&mut self, tag: Tag, value: u64) {
-        self.gate_all(tag, value);
-        if tag.reg.is_a() && tag.instance == (self.li[tag.reg.index()] & self.tag_mask()) {
-            self.ff[tag.reg.num() as usize] = FfEntry { value, valid: true };
-        }
-    }
-
-    fn wake_forwarded_load(&mut self, seq: u64, value: u64) {
-        let i = self.pos(seq);
-        let e = &mut self.window[i];
-        debug_assert_eq!(e.mem_phase, MemPhase::AwaitingData);
-        e.result = Some(value);
-        e.mem_phase = MemPhase::Forwarding;
-        self.forward_queue.push(seq);
-        self.stats.forwarded_loads += 1;
-    }
-
-    // ---- phases (mirroring the base RUU; see ruu.rs) -----------------
-
-    fn phase_completions(&mut self) {
-        let Some(evs) = self.events.remove(&self.cycle) else {
-            return;
-        };
-        for ev in evs {
-            match ev {
-                Event::Finish(seq) => {
-                    let i = self.pos(seq);
-                    self.obs.complete(self.cycle, seq);
-                    let e = &mut self.window[i];
-                    e.executed = true;
-                    let dst_tag = e.dst_tag;
-                    let value = e.result;
-                    let is_load = e.inst.is_load();
-                    let was_provider = e.lr_provider;
-                    if is_load {
-                        e.mem_phase = MemPhase::Done;
-                    }
-                    if let Some(tag) = dst_tag {
-                        let v = value.expect("finished producer has a result");
-                        self.broadcast_result(tag, v);
-                    }
-                    if is_load {
-                        if was_provider {
-                            let v = value.expect("finished load has data");
-                            for w in self.lr.provider_ready(seq, v) {
-                                self.wake_forwarded_load(w, v);
-                            }
-                        }
-                        self.lr.retire(seq);
-                    }
-                }
-                Event::StoreExec(seq) => {
-                    let i = self.pos(seq);
-                    self.obs.complete(self.cycle, seq);
-                    let e = &mut self.window[i];
-                    e.executed = true;
-                    let data = e.ops[1].value();
-                    for w in self.lr.provider_ready(seq, data) {
-                        self.wake_forwarded_load(w, data);
-                    }
-                }
-            }
-        }
-    }
-
-    fn phase_addr_gen(&mut self) {
-        let Some(&seq) = self.mem_queue.front() else {
-            return;
-        };
-        let i = self.pos(seq);
-        let (ready, kind, imm) = {
-            let e = &self.window[i];
-            (
-                e.ops[0].is_ready(),
-                if e.inst.is_load() {
-                    MemOpKind::Load
-                } else {
-                    MemOpKind::Store
-                },
-                e.inst.imm,
-            )
-        };
-        if !ready {
-            return;
-        }
-        let base = self.window[i].ops[0].value();
-        // Canonicalize so the load registers compare the word actually
-        // touched; raw effective addresses may alias one memory word.
-        let ea = self
-            .mem
-            .canonicalize(semantics::effective_address(base, imm));
-        let Some(outcome) = self.lr.process(seq, kind, ea) else {
-            return;
-        };
-        self.mem_queue.pop_front();
-        let e = &mut self.window[i];
-        e.ea = Some(ea);
-        match outcome {
-            LrOutcome::ToMemory => {
-                e.mem_phase = MemPhase::ToMemory;
-                e.lr_provider = true;
-            }
-            LrOutcome::Forwarded { value } => {
-                e.result = Some(value);
-                e.mem_phase = MemPhase::Forwarding;
-                self.forward_queue.push(seq);
-                self.stats.forwarded_loads += 1;
-            }
-            LrOutcome::WaitOn { .. } => e.mem_phase = MemPhase::AwaitingData,
-            LrOutcome::StoreRecorded => e.mem_phase = MemPhase::StorePending,
-        }
-    }
-
-    fn phase_forwards(&mut self) {
-        let lat = self.cfg.forward_latency;
-        let queue = std::mem::take(&mut self.forward_queue);
-        let mut remaining = Vec::new();
-        for seq in queue {
-            if self.bus.try_reserve(self.cycle + lat) {
-                self.obs
-                    .dispatch(self.cycle, seq, FuClass::Memory, self.cycle + lat);
-                self.schedule(self.cycle + lat, Event::Finish(seq));
-            } else {
-                remaining.push(seq);
-            }
-        }
-        self.forward_queue = remaining;
-    }
-
-    fn phase_dispatch(&mut self) {
-        let mut paths = self.cfg.dispatch_paths;
-        let mut candidates: Vec<(bool, u64)> = Vec::new();
-        for e in &self.window {
-            if e.dispatched || e.executed {
-                continue;
-            }
-            match e.mem_phase {
-                MemPhase::ToMemory => candidates.push((true, e.seq)),
-                MemPhase::StorePending if e.ops[0].is_ready() && e.ops[1].is_ready() => {
-                    candidates.push((true, e.seq));
-                }
-                MemPhase::NotMem
-                    if e.inst.fu_class().is_some()
-                        && e.ops[0].is_ready()
-                        && e.ops[1].is_ready() =>
-                {
-                    candidates.push((false, e.seq));
-                }
-                _ => {}
-            }
-        }
-        candidates.sort_by_key(|&(is_mem, seq)| (!is_mem, seq));
-        for (_, seq) in candidates {
-            if paths == 0 {
-                break;
-            }
-            let i = self.pos(seq);
-            let e = &self.window[i];
-            match e.mem_phase {
-                MemPhase::ToMemory => {
-                    let ea = e.ea.expect("address generated");
-                    let plan = self.dcache.plan(ea, self.cycle);
-                    let Some(lat) = plan.latency() else {
-                        continue; // every outstanding-miss register busy: retry
-                    };
-                    if self.fus.can_accept(FuClass::Memory, self.cycle)
-                        && self.bus.available(self.cycle + lat)
-                    {
-                        self.fus.accept(FuClass::Memory, self.cycle);
-                        self.bus.try_reserve(self.cycle + lat);
-                        let v = self.mem.read(ea);
-                        let e = &mut self.window[i];
-                        e.result = Some(v);
-                        e.dispatched = true;
-                        self.obs
-                            .dispatch(self.cycle, seq, FuClass::Memory, self.cycle + lat);
-                        if self.dcache.is_finite() {
-                            let plan = self.dcache.access(ea, self.cycle);
-                            self.obs.mem_access(self.cycle, ea, plan.is_hit(), lat);
-                        }
-                        self.schedule(self.cycle + lat, Event::Finish(seq));
-                        paths -= 1;
-                    }
-                }
-                MemPhase::StorePending if self.fus.can_accept(FuClass::Memory, self.cycle) => {
-                    self.fus.accept(FuClass::Memory, self.cycle);
-                    self.window[i].dispatched = true;
-                    self.obs.dispatch(
-                        self.cycle,
-                        seq,
-                        FuClass::Memory,
-                        self.cycle + self.cfg.store_exec_latency,
-                    );
-                    self.schedule(
-                        self.cycle + self.cfg.store_exec_latency,
-                        Event::StoreExec(seq),
-                    );
-                    paths -= 1;
-                }
-                MemPhase::NotMem => {
-                    let fu = e.inst.fu_class().expect("ALU entry has a unit");
-                    let lat = self.cfg.fu_latency(fu);
-                    if self.fus.can_accept(fu, self.cycle) && self.bus.available(self.cycle + lat) {
-                        self.fus.accept(fu, self.cycle);
-                        self.bus.try_reserve(self.cycle + lat);
-                        let e = &mut self.window[i];
-                        let v = semantics::alu_result(
-                            e.inst.opcode,
-                            e.ops[0].value(),
-                            e.ops[1].value(),
-                            e.inst.imm,
-                        );
-                        e.result = Some(v);
-                        e.dispatched = true;
-                        self.obs.dispatch(self.cycle, seq, fu, self.cycle + lat);
-                        self.schedule(self.cycle + lat, Event::Finish(seq));
-                        paths -= 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Commit is gated on the oldest unresolved branch: a speculative
-    /// instruction may execute but never update architectural state.
-    fn phase_commit(&mut self) {
-        let spec_boundary = self.branches.front().map(|b| b.seq);
-        for _ in 0..self.cfg.commit_width {
-            let Some(head) = self.window.front() else {
-                break;
-            };
-            if !head.executed {
-                break;
-            }
-            if let Some(boundary) = spec_boundary {
-                if head.seq > boundary {
-                    break;
-                }
-            }
-            let e = self.window.pop_front().expect("head exists");
-            if e.inst.is_store() {
-                let ea = e.ea.expect("executed store has an address");
-                self.mem.write(ea, e.ops[1].value());
-                self.lr.retire(e.seq);
-            }
-            if let Some(tag) = e.dst_tag {
-                let v = e.result.expect("executed producer has a result");
-                self.arch.set_reg(tag.reg, v);
-                self.ni[tag.reg.index()] -= 1;
-                self.gate_all(tag, v);
-            }
-            self.obs.commit(self.cycle, e.seq);
-            self.completed += 1;
-        }
-    }
-
-    /// Resolves the oldest branch whose condition value is available.
-    fn phase_resolve_branches(&mut self) {
-        while let Some(b) = self.branches.front() {
-            if !b.cond.is_ready() {
-                break;
-            }
-            let b = self.branches.pop_front().expect("front exists");
-            let actual = semantics::branch_taken(b.inst.opcode, b.cond.value());
-            if b.inst.opcode.is_cond_branch() {
-                self.predictor.update(b.pc, actual);
-            }
-            self.stats.branches += 1;
-            if actual {
-                self.stats.taken_branches += 1;
-            }
-            self.completed += 1;
-            if actual != b.assumed_taken {
-                debug_assert!(b.speculative, "a known-direction branch cannot mispredict");
-                self.spec.mispredicted += 1;
-                self.stats.mispredicted_branches += 1;
-                self.squash(&b);
-                break; // younger branches were squashed with everything else
-            }
-        }
-    }
-
-    /// Nullifies every instruction younger than the mispredicted branch
-    /// (paper §7: identify conditional instructions "and prevent them
-    /// from being committed until they are proven to be from a correct
-    /// path" — here they are removed outright).
-    fn squash(&mut self, b: &BranchRecord) {
-        // Window entries, youngest first (the load registers require
-        // youngest-first squash ordering).
-        let mut squashed: Vec<u64> = self
-            .window
-            .iter()
-            .filter(|e| e.seq > b.seq)
-            .map(|e| e.seq)
-            .collect();
-        squashed.sort_unstable_by(|a, c| c.cmp(a));
-        self.spec.nullified += squashed.len() as u64;
-        self.obs.flush(self.cycle, squashed.len() as u64);
-        for &seq in &squashed {
-            self.lr.squash(seq);
-            // Undo the instance the squashed instruction acquired. (NI is
-            // repaired per entry rather than snapshot-restored: older
-            // instructions may have committed since the prediction, and
-            // their NI decrements must survive the squash.)
-            let i = self.pos(seq);
-            if let Some(tag) = self.window[i].dst_tag {
-                self.ni[tag.reg.index()] -= 1;
-            }
-        }
-        self.window.retain(|e| e.seq <= b.seq);
-        self.mem_queue.retain(|&s| s <= b.seq);
-        self.forward_queue.retain(|&s| s <= b.seq);
-        for evs in self.events.values_mut() {
-            evs.retain(|ev| match ev {
-                Event::Finish(s) | Event::StoreExec(s) => *s <= b.seq,
-            });
-        }
-        self.events.retain(|_, evs| !evs.is_empty());
-        self.branches.clear(); // all younger than b
-
-        // Restore the rename state from the branch's snapshot.
-        self.li = b.li;
-        self.ff = b.ff;
-
-        // Redirect fetch to the repair path. The current cycle and the
-        // `mispredict_penalty` cycles after it are all charged as
-        // misprediction repair: `repair_stalls == flushes * (penalty + 1)`
-        // is the invariant `FlushAccountant` checks.
-        self.pc = b.repair_pc;
-        self.halted = false;
-        self.next_fetch_cycle = self.cycle + 1 + self.cfg.mispredict_penalty;
-        self.repair_until = self.next_fetch_cycle;
-    }
-
-    fn read_operand(&self, r: Reg) -> Operand {
-        if self.ni[r.index()] == 0 {
-            return Operand::Ready(self.arch.reg(r));
-        }
-        let tag = Tag {
-            reg: r,
-            instance: self.li[r.index()] & self.tag_mask(),
-        };
-        if let Some(v) = self.broadcasts.lookup(tag) {
-            return Operand::Ready(v);
-        }
-        match self.bypass {
-            Bypass::Full => {
-                match self
-                    .window
-                    .iter()
-                    .find(|e| e.dst_tag == Some(tag) && e.executed)
-                {
-                    Some(e) => Operand::Ready(e.result.expect("executed producer has a result")),
-                    None => Operand::Waiting(tag),
-                }
-            }
-            Bypass::None => Operand::Waiting(tag),
-            Bypass::LimitedA => {
-                if r.is_a() {
-                    let ff = self.ff[r.num() as usize];
-                    if ff.valid {
-                        Operand::Ready(ff.value)
-                    } else {
-                        Operand::Waiting(tag)
-                    }
-                } else {
-                    Operand::Waiting(tag)
-                }
-            }
-        }
-    }
-
-    fn phase_issue(&mut self) -> Result<(), SimError> {
-        if self.halted {
-            self.stats.stall(StallReason::Drained);
-            self.obs.stall(self.cycle, StallReason::Drained);
-            return Ok(());
-        }
-        if self.cycle < self.next_fetch_cycle {
-            let reason = if self.cycle < self.repair_until {
-                StallReason::MispredictRepair
-            } else {
-                StallReason::DeadCycle
-            };
-            self.stats.stall(reason);
-            self.obs.stall(self.cycle, reason);
-            return Ok(());
-        }
-        // Running off the end of the program or decoding HALT drains the
-        // machine: the cycle is charged like every other drain cycle (it
-        // previously went unaccounted, breaking the cycle identity).
-        let Some(&inst) = self.program.get(self.pc) else {
-            self.halted = true;
-            self.stats.stall(StallReason::Drained);
-            self.obs.stall(self.cycle, StallReason::Drained);
-            return Ok(());
-        };
-        if inst.is_halt() {
-            self.halted = true;
-            self.stats.stall(StallReason::Drained);
-            self.obs.stall(self.cycle, StallReason::Drained);
-            return Ok(());
-        }
-        if self.completed >= self.limit {
-            return Err(SimError::InstLimit { limit: self.limit });
-        }
-        self.obs.fetch(self.cycle, self.pc);
-
-        if inst.is_branch() {
-            let cond = match inst.src1 {
-                Some(r) => self.read_operand(r),
-                None => Operand::Ready(0),
-            };
-            let target = inst.target.expect("branch has a target");
-            // Decide the fetch direction: the actual outcome if the
-            // condition is already known, the predictor's guess
-            // otherwise. Either way the branch is *counted* only when it
-            // reaches the front of the record queue — it may itself be
-            // sitting on an older branch's wrong path.
-            let (assumed_taken, speculative) = match cond {
-                Operand::Ready(v) => {
-                    let taken = if inst.opcode == Opcode::Jump {
-                        true
-                    } else {
-                        semantics::branch_taken(inst.opcode, v)
-                    };
-                    (taken, false)
-                }
-                Operand::Waiting(_) => {
-                    self.spec.predicted += 1;
-                    self.stats.predicted_branches += 1;
-                    (self.predictor.predict(self.pc, target), true)
-                }
-            };
-            let (next_pc, repair_pc, bubble) = if assumed_taken {
-                (
-                    target,
-                    self.pc + 1,
-                    if speculative {
-                        self.cfg.spec_taken_bubble
-                    } else {
-                        self.cfg.branch_taken_penalty
-                    },
-                )
-            } else {
-                (
-                    self.pc + 1,
-                    target,
-                    if speculative {
-                        0
-                    } else {
-                        self.cfg.branch_untaken_penalty
-                    },
-                )
-            };
-            self.branches.push_back(BranchRecord {
-                seq: self.seq_counter,
-                pc: self.pc,
-                inst,
-                assumed_taken,
-                speculative,
-                cond,
-                repair_pc,
-                li: self.li,
-                ff: self.ff,
-            });
-            self.obs.issue(self.cycle, self.seq_counter);
-            self.seq_counter += 1;
-            self.pc = next_pc;
-            self.next_fetch_cycle = self.cycle + 1 + bubble;
-            self.stats.issue_cycles += 1;
-            return Ok(());
-        }
-
-        if self.window.len() >= self.capacity {
-            self.stats.stall(StallReason::WindowFull);
-            self.obs.stall(self.cycle, StallReason::WindowFull);
-            return Ok(());
-        }
-        if let Some(d) = inst.dst {
-            if self.ni[d.index()] >= self.cfg.max_instances() {
-                self.stats.stall(StallReason::RegInstanceLimit);
-                self.obs.stall(self.cycle, StallReason::RegInstanceLimit);
-                return Ok(());
-            }
-        }
-        if inst.is_mem() && self.lr.is_full() {
-            self.stats.stall(StallReason::LoadRegFull);
-            self.obs.stall(self.cycle, StallReason::LoadRegFull);
-            return Ok(());
-        }
-
-        let ops = [
-            inst.src1
-                .map_or(Operand::Ready(0), |r| self.read_operand(r)),
-            inst.src2
-                .map_or(Operand::Ready(0), |r| self.read_operand(r)),
-        ];
-        let dst_tag = inst.dst.map(|d| {
-            self.ni[d.index()] += 1;
-            self.li[d.index()] += 1;
-            if d.is_a() {
-                self.ff[d.num() as usize].valid = false;
-            }
-            Tag {
-                reg: d,
-                instance: self.li[d.index()] & self.tag_mask(),
-            }
-        });
-        let seq = self.seq_counter;
-        self.seq_counter += 1;
-        let is_mem = inst.is_mem();
-        let no_fu = inst.fu_class().is_none();
-        self.window.push_back(Entry {
-            seq,
-            inst,
-            dst_tag,
-            ops,
-            dispatched: no_fu,
-            executed: no_fu,
-            result: None,
-            ea: None,
-            mem_phase: if is_mem {
-                MemPhase::AwaitingLr
-            } else {
-                MemPhase::NotMem
-            },
-            lr_provider: false,
-        });
-        if is_mem {
-            self.mem_queue.push_back(seq);
-        }
-        self.obs.issue(self.cycle, seq);
-        self.stats.issue_cycles += 1;
-        self.pc += 1;
-        Ok(())
-    }
-
-    fn drained(&self) -> bool {
-        self.halted
-            && self.window.is_empty()
-            && self.branches.is_empty()
-            && self.mem_queue.is_empty()
-            && self.forward_queue.is_empty()
-            && self.events.is_empty()
-    }
-
-    fn run(&mut self) -> Result<SpecRunResult, SimError> {
-        loop {
-            self.broadcasts.clear();
-            let occ = self.window.len() as u32;
-            self.stats.observe_occupancy(occ);
-
-            self.phase_completions();
-            self.phase_addr_gen();
-            self.phase_forwards();
-            self.phase_dispatch();
-            self.phase_commit();
-            self.phase_resolve_branches();
-            self.phase_issue()?;
-
-            let progress = (self.completed + self.seq_counter, self.events_scheduled);
-            if progress != self.last_progress {
-                self.last_progress = progress;
-                self.last_progress_cycle = self.cycle;
-            } else if self.cycle - self.last_progress_cycle > 100_000 {
-                return Err(SimError::Deadlock { cycle: self.cycle });
-            }
-
-            self.obs.cycle_end(self.cycle, occ);
-            if self.drained() {
-                self.cycle += 1;
-                break;
-            }
-            self.cycle += 1;
-            if self.cycle.is_multiple_of(4096) {
-                self.bus.release_before(self.cycle);
-            }
-        }
-        let mut state = self.arch.clone();
-        state.pc = self.pc;
-        let cs = self.dcache.stats();
-        self.stats.dcache_accesses = cs.accesses;
-        self.stats.dcache_hits = cs.hits;
-        self.stats.dcache_misses = cs.misses;
+        let policy = self.policy();
+        let core = Core::new(self.config(), policy, state, mem, program, limit, obs);
+        let (outcome, spec) = core.run(None, Some(predictor))?;
         Ok(SpecRunResult {
-            run: RunResult {
-                cycles: self.cycle,
-                instructions: self.completed,
-                state,
-                memory: self.mem.clone(),
-                stats: std::mem::take(&mut self.stats),
-            },
-            spec: std::mem::take(&mut self.spec),
+            run: expect_completed(outcome),
+            spec,
         })
+    }
+}
+
+impl OutOfOrder for SpecRuu {
+    fn machine(&self) -> &MachineConfig {
+        self.ruu.config()
+    }
+
+    fn policy(&self) -> Policy {
+        Policy {
+            branches: Branches::Predict(self.predictor),
+            ..self.ruu.policy()
+        }
     }
 }
 
@@ -959,9 +167,8 @@ impl<'a> SCore<'a> {
 mod tests {
     use super::*;
     use crate::predict::{AlwaysTaken, Btfn, TwoBit};
-    use crate::ruu::Ruu;
     use ruu_exec::Trace;
-    use ruu_isa::Asm;
+    use ruu_isa::{Asm, Reg};
 
     fn cfg() -> MachineConfig {
         MachineConfig::paper()

@@ -10,7 +10,7 @@
 
 use ruu_exec::{golden_state_at, ArchState, Memory};
 use ruu_isa::{Asm, Program, Reg};
-use ruu_issue::{SimError, TaggedSim, WindowKind};
+use ruu_issue::{InterruptFrame, RunOutcome, SimError, TaggedSim, WindowKind};
 use ruu_sim_core::MachineConfig;
 
 /// Evidence that a mechanism reached a state matching no program-order
@@ -51,9 +51,9 @@ pub fn witness_program() -> (Program, Memory, u64) {
     )
 }
 
-/// Runs `kind` on the witness program, snapshots the machine state at the
-/// moment the probe store executes, and compares it against every
-/// program-order boundary.
+/// Runs `kind` on the witness program, takes an interrupt at the moment
+/// the probe store would update memory, and compares the interrupted
+/// machine state against every program-order boundary.
 ///
 /// # Errors
 /// Propagates simulator errors.
@@ -62,10 +62,15 @@ pub fn demonstrate(
     kind: WindowKind,
 ) -> Result<ImprecisionEvidence, SimError> {
     let (program, mem, probe_seq) = witness_program();
-    let snap = TaggedSim::new(config.clone(), kind)
-        .snapshot_at_execute(&program, mem.clone(), 100_000, probe_seq)?
-        .expect("the probe store executes");
-    let (state, memory) = snap;
+    let outcome = TaggedSim::new(config.clone(), kind).run_with_exception(
+        &program,
+        mem.clone(),
+        100_000,
+        probe_seq,
+    )?;
+    let RunOutcome::Interrupted(InterruptFrame { state, memory, .. }) = outcome else {
+        panic!("the probe store executes");
+    };
     let n = program.len() as u64 - 1; // exclude Halt
     let mut boundary_matches = Vec::new();
     for k in 0..=n {

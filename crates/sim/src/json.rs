@@ -1,8 +1,9 @@
 //! A minimal hand-rolled JSON writer (std-only; the workspace builds
 //! without crates.io access, so serde is not an option).
 //!
-//! Only what [`crate::SweepReport`] serialization needs: objects,
-//! arrays, strings, integers, and finite floats. Floats are written with
+//! Only what the sweep reports, the Chrome traces and the benchmark's
+//! result files need: objects, arrays, strings, integers, and finite
+//! floats. Floats are written with
 //! Rust's shortest round-trip formatting, so parsing the output
 //! recovers bit-identical values.
 

@@ -21,12 +21,15 @@
 //! * [`PipelineObserver`] — per-cycle pipeline event hooks (fetch, issue,
 //!   dispatch, complete, commit, flush, stall, cycle end) with the
 //!   [`CycleAccountant`], [`StallHistogram`] and [`ChromeTraceObserver`]
-//!   implementations.
+//!   implementations;
+//! * [`JsonWriter`] — the std-only JSON writer behind Chrome traces and
+//!   sweep reports.
 
 mod bus;
 mod cache;
 mod config;
 mod fu;
+mod json;
 mod loadregs;
 mod observe;
 mod stats;
@@ -35,6 +38,7 @@ pub use bus::SlotReservation;
 pub use cache::{CachePlan, CacheStats, DCache, DCacheConfig, DCacheError};
 pub use config::MachineConfig;
 pub use fu::FuPool;
+pub use json::JsonWriter;
 pub use loadregs::{LoadRegUnit, LrOutcome, MemOpKind, OpId};
 pub use observe::{
     AccountingViolation, ChromeTraceObserver, CycleAccountant, FlushAccountant, FlushViolation,

@@ -24,6 +24,7 @@ use std::fmt;
 
 use ruu_isa::FuClass;
 
+use crate::json::JsonWriter;
 use crate::stats::StallReason;
 
 /// Receiver for the canonical pipeline events of one simulation run.
@@ -470,8 +471,7 @@ impl TraceEvent {
 /// [`ChromeTraceObserver::to_json`] serializes the buffered events —
 /// sorted by timestamp, one simulated cycle per microsecond — into a JSON
 /// document that loads directly in `chrome://tracing` (or any Perfetto
-/// viewer). The serialization is self-contained because `ruu-sim-core`
-/// sits below the crate that owns the report writer.
+/// viewer).
 #[derive(Debug, Default, Clone)]
 pub struct ChromeTraceObserver {
     events: Vec<TraceEvent>,
@@ -511,85 +511,70 @@ impl ChromeTraceObserver {
         let mut order: Vec<&TraceEvent> = self.events.iter().collect();
         order.sort_by_key(|e| e.ts());
 
-        let mut out = String::with_capacity(64 * order.len() + 1024);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |out: &mut String, ev: String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&ev);
-        };
-
-        for fu in FuClass::ALL {
-            push(
-                &mut out,
-                format!(
-                    "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":{},\
-                     \"args\":{{\"name\":{}}}}}",
-                    fu_tid(fu),
-                    json_string(&format!("fu {fu}")),
-                ),
-            );
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("displayTimeUnit").string("ms");
+        w.key("traceEvents").begin_array();
+        let tracks = FuClass::ALL
+            .into_iter()
+            .map(|fu| (fu_tid(fu), format!("fu {fu}")))
+            .chain([
+                (TID_COMMIT, "commit".to_string()),
+                (TID_FLUSH, "flush".to_string()),
+                (TID_STALL, "stall".to_string()),
+            ]);
+        for (tid, name) in tracks {
+            w.begin_object();
+            w.key("ph").string("M");
+            w.key("name").string("thread_name");
+            w.key("pid").u64(1);
+            w.key("tid").u64(tid.into());
+            w.key("args").begin_object().key("name").string(&name);
+            w.end_object().end_object();
         }
-        for (tid, name) in [
-            (TID_COMMIT, "commit"),
-            (TID_FLUSH, "flush"),
-            (TID_STALL, "stall"),
-        ] {
-            push(
-                &mut out,
-                format!(
-                    "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"name\":{}}}}}",
-                    json_string(name),
-                ),
-            );
-        }
-
         for ev in order {
-            let rendered = match ev {
-                TraceEvent::Span { ts, dur, tid, name } => format!(
-                    "{{\"ph\":\"X\",\"name\":{},\"cat\":\"fu\",\"pid\":1,\"tid\":{tid},\
-                     \"ts\":{ts},\"dur\":{dur}}}",
-                    json_string(name),
-                ),
-                TraceEvent::Instant { ts, tid, name } => format!(
-                    "{{\"ph\":\"i\",\"name\":{},\"cat\":\"pipe\",\"s\":\"t\",\"pid\":1,\
-                     \"tid\":{tid},\"ts\":{ts}}}",
-                    json_string(name),
-                ),
-                TraceEvent::Counter { ts, value } => format!(
-                    "{{\"ph\":\"C\",\"name\":\"window occupancy\",\"pid\":1,\"tid\":0,\
-                     \"ts\":{ts},\"args\":{{\"entries\":{value}}}}}"
-                ),
-            };
-            push(&mut out, rendered);
+            w.begin_object();
+            match ev {
+                TraceEvent::Span { ts, dur, tid, name } => {
+                    w.key("ph").string("X");
+                    w.key("name").string(name);
+                    w.key("cat").string("fu");
+                    w.key("pid").u64(1);
+                    w.key("tid").u64((*tid).into());
+                    w.key("ts").u64(*ts);
+                    w.key("dur").u64(*dur);
+                }
+                TraceEvent::Instant { ts, tid, name } => {
+                    w.key("ph").string("i");
+                    w.key("name").string(name);
+                    w.key("cat").string("pipe");
+                    w.key("s").string("t");
+                    w.key("pid").u64(1);
+                    w.key("tid").u64((*tid).into());
+                    w.key("ts").u64(*ts);
+                }
+                TraceEvent::Counter { ts, value } => {
+                    w.key("ph").string("C");
+                    w.key("name").string("window occupancy");
+                    w.key("pid").u64(1);
+                    w.key("tid").u64(0);
+                    w.key("ts").u64(*ts);
+                    w.key("args")
+                        .begin_object()
+                        .key("entries")
+                        .u64((*value).into());
+                    w.end_object();
+                }
+            }
+            w.end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 }
 
 fn fu_tid(fu: FuClass) -> u32 {
     fu.index() as u32 + 1
-}
-
-/// Renders `s` as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl PipelineObserver for ChromeTraceObserver {
@@ -753,12 +738,5 @@ mod tests {
             assert!(ts >= last, "timestamps must be sorted");
             last = ts;
         }
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("\n"), "\"\\u000a\"");
     }
 }

@@ -1,15 +1,97 @@
 //! A software logic analyser on the RUU's ports: issue, dispatch,
 //! result-bus and commit activity, cycle by cycle, rendered as a
-//! pipeline diagram.
+//! pipeline diagram. The log is a small [`PipelineObserver`] attached to
+//! an ordinary observed run.
 //!
 //! ```sh
 //! cargo run --release --example pipeline_trace
 //! ```
 
-use ruu::exec::Memory;
-use ruu::isa::{Asm, Reg};
-use ruu::issue::{Bypass, Ruu};
-use ruu::sim::MachineConfig;
+use std::collections::HashSet;
+
+use ruu::exec::{ArchState, Memory};
+use ruu::isa::{Asm, FuClass, Program, Reg};
+use ruu::issue::{Bypass, IssueSimulator, Ruu};
+use ruu::sim::{MachineConfig, PipelineObserver};
+
+/// One cycle of activity on the RUU's ports.
+#[derive(Debug, Default)]
+struct CycleRow {
+    cycle: u64,
+    occupancy: u32,
+    /// pc of the instruction that entered the RUU (or resolved, for a
+    /// branch) this cycle.
+    issued_pc: Option<u32>,
+    dispatched: Vec<u64>,
+    finished: Vec<u64>,
+    committed: Vec<u64>,
+}
+
+/// Logs the first `capacity` cycles of a run of `program`.
+struct PortLog<'a> {
+    program: &'a Program,
+    rows: Vec<CycleRow>,
+    current: CycleRow,
+    last_fetched_pc: u32,
+    /// Dynamic instructions that are stores: they complete at the memory
+    /// port, not on the result bus.
+    stores: HashSet<u64>,
+    capacity: usize,
+}
+
+impl<'a> PortLog<'a> {
+    fn new(program: &'a Program, capacity: usize) -> Self {
+        PortLog {
+            program,
+            rows: Vec::new(),
+            current: CycleRow::default(),
+            last_fetched_pc: 0,
+            stores: HashSet::new(),
+            capacity,
+        }
+    }
+}
+
+impl PipelineObserver for PortLog<'_> {
+    fn fetch(&mut self, _cycle: u64, pc: u32) {
+        self.last_fetched_pc = pc;
+    }
+
+    fn issue(&mut self, _cycle: u64, seq: u64) {
+        // A parked branch issues when it resolves; nothing is fetched
+        // while it waits, so the last fetched pc is still its own.
+        let pc = self.last_fetched_pc;
+        self.current.issued_pc = Some(pc);
+        if self.program[pc].is_store() {
+            self.stores.insert(seq);
+        }
+    }
+
+    fn dispatch(&mut self, _cycle: u64, seq: u64, _fu: FuClass, _complete_at: u64) {
+        self.current.dispatched.push(seq);
+    }
+
+    fn complete(&mut self, _cycle: u64, seq: u64) {
+        if !self.stores.contains(&seq) {
+            self.current.finished.push(seq);
+        }
+    }
+
+    fn commit(&mut self, _cycle: u64, seq: u64) {
+        self.current.committed.push(seq);
+    }
+
+    fn cycle_end(&mut self, cycle: u64, occupancy: u32) {
+        let row = std::mem::take(&mut self.current);
+        if self.rows.len() < self.capacity {
+            self.rows.push(CycleRow {
+                cycle,
+                occupancy,
+                ..row
+            });
+        }
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A short block with a long-latency reciprocal, dependent work, and
@@ -30,7 +112,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     mem.write_f64(64, 4.0);
 
     let ruu = Ruu::new(MachineConfig::paper(), 8, Bypass::Full);
-    let (result, trace) = ruu.run_traced(&program, mem, 10_000, 64)?;
+    let mut log = PortLog::new(&program, 64);
+    let result = ruu.run_observed(ArchState::new(), mem, &program, 10_000, &mut log)?;
 
     println!(
         "{} instructions in {} cycles (IPC {:.3})\n",
@@ -40,17 +123,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("cycle | occ | issue | dispatch   | result bus | commit");
     println!("------+-----+-------+------------+------------+-----------");
-    for c in &trace.cycles {
-        let fmt = |v: &Vec<u64>| {
-            if v.is_empty() {
-                String::new()
-            } else {
-                v.iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            }
-        };
+    let fmt = |v: &[u64]| {
+        v.iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    for c in &log.rows {
         println!(
             "{:>5} | {:>3} | {:>5} | {:>10} | {:>10} | {:>9}",
             c.cycle,

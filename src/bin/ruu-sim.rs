@@ -190,7 +190,7 @@ fn parse_args() -> Result<Options, String> {
 }
 
 fn usage() -> String {
-    "usage: ruu-sim <simple|tomasulo|tagunit|rspool|rstu|ruu|ruu-bypass|ruu-nobypass|\n     ruu-limited|reorder|reorder-bypass|history|future|spec|spec-ruu>\n     [LLL1..LLL14|all|file.s] [--entries N] [--paths N] [--loadregs N]\n     [--predictor NAME[:SIZE]]\n   or: ruu-sim sweep --mechanism <name> --entries A:B[:STEP]|N,N,...\n     [--jobs N] [--json] [--paths N] [--loadregs N] [--buses N]\n     [--predictor NAME[:SIZE]] [--dcache GEOM]\n   or: ruu-sim cachesim [--mechanism <name>] [--entries N] [--dcache GEOM]\n     [--all-loops|LLL1..LLL14|file.s]\n   or: ruu-sim cbp [--predictor NAME[:SIZE]]... [--loop LLL1..LLL14|file.s | --all-loops]\n     [--json] [--top N]\n   or: ruu-sim trace --mechanism <name> --loop <LLL1..LLL14|file.s> --out FILE\n     [--entries N]\n   or: ruu-sim lint [--all-loops|LLL1..LLL14|file.s] [--deny-warnings] [--branch-sites]\n   or: ruu-sim analyze [--all-loops|LLL1..LLL14|file.s] [--mechanism <name>] [--entries N]\n\npredictors: always-taken | btfn | twobit[:N] | bimodal[:N] | gshare[:N] |\n            local[:N] | tage[:N]   (cbp default: the whole zoo)\ndcache:     perfect | SETSxWAYSxLINE[:MISS[:HIT[:MSHRS]]]  (e.g. 64x4x4:20)"
+    "usage: ruu-sim <simple|tomasulo|tagunit|rspool|rstu|ruu|ruu-bypass|ruu-nobypass|\n     ruu-limited|reorder|reorder-bypass|history|future|spec|spec-ruu>\n     [LLL1..LLL14|all|file.s] [--entries N] [--paths N] [--loadregs N]\n     [--predictor NAME[:SIZE]]\n   or: ruu-sim sweep --mechanism <name> --entries A:B[:STEP]|N,N,...\n     [--jobs N] [--json] [--paths N] [--loadregs N] [--buses N]\n     [--predictor NAME[:SIZE]] [--dcache GEOM]\n   or: ruu-sim cachesim [--mechanism <name>] [--entries N] [--dcache GEOM]\n     [--all-loops|LLL1..LLL14|file.s]\n   or: ruu-sim cbp [--predictor NAME[:SIZE]]... [--loop LLL1..LLL14|file.s | --all-loops]\n     [--json] [--top N]\n   or: ruu-sim trace --mechanism <name> --loop <LLL1..LLL14|file.s> --out FILE\n     [--entries N]\n   or: ruu-sim lint [--all-loops|LLL1..LLL14|file.s] [--deny-warnings] [--branch-sites]\n   or: ruu-sim analyze [--all-loops|LLL1..LLL14|file.s] [--mechanism <name>] [--entries N]\n\npredictors: always-taken | btfn | twobit[:N] | bimodal[:N] | gshare[:N] |\n            local[:N] | tage[:N]   (cbp default: the whole zoo)\ndcache:     perfect | SETSxWAYSxLINE[:MISS[:HIT[:MSHRS]]]  (e.g. 64x4x4:20)\n-h, --help  print this usage (also after any subcommand)"
         .to_string()
 }
 
@@ -845,41 +845,25 @@ fn run_analyze(mut args: std::env::Args) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
-    if std::env::args().nth(1).as_deref() == Some("sweep") {
-        let mut args = std::env::args();
-        args.next(); // program name
-        args.next(); // "sweep"
-        return run_sweep(args);
+    if std::env::args().skip(1).any(|a| a == "-h" || a == "--help") {
+        println!("{}", usage());
+        return Ok(());
     }
-    if std::env::args().nth(1).as_deref() == Some("trace") {
+    type Subcommand = fn(std::env::Args) -> Result<(), String>;
+    let sub: Option<Subcommand> = match std::env::args().nth(1).as_deref() {
+        Some("sweep") => Some(run_sweep),
+        Some("trace") => Some(run_trace),
+        Some("cachesim") => Some(run_cachesim),
+        Some("cbp") => Some(run_cbp),
+        Some("lint") => Some(run_lint),
+        Some("analyze") => Some(run_analyze),
+        _ => None,
+    };
+    if let Some(sub) = sub {
         let mut args = std::env::args();
         args.next(); // program name
-        args.next(); // "trace"
-        return run_trace(args);
-    }
-    if std::env::args().nth(1).as_deref() == Some("cachesim") {
-        let mut args = std::env::args();
-        args.next(); // program name
-        args.next(); // "cachesim"
-        return run_cachesim(args);
-    }
-    if std::env::args().nth(1).as_deref() == Some("cbp") {
-        let mut args = std::env::args();
-        args.next(); // program name
-        args.next(); // "cbp"
-        return run_cbp(args);
-    }
-    if std::env::args().nth(1).as_deref() == Some("lint") {
-        let mut args = std::env::args();
-        args.next(); // program name
-        args.next(); // "lint"
-        return run_lint(args);
-    }
-    if std::env::args().nth(1).as_deref() == Some("analyze") {
-        let mut args = std::env::args();
-        args.next(); // program name
-        args.next(); // "analyze"
-        return run_analyze(args);
+        args.next(); // the subcommand
+        return sub(args);
     }
     let opts = parse_args()?;
     let cfg = MachineConfig::paper()

@@ -11,11 +11,15 @@
 //! golden check that the Chrome-trace observer emits valid,
 //! monotonically-timestamped `trace_event` JSON.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use ruu::exec::ArchState;
 use ruu::issue::{Bypass, IssueSimulator, Mechanism, PreciseScheme, PredictorConfig, SpecRuu};
-use ruu::sim::{ChromeTraceObserver, CycleAccountant, FlushAccountant, MachineConfig, Tee};
+use ruu::sim::{
+    ChromeTraceObserver, CycleAccountant, FlushAccountant, MachineConfig, PipelineObserver, Tee,
+};
 use ruu::workloads::livermore;
 use ruu::workloads::synth::{random_program, SynthConfig};
 
@@ -351,5 +355,95 @@ fn memory_state_is_identical_under_observation() {
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(plain.memory, observed.memory, "{name} memory");
         assert_eq!(hist.cycles(), observed.cycles, "{name} cycle_end count");
+    }
+}
+
+/// Records `complete` and `commit` events for the in-order-commit check.
+#[derive(Default)]
+struct CommitLog {
+    completed_at: HashMap<u64, u64>,
+    commits: Vec<(u64, u64)>,
+}
+
+impl PipelineObserver for CommitLog {
+    fn complete(&mut self, cycle: u64, seq: u64) {
+        self.completed_at.insert(seq, cycle);
+    }
+
+    fn commit(&mut self, cycle: u64, seq: u64) {
+        self.commits.push((cycle, seq));
+    }
+}
+
+#[test]
+fn in_order_commit_is_ordered_and_complete() {
+    // Every in-order-commit mechanism: commits arrive in ascending
+    // sequence order, each after its instruction completed, and every
+    // instruction that survives (is not squashed) commits exactly once —
+    // the commit count equals the architectural non-branch count.
+    let cfg = MachineConfig::paper();
+    let bypass = |bypass| Mechanism::Ruu {
+        entries: 12,
+        bypass,
+    };
+    let mut mechanisms = vec![
+        bypass(Bypass::Full),
+        bypass(Bypass::None),
+        bypass(Bypass::LimitedA),
+    ];
+    for predictor in [PredictorConfig::default(), PredictorConfig::Btfn] {
+        mechanisms.push(Mechanism::SpecRuu {
+            entries: 12,
+            bypass: Bypass::Full,
+            predictor,
+        });
+    }
+    for scheme in [
+        PreciseScheme::ReorderBuffer,
+        PreciseScheme::ReorderBufferBypass,
+        PreciseScheme::HistoryBuffer,
+        PreciseScheme::FutureFile,
+    ] {
+        mechanisms.push(Mechanism::InOrderPrecise {
+            scheme,
+            entries: 12,
+        });
+    }
+    let mut programs: Vec<_> = livermore::all()
+        .into_iter()
+        .map(|w| (w.name.to_string(), w.program, w.memory, w.inst_limit))
+        .collect();
+    for seed in 0..4 {
+        let (p, mem) = random_program(seed, &SynthConfig::default());
+        programs.push((format!("synth seed {seed}"), p, mem, LIMIT));
+    }
+    for m in mechanisms {
+        let sim = m.build(&cfg);
+        for (name, program, mem, limit) in &programs {
+            let mut log = CommitLog::default();
+            let r = sim
+                .run_observed(ArchState::new(), mem.clone(), program, *limit, &mut log)
+                .unwrap_or_else(|e| panic!("{m} failed on {name}: {e}"));
+            for pair in log.commits.windows(2) {
+                assert!(
+                    pair[0].1 < pair[1].1,
+                    "{m} on {name}: commit of #{} after #{}",
+                    pair[1].1,
+                    pair[0].1
+                );
+            }
+            for &(cycle, seq) in &log.commits {
+                let done = log.completed_at.get(&seq).copied();
+                assert!(
+                    done.is_some_and(|d| d <= cycle),
+                    "{m} on {name}: #{seq} committed at {cycle}, completed at {done:?}"
+                );
+            }
+            assert_eq!(
+                log.commits.len() as u64,
+                r.instructions - r.stats.branches,
+                "{m} on {name}: every surviving instruction commits exactly once"
+            );
+        }
     }
 }
