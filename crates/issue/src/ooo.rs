@@ -17,7 +17,7 @@
 //!   slots whose tags are the register number plus an LI counter, bounded
 //!   by NI counters (§5.1), with one of three [`Bypass`] read policies.
 //! * [`Update`] — when results update state: as they complete (stores
-//!   write memory at execute, behind [`Core::store_may_exec`]) or in
+//!   write memory at execute, behind [`Machine::store_may_exec`]) or in
 //!   program order at commit, which makes interrupts precise (§4–5).
 //! * [`Branches`] — what happens to an unresolved branch: it parks in
 //!   decode until its condition arrives (§6.3), or a predictor picks a
@@ -89,11 +89,11 @@ pub struct Policy {
     pub branches: Branches,
 }
 
-/// The three public faces of the core. Each supplies its machine and
-/// policy; the [`IssueSimulator`] impl below serves all of them.
+/// The three public faces of the core. Each supplies its machine
+/// configuration and policy; the [`IssueSimulator`] impl below serves all of them.
 pub trait OutOfOrder: Send {
     /// The machine configuration.
-    fn machine(&self) -> &MachineConfig;
+    fn machine_config(&self) -> &MachineConfig;
     /// The mechanism.
     fn policy(&self) -> Policy;
 
@@ -107,8 +107,8 @@ pub trait OutOfOrder: Send {
         limit: u64,
         fault_seq: u64,
     ) -> Result<RunOutcome, SimError> {
-        let (cfg, policy, state) = (self.machine(), self.policy(), ArchState::new());
-        Core::new(cfg, policy, state, mem, program, limit, &mut NullObserver)
+        let (cfg, policy, state) = (self.machine_config(), self.policy(), ArchState::new());
+        Machine::new(cfg, policy, state, mem, program, limit, &mut NullObserver)
             .run(Some(fault_seq), None)
             .map(|(outcome, _)| outcome)
     }
@@ -127,7 +127,7 @@ pub fn expect_completed(outcome: RunOutcome) -> RunResult {
 /// repeatable.
 impl<T: OutOfOrder> IssueSimulator for T {
     fn config(&self) -> &MachineConfig {
-        self.machine()
+        self.machine_config()
     }
 
     fn run_from(
@@ -149,15 +149,14 @@ impl<T: OutOfOrder> IssueSimulator for T {
         obs: &mut dyn PipelineObserver,
     ) -> Result<RunResult, SimError> {
         let policy = self.policy();
-        let mut predictor = match policy.branches {
+        let mut owned = match policy.branches {
             Branches::Predict(p) => Some(p.build()),
             Branches::Park => None,
         };
-        Core::new(self.machine(), policy, state, mem, program, limit, obs)
-            .run(
-                None,
-                predictor.as_deref_mut().map(|p| p as &mut dyn Predictor),
-            )
+        let predictor = owned.as_deref_mut().map(|p| p as &mut dyn Predictor);
+        let cfg = self.machine_config();
+        Machine::new(cfg, policy, state, mem, program, limit, obs)
+            .run(None, predictor)
             .map(|(outcome, _)| expect_completed(outcome))
     }
 }
@@ -236,7 +235,7 @@ struct BranchRecord {
 }
 
 /// Per-run state of the out-of-order core.
-pub struct Core<'a> {
+pub struct Machine<'a> {
     cfg: &'a MachineConfig,
     program: &'a Program,
     policy: Policy,
@@ -285,8 +284,8 @@ pub struct Core<'a> {
     last_progress_cycle: u64,
 }
 
-impl<'a> Core<'a> {
-    /// A core about to run `program` from `state`.
+impl<'a> Machine<'a> {
+    /// A machine about to run `program` from `state`.
     pub fn new(
         cfg: &'a MachineConfig,
         policy: Policy,
@@ -301,7 +300,7 @@ impl<'a> Core<'a> {
             cfg.fu_latency(FuClass::Memory),
             mem.len() as u64,
         );
-        Core {
+        Machine {
             cfg,
             program,
             policy,

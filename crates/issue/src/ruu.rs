@@ -88,7 +88,7 @@ pub struct Ruu {
 }
 
 impl OutOfOrder for Ruu {
-    fn machine(&self) -> &MachineConfig {
+    fn machine_config(&self) -> &MachineConfig {
         &self.config
     }
 

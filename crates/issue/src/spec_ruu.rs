@@ -26,7 +26,7 @@ use ruu_exec::{ArchState, Memory};
 use ruu_isa::Program;
 use ruu_sim_core::{MachineConfig, NullObserver, PipelineObserver, RunResult};
 
-use crate::ooo::{expect_completed, Branches, Core, OutOfOrder, Policy};
+use crate::ooo::{expect_completed, Branches, Machine, OutOfOrder, Policy};
 use crate::predict::{Predictor, PredictorConfig};
 use crate::ruu::{Bypass, Ruu};
 use crate::SimError;
@@ -141,8 +141,8 @@ impl SpecRuu {
         obs: &mut dyn PipelineObserver,
     ) -> Result<SpecRunResult, SimError> {
         let policy = self.policy();
-        let core = Core::new(self.config(), policy, state, mem, program, limit, obs);
-        let (outcome, spec) = core.run(None, Some(predictor))?;
+        let machine = Machine::new(self.config(), policy, state, mem, program, limit, obs);
+        let (outcome, spec) = machine.run(None, Some(predictor))?;
         Ok(SpecRunResult {
             run: expect_completed(outcome),
             spec,
@@ -151,7 +151,7 @@ impl SpecRuu {
 }
 
 impl OutOfOrder for SpecRuu {
-    fn machine(&self) -> &MachineConfig {
+    fn machine_config(&self) -> &MachineConfig {
         self.ruu.config()
     }
 

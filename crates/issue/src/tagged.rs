@@ -88,7 +88,7 @@ pub struct TaggedSim {
 }
 
 impl OutOfOrder for TaggedSim {
-    fn machine(&self) -> &MachineConfig {
+    fn machine_config(&self) -> &MachineConfig {
         &self.config
     }
 
