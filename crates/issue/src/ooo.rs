@@ -349,7 +349,8 @@ impl<'a> Machine<'a> {
 
     fn pos(&self, seq: u64) -> usize {
         self.window
-            .binary_search_by_key(&seq, |e| e.seq)
+            .iter()
+            .position(|e| e.seq == seq)
             .expect("entry for live seq is in the window")
     }
 
@@ -422,8 +423,9 @@ impl<'a> Machine<'a> {
     /// faulting instruction. It fires where the instruction would update
     /// state, before it does.
     fn fault(&self, i: usize) -> Option<InterruptFrame> {
+        let fault_seq = self.fault_seq?;
         let e = &self.window[i];
-        if self.fault_seq != Some(e.seq) {
+        if e.seq != fault_seq {
             return None;
         }
         let mut state = self.arch.clone();
@@ -437,9 +439,9 @@ impl<'a> Machine<'a> {
         })
     }
 
-    /// Entry `i` updates architectural state and leaves the window.
-    fn retire(&mut self, i: usize) {
-        let e = self.window.remove(i).expect("retiring entry is live");
+    /// Entry `e`, just taken out of the window, updates architectural
+    /// state.
+    fn retire(&mut self, e: Entry) {
         if e.inst.is_store() {
             let ea = e.ea.expect("executed store has an address");
             self.mem.write(ea, e.ops[1].value());
@@ -497,7 +499,8 @@ impl<'a> Machine<'a> {
                 }
             }
             if at_completion {
-                self.retire(i);
+                let e = self.window.remove(i).expect("completing entry is live");
+                self.retire(e);
             }
         }
         None
@@ -699,7 +702,8 @@ impl<'a> Machine<'a> {
                 // update any state; everything older already has.
                 return Some(frame);
             }
-            self.retire(0);
+            let head = self.window.pop_front().expect("head exists");
+            self.retire(head);
         }
         None
     }
