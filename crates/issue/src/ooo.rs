@@ -463,6 +463,7 @@ impl<'a> Machine<'a> {
 
     // ---- phase 1: completions -------------------------------------------
 
+    #[inline(never)]
     fn phase_completions(&mut self) -> Option<InterruptFrame> {
         let evs = self.events.remove(&self.cycle)?;
         let at_completion = self.policy.update == Update::AtCompletion;
@@ -508,6 +509,7 @@ impl<'a> Machine<'a> {
 
     // ---- phase 2: memory address generation (in program order) --------
 
+    #[inline(never)]
     fn phase_addr_gen(&mut self) {
         let Some(&seq) = self.mem_queue.front() else {
             return;
@@ -551,6 +553,7 @@ impl<'a> Machine<'a> {
 
     // ---- phase 3: forwarded-load broadcasts -----------------------------
 
+    #[inline(never)]
     fn phase_forwards(&mut self) {
         let lat = self.cfg.forward_latency;
         let queue = std::mem::take(&mut self.forward_queue);
@@ -588,6 +591,7 @@ impl<'a> Machine<'a> {
         })
     }
 
+    #[inline(never)]
     fn phase_dispatch(&mut self) {
         // Distributed organisations have a private path from each unit's
         // stations; the others share `dispatch_paths` ports.
@@ -688,6 +692,7 @@ impl<'a> Machine<'a> {
     /// Commit from the head of the queue, gated on the oldest unresolved
     /// predicted branch: a speculative instruction may execute but never
     /// update architectural state.
+    #[inline(never)]
     fn phase_commit(&mut self) -> Option<InterruptFrame> {
         let spec_boundary = self.branches.front().map(|b| b.seq);
         for _ in 0..self.cfg.commit_width {
@@ -711,6 +716,7 @@ impl<'a> Machine<'a> {
     // ---- phase 6: predicted-branch resolution ---------------------------
 
     /// Resolves the oldest predicted branches whose condition is available.
+    #[inline(never)]
     fn phase_resolve_branches(&mut self) {
         while let Some(b) = self.branches.front() {
             if !b.cond.is_ready() {
@@ -931,6 +937,7 @@ impl<'a> Machine<'a> {
         self.frontend.redirect(next_pc, self.cycle + 1 + bubble);
     }
 
+    #[inline(never)]
     fn phase_issue(&mut self) -> Result<(), SimError> {
         match self.frontend.peek(self.cycle, self.program) {
             FetchSlot::Halted => {
@@ -1038,6 +1045,11 @@ impl<'a> Machine<'a> {
     }
 
     /// One cycle; `Some` if it took the injected interrupt.
+    ///
+    /// The phases are `#[inline(never)]`: inlined together into the run
+    /// loop they exhaust LLVM's inlining budget for it, the window
+    /// iterators inside them stop being inlined, and small windows ran
+    /// about 10% slower per cycle.
     fn step(&mut self) -> Result<Option<InterruptFrame>, SimError> {
         if let Some(frame) = self.phase_completions() {
             return Ok(Some(frame));
