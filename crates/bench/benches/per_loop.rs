@@ -49,12 +49,14 @@ fn main() {
 
     for w in livermore::all() {
         let base = Mechanism::Simple
-            .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+            .build(&cfg)
+            .run(&w.program, w.memory.clone(), w.inst_limit)
             .expect("baseline runs");
         print!("| {} | {:.3} |", w.name, base.issue_rate());
         for (_, m) in &mechanisms {
             let r = m
-                .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+                .build(&cfg)
+                .run(&w.program, w.memory.clone(), w.inst_limit)
                 .expect("mechanism runs");
             w.verify(&r.memory).expect("results verify");
             print!(" {:.2} |", base.cycles as f64 / r.cycles as f64);

@@ -16,7 +16,8 @@ fn main() {
         let mut c = 0;
         for w in &suite {
             c += Mechanism::Simple
-                .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+                .build(&cfg)
+                .run(&w.program, w.memory.clone(), w.inst_limit)
                 .expect("baseline runs")
                 .cycles;
         }
@@ -35,7 +36,8 @@ fn main() {
                 entries,
                 bypass: Bypass::Full,
             }
-            .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+            .build(&cfg)
+            .run(&w.program, w.memory.clone(), w.inst_limit)
             .expect("RUU runs");
             cycles += r.cycles;
             insts += r.instructions;

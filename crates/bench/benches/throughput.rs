@@ -33,7 +33,8 @@ fn sim_throughput(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                m.run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+                m.build(&cfg)
+                    .run(&w.program, w.memory.clone(), w.inst_limit)
                     .expect("kernel runs")
             })
         });

@@ -797,7 +797,8 @@ mod tests {
             for w in &suite {
                 let r = job
                     .mechanism
-                    .run(&job.config, &w.program, w.memory.clone(), w.inst_limit)
+                    .build(&job.config)
+                    .run(&w.program, w.memory.clone(), w.inst_limit)
                     .expect("reference run");
                 cycles += r.cycles;
                 insts += r.instructions;

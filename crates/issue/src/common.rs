@@ -3,7 +3,7 @@
 //! cycles, and per-cycle broadcast records.
 
 use ruu_isa::{semantics, Inst, Program, Reg};
-use ruu_sim_core::{MachineConfig, PipelineObserver, RunStats, StallReason};
+use ruu_sim_core::{MachineConfig, PipelineObserver, RunStats};
 
 /// A register-instance tag: names one in-flight producer of a register.
 ///
@@ -252,20 +252,6 @@ pub(crate) fn end_cycle(
     stats.observe_occupancy(occ);
     obs.cycle_end(*cycle, occ);
     *cycle += 1;
-}
-
-/// Charges a stall to `stats` for the non-issuing cycle described by
-/// `slot` (dead cycle vs parked branch), returning the reason charged so
-/// callers can mirror it to a pipeline observer.
-pub fn charge_frontend_stall(slot: &FetchSlot, stats: &mut RunStats) -> Option<StallReason> {
-    let reason = match slot {
-        FetchSlot::Dead => StallReason::DeadCycle,
-        FetchSlot::BranchParked => StallReason::BranchWait,
-        FetchSlot::Halted => StallReason::Drained,
-        FetchSlot::Inst(..) => return None,
-    };
-    stats.stall(reason);
-    Some(reason)
 }
 
 #[cfg(test)]

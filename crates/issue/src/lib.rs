@@ -5,12 +5,12 @@
 //!
 //! | Mechanism | Paper | Type |
 //! |---|---|---|
-//! | Simple in-order, blocking issue | §2.2, Table 1 | [`SimpleIssue`] |
+//! | Simple in-order, blocking issue | §2.2, Table 1 | [`SimpleIssue`] (in-order core) |
 //! | Tomasulo: distributed stations, a tag per register | §3.1 | [`TaggedSim`], [`WindowKind::Distributed`] |
 //! | Tag Unit + distributed stations | §3.2.1 | [`TaggedSim`], [`WindowKind::TagUnitDistributed`] |
 //! | Tag Unit + merged station pool | §3.2.2 | [`TaggedSim`], [`WindowKind::Pooled`] |
 //! | RSTU | §3.2.3, Tables 2–3 | [`TaggedSim`], [`WindowKind::Merged`] |
-//! | In-order issue, precise: reorder buffer (± bypass), history buffer, future file | §4 | [`InOrderPrecise`] |
+//! | In-order issue, precise: reorder buffer (± bypass), history buffer, future file | §4 | [`InOrderPrecise`] (in-order core), [`PreciseScheme`] |
 //! | RUU, with full / no / limited bypass | §5–6, Tables 4–6 | [`Ruu`], [`Bypass`] |
 //! | Speculative RUU: branch prediction + nullification | §7 | [`SpecRuu`] |
 //!
@@ -20,6 +20,12 @@
 //! that differs only by where stations and tags live, when results update
 //! state, and what happens to unresolved branches.
 //!
+//! The other two rows are one in-order core ([`inorder`]). The baseline
+//! is the in-order core without a commit stage: results retire as they
+//! complete. The §4 schemes add an in-order commit stage through a buffer
+//! of `entries` slots, and differ only in whether a result is readable at
+//! completion or at commit.
+//!
 //! All simulators share the [`ruu_sim_core::MachineConfig`] machine model
 //! and compute real operand values in their reservation stations
 //! (execution-driven), so each one's final architectural state is checked
@@ -27,27 +33,24 @@
 
 use std::fmt;
 
-pub mod common;
+mod common;
+pub mod inorder;
 pub mod mechanism;
 mod ooo;
 pub mod predict;
-pub mod reorder;
 pub mod ruu;
-pub mod simple;
 pub mod simulator;
 pub mod spec_ruu;
 pub mod tag_unit;
 pub mod tagged;
 
-pub use common::{Broadcasts, FetchSlot, Frontend, Operand, PendingBranch, Tag};
+pub use inorder::{InOrderPrecise, PreciseScheme, SimpleIssue};
 pub use mechanism::Mechanism;
 pub use predict::{
     AlwaysTaken, Bimodal, Btfn, Gshare, LocalPag, PredictError, Predictor, PredictorConfig,
     TageLite, TwoBit,
 };
-pub use reorder::{InOrderPrecise, PreciseScheme};
 pub use ruu::{Bypass, InterruptFrame, RunOutcome, Ruu};
-pub use simple::SimpleIssue;
 pub use simulator::IssueSimulator;
 pub use spec_ruu::{SpecRunResult, SpecRuu, SpecStats};
 pub use tag_unit::{TagRetirement, TagUnitModel, TuEntry};

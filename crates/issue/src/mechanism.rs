@@ -3,18 +3,14 @@
 
 use std::fmt;
 
-use ruu_exec::Memory;
-use ruu_isa::Program;
-use ruu_sim_core::{MachineConfig, RunResult};
+use ruu_sim_core::MachineConfig;
 
+use crate::inorder::{InOrderPrecise, PreciseScheme, SimpleIssue};
 use crate::predict::PredictorConfig;
-use crate::reorder::{InOrderPrecise, PreciseScheme};
 use crate::ruu::{Bypass, Ruu};
-use crate::simple::SimpleIssue;
 use crate::simulator::IssueSimulator;
 use crate::spec_ruu::SpecRuu;
 use crate::tagged::{TaggedSim, WindowKind};
-use crate::SimError;
 
 /// Any of the paper's issue mechanisms, with its sizing parameters.
 ///
@@ -33,7 +29,7 @@ use crate::SimError;
 /// let p = a.assemble()?;
 ///
 /// let m = Mechanism::Ruu { entries: 10, bypass: Bypass::Full };
-/// let r = m.run(&MachineConfig::paper(), &p, Memory::new(1 << 10), 10_000)?;
+/// let r = m.build(&MachineConfig::paper()).run(&p, Memory::new(1 << 10), 10_000)?;
 /// assert_eq!(r.state.reg(Reg::a(2)), 6);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -137,21 +133,6 @@ impl Mechanism {
         }
     }
 
-    /// Runs `program` under this mechanism — a convenience wrapper over
-    /// [`Mechanism::build`] for one-shot runs.
-    ///
-    /// # Errors
-    /// Propagates the simulator's [`SimError`].
-    pub fn run(
-        &self,
-        config: &MachineConfig,
-        program: &Program,
-        mem: Memory,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        self.build(config).run(program, mem, limit)
-    }
-
     /// The mechanism's primary window-sizing parameter, when it has one
     /// (RSTU/RUU/reorder-buffer entries, RS-pool stations). Sweep
     /// reports key rows by this value.
@@ -225,6 +206,7 @@ fn bypass_name(bypass: Bypass) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruu_exec::Memory;
     use ruu_isa::{Asm, Reg};
 
     fn all() -> Vec<Mechanism> {
@@ -288,7 +270,8 @@ mod tests {
         let g = ruu_exec::Trace::capture(&p, Memory::new(1 << 10), 100_000).unwrap();
         for m in all() {
             let r = m
-                .run(&MachineConfig::paper(), &p, Memory::new(1 << 10), 100_000)
+                .build(&MachineConfig::paper())
+                .run(&p, Memory::new(1 << 10), 100_000)
                 .unwrap();
             assert_eq!(&r.state, g.final_state(), "{m}");
             assert_eq!(&r.memory, g.final_memory(), "{m}");

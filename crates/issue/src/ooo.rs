@@ -130,16 +130,6 @@ impl<T: OutOfOrder> IssueSimulator for T {
         self.machine_config()
     }
 
-    fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        self.run_observed(state, mem, program, limit, &mut NullObserver)
-    }
-
     fn run_observed(
         &self,
         state: ArchState,

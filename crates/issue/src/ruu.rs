@@ -32,7 +32,7 @@ use ruu_isa::Program;
 use ruu_sim_core::{MachineConfig, RunResult};
 
 use crate::ooo::{Branches, OutOfOrder, Policy, Stations, Update};
-use crate::{IssueSimulator, SimError};
+use crate::SimError;
 
 /// Operand-bypass policy of the RUU (paper §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,49 +120,6 @@ impl Ruu {
         }
     }
 
-    /// The machine configuration.
-    #[must_use]
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
-    }
-
-    /// Number of RUU entries.
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
-    /// The bypass policy.
-    #[must_use]
-    pub fn bypass(&self) -> Bypass {
-        self.bypass
-    }
-
-    /// Runs `program` to completion from zeroed registers.
-    ///
-    /// # Errors
-    /// [`SimError::InstLimit`] if more than `limit` instructions issue;
-    /// [`SimError::Deadlock`] on internal lack of progress (a bug).
-    pub fn run(&self, program: &Program, mem: Memory, limit: u64) -> Result<RunResult, SimError> {
-        self.run_from(ArchState::new(), mem, program, limit)
-    }
-
-    /// Runs `program` from an explicit architectural state (restart after
-    /// an interrupt). [`IssueSimulator::run_observed`] does the same while
-    /// reporting every pipeline event to an observer.
-    ///
-    /// # Errors
-    /// As for [`Ruu::run`].
-    pub fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        IssueSimulator::run_from(self, state, mem, program, limit)
-    }
-
     /// Runs `program`, injecting an exception on the dynamic instruction
     /// with sequence number `fault_seq` (0-based over *all* dynamic
     /// instructions, branches included). The exception is detected when
@@ -173,7 +130,7 @@ impl Ruu {
     /// in the decode stage and cannot fault in this model).
     ///
     /// # Errors
-    /// As for [`Ruu::run`].
+    /// As for [`crate::IssueSimulator::run`].
     pub fn run_with_exception(
         &self,
         program: &Program,
@@ -188,6 +145,7 @@ impl Ruu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IssueSimulator;
     use ruu_exec::Trace;
     use ruu_isa::{Asm, Reg};
     use ruu_sim_core::StallReason;

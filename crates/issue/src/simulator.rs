@@ -1,129 +1,65 @@
 //! The [`IssueSimulator`] trait: one object-safe, `Send` interface over
 //! every cycle-level issue-mechanism simulator.
 //!
-//! Before this trait existed, each mechanism exposed its own inherent
-//! `run`/`run_from` methods and [`crate::Mechanism::run`] dispatched
-//! through a giant `match`. The trait turns "a configured simulator" into
-//! a first-class value: [`crate::Mechanism::build`] returns a
-//! `Box<dyn IssueSimulator>` that batch engines (`ruu-engine`) can hand
-//! to worker threads, hold in job tables, and drive uniformly — without
-//! caring which mechanism is behind it.
-//!
-//! Object safety is deliberate: the parallel sweep engine stores
+//! [`crate::Mechanism::build`] returns a `Box<dyn IssueSimulator>` that
+//! batch engines (`ruu-engine`) can hand to worker threads, hold in job
+//! tables, and drive uniformly — without caring which mechanism is behind
+//! it. Object safety is deliberate: the parallel sweep engine stores
 //! heterogeneous simulators in one grid. `Send` is part of the contract
 //! because jobs migrate to `std::thread::scope` workers.
 
 use ruu_exec::{ArchState, Memory};
 use ruu_isa::Program;
-use ruu_sim_core::{MachineConfig, PipelineObserver, RunResult};
+use ruu_sim_core::{MachineConfig, NullObserver, PipelineObserver, RunResult};
 
-use crate::reorder::InOrderPrecise;
-use crate::simple::SimpleIssue;
 use crate::SimError;
 
 /// A configured, runnable issue-mechanism simulator.
 ///
 /// Implementations are cheap to construct (configuration only — no
 /// per-run state), so a fresh one can be built per job. All per-run
-/// state lives inside `run_from`, which is why one simulator value can
-/// serve many sequential runs and why `&self` suffices.
+/// state lives inside `run_observed`, which is why one simulator value
+/// can serve many sequential runs and why `&self` suffices.
 pub trait IssueSimulator: Send {
     /// The machine configuration this simulator was built with.
     fn config(&self) -> &MachineConfig;
 
     /// Runs `program` from an explicit architectural state (e.g. a
-    /// restart after a precise interrupt).
+    /// restart after a precise interrupt), reporting every pipeline event
+    /// to `obs`.
     ///
     /// # Errors
     /// [`SimError::InstLimit`] if more than `limit` dynamic instructions
     /// issue; [`SimError::Deadlock`] on internal lack of progress.
+    fn run_observed(
+        &self,
+        state: ArchState,
+        mem: Memory,
+        program: &Program,
+        limit: u64,
+        obs: &mut dyn PipelineObserver,
+    ) -> Result<RunResult, SimError>;
+
+    /// As [`IssueSimulator::run_observed`], unobserved.
+    ///
+    /// # Errors
+    /// As for [`IssueSimulator::run_observed`].
     fn run_from(
         &self,
         state: ArchState,
         mem: Memory,
         program: &Program,
         limit: u64,
-    ) -> Result<RunResult, SimError>;
+    ) -> Result<RunResult, SimError> {
+        self.run_observed(state, mem, program, limit, &mut NullObserver)
+    }
 
     /// Runs `program` to completion from zeroed registers.
     ///
     /// # Errors
-    /// As for [`IssueSimulator::run_from`].
+    /// As for [`IssueSimulator::run_observed`].
     fn run(&self, program: &Program, mem: Memory, limit: u64) -> Result<RunResult, SimError> {
         self.run_from(ArchState::new(), mem, program, limit)
-    }
-
-    /// As [`IssueSimulator::run_from`], reporting every pipeline event to
-    /// `obs`. The default ignores the observer so that implementations
-    /// without instrumentation remain valid; every in-tree simulator
-    /// overrides it.
-    ///
-    /// # Errors
-    /// As for [`IssueSimulator::run_from`].
-    fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        let _ = obs;
-        self.run_from(state, mem, program, limit)
-    }
-}
-
-impl IssueSimulator for SimpleIssue {
-    fn config(&self) -> &MachineConfig {
-        SimpleIssue::config(self)
-    }
-
-    fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        SimpleIssue::run_from(self, state, mem, program, limit)
-    }
-
-    fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        SimpleIssue::run_observed(self, state, mem, program, limit, obs)
-    }
-}
-
-impl IssueSimulator for InOrderPrecise {
-    fn config(&self) -> &MachineConfig {
-        InOrderPrecise::config(self)
-    }
-
-    fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        InOrderPrecise::run_from(self, state, mem, program, limit)
-    }
-
-    fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        InOrderPrecise::run_observed(self, state, mem, program, limit, obs)
     }
 }
 
@@ -131,7 +67,10 @@ impl IssueSimulator for InOrderPrecise {
 mod tests {
     use super::*;
     use crate::predict::TwoBit;
-    use crate::{Bypass, Mechanism, PreciseScheme, Ruu, SpecRuu, TaggedSim, WindowKind};
+    use crate::{
+        Bypass, InOrderPrecise, Mechanism, PreciseScheme, Ruu, SimpleIssue, SpecRuu, TaggedSim,
+        WindowKind,
+    };
     use ruu_isa::{Asm, Reg};
 
     fn tiny_program() -> Program {

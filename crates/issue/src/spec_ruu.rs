@@ -96,12 +96,6 @@ impl SpecRuu {
         }
     }
 
-    /// The machine configuration.
-    #[must_use]
-    pub fn config(&self) -> &MachineConfig {
-        self.ruu.config()
-    }
-
     /// The predictor configuration used by the trait-object entry points.
     #[must_use]
     pub fn predictor(&self) -> PredictorConfig {
@@ -140,8 +134,8 @@ impl SpecRuu {
         predictor: &mut dyn Predictor,
         obs: &mut dyn PipelineObserver,
     ) -> Result<SpecRunResult, SimError> {
-        let policy = self.policy();
-        let machine = Machine::new(self.config(), policy, state, mem, program, limit, obs);
+        let (cfg, policy) = (self.machine_config(), self.policy());
+        let machine = Machine::new(cfg, policy, state, mem, program, limit, obs);
         let (outcome, spec) = machine.run(None, Some(predictor))?;
         Ok(SpecRunResult {
             run: expect_completed(outcome),
@@ -152,7 +146,7 @@ impl SpecRuu {
 
 impl OutOfOrder for SpecRuu {
     fn machine_config(&self) -> &MachineConfig {
-        self.ruu.config()
+        self.ruu.machine_config()
     }
 
     fn policy(&self) -> Policy {
@@ -167,6 +161,7 @@ impl OutOfOrder for SpecRuu {
 mod tests {
     use super::*;
     use crate::predict::{AlwaysTaken, Btfn, TwoBit};
+    use crate::IssueSimulator;
     use ruu_exec::Trace;
     use ruu_isa::{Asm, Reg};
 

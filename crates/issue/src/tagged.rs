@@ -28,11 +28,11 @@
 
 use ruu_exec::Memory;
 use ruu_isa::Program;
-use ruu_sim_core::{MachineConfig, RunResult};
+use ruu_sim_core::MachineConfig;
 
 use crate::ooo::{Branches, OutOfOrder, Policy, Stations, Update};
 use crate::ruu::RunOutcome;
-use crate::{IssueSimulator, SimError};
+use crate::SimError;
 
 /// Window organisation of a tagged mechanism (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,27 +109,6 @@ impl TaggedSim {
         TaggedSim { config, kind }
     }
 
-    /// The machine configuration.
-    #[must_use]
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
-    }
-
-    /// The window organisation.
-    #[must_use]
-    pub fn kind(&self) -> WindowKind {
-        self.kind
-    }
-
-    /// Runs `program` to completion from zeroed registers (the
-    /// [`IssueSimulator`] methods run from any state, observed or not).
-    ///
-    /// # Errors
-    /// [`SimError::InstLimit`] if more than `limit` instructions issue.
-    pub fn run(&self, program: &Program, mem: Memory, limit: u64) -> Result<RunResult, SimError> {
-        IssueSimulator::run(self, program, mem, limit)
-    }
-
     /// Runs `program`, taking an interrupt when the dynamic instruction
     /// `fault_seq` completes — the moment it would update state on these
     /// machines. The frame holds whatever state the machine had reached,
@@ -139,7 +118,7 @@ impl TaggedSim {
     /// never reaches that point, so faulting one runs to completion.
     ///
     /// # Errors
-    /// As for [`TaggedSim::run`].
+    /// As for [`crate::IssueSimulator::run`].
     pub fn run_with_exception(
         &self,
         program: &Program,
@@ -154,6 +133,7 @@ impl TaggedSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IssueSimulator;
     use ruu_exec::Trace;
     use ruu_isa::{Asm, Reg};
     use ruu_sim_core::StallReason;

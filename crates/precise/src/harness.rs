@@ -2,7 +2,7 @@
 
 use ruu_exec::{golden_state_at, Memory, Trace};
 use ruu_isa::Program;
-use ruu_issue::{Bypass, RunOutcome, Ruu, SimError};
+use ruu_issue::{Bypass, IssueSimulator, RunOutcome, Ruu, SimError};
 use ruu_sim_core::MachineConfig;
 
 /// Outcome of one injected-exception experiment.

@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             bypass: Bypass::Full,
         },
     ] {
-        let r = m.run(&cfg, &program, mem.clone(), 100_000)?;
+        let r = m.build(&cfg).run(&program, mem.clone(), 100_000)?;
         assert_eq!(&r.state.regs, &golden.final_state().regs);
         println!("{m:<24} {:>6} cycles, IPC {:.3}", r.cycles, r.issue_rate());
     }

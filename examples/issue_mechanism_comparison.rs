@@ -40,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     let baseline = Mechanism::Simple
-        .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)?
+        .build(&cfg)
+        .run(&w.program, w.memory.clone(), w.inst_limit)?
         .cycles;
 
     println!(
@@ -48,7 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "mechanism", "cycles", "speedup", "IPC"
     );
     for m in mechanisms {
-        let r = m.run(&cfg, &w.program, w.memory.clone(), w.inst_limit)?;
+        let r = m
+            .build(&cfg)
+            .run(&w.program, w.memory.clone(), w.inst_limit)?;
         w.verify(&r.memory)?;
         println!(
             "| {:<38} | {:>8} | {:>7.3} | {:>7.3} | {:>7} |",

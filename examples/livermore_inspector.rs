@@ -28,7 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             bypass: Bypass::Full,
         },
     ] {
-        let r = m.run(&cfg, &w.program, w.memory.clone(), w.inst_limit)?;
+        let r = m
+            .build(&cfg)
+            .run(&w.program, w.memory.clone(), w.inst_limit)?;
         println!(
             "--- {m}: {} cycles, IPC {:.3}, window peak {} ---",
             r.cycles,

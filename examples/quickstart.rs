@@ -7,7 +7,7 @@
 
 use ruu::exec::{Memory, Trace};
 use ruu::isa::{Asm, Reg};
-use ruu::issue::{Bypass, Ruu};
+use ruu::issue::{Bypass, IssueSimulator, Ruu};
 use ruu::sim::MachineConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -22,7 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         entries: 20,
         bypass: Bypass::Full,
     }
-    .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)?;
+    .build(&cfg)
+    .run(&w.program, w.memory.clone(), w.inst_limit)?;
     println!(
         "blocking RUU(20):            {:>7} cycles, IPC {:.3}",
         blocking.cycles,

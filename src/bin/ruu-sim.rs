@@ -489,7 +489,8 @@ fn run_cachesim(mut args: std::env::Args) -> Result<(), String> {
     for w in &suite {
         let run = |cfg: &MachineConfig| {
             mechanism
-                .run(cfg, &w.program, w.memory.clone(), w.inst_limit)
+                .build(cfg)
+                .run(&w.program, w.memory.clone(), w.inst_limit)
                 .map_err(|e| format!("{}: {e}", w.name))
         };
         let base = run(&perfect_cfg)?;

@@ -48,7 +48,8 @@ fn no_mechanism_beats_the_dataflow_bound_on_any_loop() {
         );
         for m in six_mechanisms() {
             let r = m
-                .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+                .build(&cfg)
+                .run(&w.program, w.memory.clone(), w.inst_limit)
                 .unwrap_or_else(|e| panic!("{m} failed on {}: {e}", w.name));
             assert!(
                 r.cycles >= b.bound,
@@ -165,7 +166,7 @@ proptest! {
             Mechanism::Rstu { entries },
             Mechanism::Ruu { entries, bypass: Bypass::Full },
         ] {
-            let r = m.run(&cfg, &program, mem.clone(), 500_000)
+            let r = m.build(&cfg).run(&program, mem.clone(), 500_000)
                 .unwrap_or_else(|e| panic!("{m} failed on seed {seed}: {e}"));
             prop_assert!(
                 r.cycles >= b.bound,

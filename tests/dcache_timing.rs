@@ -121,7 +121,8 @@ fn perfect_default_reproduces_the_calibrated_cycle_snapshot() {
     for (m, want) in calibrated() {
         for (w, &cycles) in loops.iter().zip(want.iter()) {
             let r = m
-                .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+                .build(&cfg)
+                .run(&w.program, w.memory.clone(), w.inst_limit)
                 .unwrap_or_else(|e| panic!("{m} failed on {}: {e}", w.name));
             assert_eq!(
                 r.cycles, cycles,
@@ -144,7 +145,8 @@ fn every_mechanism_matches_golden_under_any_dcache() {
             let golden = w.golden_trace().expect("golden run succeeds");
             for m in all_mechanisms() {
                 let r = m
-                    .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+                    .build(&cfg)
+                    .run(&w.program, w.memory.clone(), w.inst_limit)
                     .unwrap_or_else(|e| panic!("{m} under {spec} failed on {}: {e}", w.name));
                 assert_eq!(
                     &r.state.regs,
@@ -189,7 +191,8 @@ fn a_finite_cache_only_adds_cycles_and_does_add_them() {
         let mut strictly_slower = 0usize;
         for (w, &base) in loops.iter().zip(perfect.iter()) {
             let r = m
-                .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+                .build(&cfg)
+                .run(&w.program, w.memory.clone(), w.inst_limit)
                 .unwrap_or_else(|e| panic!("{m} failed on {}: {e}", w.name));
             assert!(
                 r.cycles >= base,
@@ -218,7 +221,8 @@ fn dynamic_mechanisms_absorb_miss_latency_better_than_in_order_baselines() {
         livermore::all()
             .iter()
             .map(|w| {
-                m.run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+                m.build(&cfg)
+                    .run(&w.program, w.memory.clone(), w.inst_limit)
                     .unwrap_or_else(|e| panic!("{m} failed on {}: {e}", w.name))
                     .cycles
             })

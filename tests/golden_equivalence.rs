@@ -36,7 +36,8 @@ fn every_mechanism_matches_golden_on_every_loop() {
         let golden = w.golden_trace().expect("golden run succeeds");
         for m in mechanisms() {
             let r = m
-                .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+                .build(&cfg)
+                .run(&w.program, w.memory.clone(), w.inst_limit)
                 .unwrap_or_else(|e| panic!("{m} failed on {}: {e}", w.name));
             assert_eq!(
                 r.instructions,
@@ -103,7 +104,8 @@ fn tiny_windows_still_converge() {
         Mechanism::Tomasulo { rs_per_fu: 1 },
     ] {
         let r = m
-            .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+            .build(&cfg)
+            .run(&w.program, w.memory.clone(), w.inst_limit)
             .unwrap_or_else(|e| panic!("{m}: {e}"));
         assert_eq!(&r.state.regs, &golden.final_state().regs, "{m}");
         assert_eq!(&r.memory, golden.final_memory(), "{m}");
@@ -119,7 +121,8 @@ fn one_load_register_is_slow_but_correct() {
         entries: 10,
         bypass: Bypass::Full,
     }
-    .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+    .build(&cfg)
+    .run(&w.program, w.memory.clone(), w.inst_limit)
     .unwrap();
     assert_eq!(&r.memory, golden.final_memory());
 }
@@ -133,7 +136,8 @@ fn narrow_instance_counters_are_slow_but_correct() {
         entries: 20,
         bypass: Bypass::Full,
     }
-    .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+    .build(&cfg)
+    .run(&w.program, w.memory.clone(), w.inst_limit)
     .unwrap();
     assert_eq!(&r.state.regs, &golden.final_state().regs);
     assert_eq!(&r.memory, golden.final_memory());
@@ -155,7 +159,8 @@ fn extra_buses_and_paths_preserve_results() {
         },
     ] {
         let r = m
-            .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+            .build(&cfg)
+            .run(&w.program, w.memory.clone(), w.inst_limit)
             .unwrap();
         assert_eq!(&r.memory, golden.final_memory(), "{m}");
     }
@@ -169,13 +174,15 @@ fn memory_is_shared_ground_truth() {
     let cfg = MachineConfig::paper();
     let w = livermore::lll10();
     let a = Mechanism::Simple
-        .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+        .build(&cfg)
+        .run(&w.program, w.memory.clone(), w.inst_limit)
         .unwrap();
     let b = Mechanism::Ruu {
         entries: 25,
         bypass: Bypass::None,
     }
-    .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+    .build(&cfg)
+    .run(&w.program, w.memory.clone(), w.inst_limit)
     .unwrap();
     assert_eq!(a.memory, b.memory);
     assert!(!Memory::new(8).is_empty()); // Memory sanity helper

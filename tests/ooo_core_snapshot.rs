@@ -227,7 +227,8 @@ fn every_out_of_order_core_reproduces_its_calibrated_snapshot() {
         let (mut forwarded, mut mispredicted) = (0, 0);
         for (w, &cycles) in loops.iter().zip(row.cycles.iter()) {
             let r = m
-                .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+                .build(&cfg)
+                .run(&w.program, w.memory.clone(), w.inst_limit)
                 .unwrap_or_else(|e| panic!("{m} ({:?}) failed on {}: {e}", row.machine, w.name));
             assert_eq!(
                 r.cycles, cycles,

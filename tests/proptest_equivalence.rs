@@ -44,7 +44,7 @@ proptest! {
             Mechanism::Ruu { entries, bypass: Bypass::None },
             Mechanism::Ruu { entries, bypass: Bypass::LimitedA },
         ] {
-            let r = m.run(&cfg, &program, mem.clone(), LIMIT)
+            let r = m.build(&cfg).run(&program, mem.clone(), LIMIT)
                 .unwrap_or_else(|e| panic!("{m} failed on seed {seed}: {e}"));
             prop_assert_eq!(r.instructions, golden.len() as u64, "{} count", m);
             prop_assert_eq!(&r.state.regs, &golden.final_state().regs, "{} regs", m);
@@ -69,7 +69,7 @@ proptest! {
             Mechanism::Ruu { entries, bypass: Bypass::Full },
             Mechanism::Ruu { entries, bypass: Bypass::None },
         ] {
-            let r = m.run(&cfg, &program, mem.clone(), LIMIT)
+            let r = m.build(&cfg).run(&program, mem.clone(), LIMIT)
                 .unwrap_or_else(|e| panic!("{m} failed on hot seed {seed}: {e}"));
             prop_assert_eq!(&r.state.regs, &golden.final_state().regs, "{} regs", m);
             prop_assert_eq!(&r.memory, golden.final_memory(), "{} memory", m);
@@ -111,7 +111,7 @@ proptest! {
             .with_load_registers(loadregs)
             .with_counter_bits(counter_bits);
         let r = Mechanism::Ruu { entries: 12, bypass: Bypass::Full }
-            .run(&cfg, &program, mem.clone(), LIMIT)
+            .build(&cfg).run(&program, mem.clone(), LIMIT)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         prop_assert_eq!(&r.state.regs, &golden.final_state().regs);
         prop_assert_eq!(&r.memory, golden.final_memory());
