@@ -5,10 +5,18 @@
 //! Run with `cargo bench -p ruu-bench --bench mechanism_spectrum`.
 
 use ruu_bench::{harness, report};
+use ruu_engine::EngineError;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
 
 fn main() {
+    if let Err(e) = run() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Result<(), EngineError> {
     let cfg = MachineConfig::paper();
     let mechanisms = [
         ("simple issue (Table 1 baseline)", Mechanism::Simple),
@@ -52,7 +60,7 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (label, m) in mechanisms {
-        let pts = harness::sweep(&cfg, &[15], |_| m);
+        let (pts, _) = harness::sweep(&cfg, &[15], |_| m)?;
         rows.push((label.to_string(), pts[0].speedup, pts[0].issue_rate));
     }
     print!(
@@ -63,4 +71,5 @@ fn main() {
             &rows
         )
     );
+    Ok(())
 }

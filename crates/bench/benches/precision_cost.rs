@@ -6,21 +6,29 @@
 //! Run with `cargo bench -p ruu-bench --bench precision_cost`.
 
 use ruu_bench::sweep;
+use ruu_engine::EngineError;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
 
 fn main() {
+    if let Err(e) = run() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Result<(), EngineError> {
     let cfg = MachineConfig::paper();
     let sizes = [4usize, 8, 10, 15, 20, 30];
-    let rstu = sweep(&cfg, &sizes, |entries| Mechanism::Rstu { entries });
-    let ruu = sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
+    let (rstu, _) = sweep(&cfg, &sizes, |entries| Mechanism::Rstu { entries })?;
+    let (ruu, _) = sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
         entries,
         bypass: Bypass::Full,
-    });
-    let ruu_none = sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
+    })?;
+    let (ruu_none, _) = sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
         entries,
         bypass: Bypass::None,
-    });
+    })?;
 
     println!("### Extension A6 — the cost of precise interrupts");
     println!("| entries | RSTU speedup | RUU (bypass) | precision cost | RUU (no bypass) |");
@@ -38,4 +46,5 @@ fn main() {
          RUU approaches the unconstrained RSTU — precision is nearly free; without \
          bypass the aggravated dependencies cost much more."
     );
+    Ok(())
 }

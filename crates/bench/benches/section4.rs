@@ -10,10 +10,18 @@
 //! Run with `cargo bench -p ruu-bench --bench section4`.
 
 use ruu_bench::{harness, report};
+use ruu_engine::EngineError;
 use ruu_issue::{Bypass, Mechanism, PreciseScheme};
 use ruu_sim_core::MachineConfig;
 
 fn main() {
+    if let Err(e) = run() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Result<(), EngineError> {
     let cfg = MachineConfig::paper();
     let entries = 12;
     let rows: Vec<(String, Mechanism)> = vec![
@@ -56,7 +64,7 @@ fn main() {
     ];
     let mut out = Vec::new();
     for (label, m) in rows {
-        let pts = harness::sweep(&cfg, &[entries], |_| m);
+        let (pts, _) = harness::sweep(&cfg, &[entries], |_| m)?;
         out.push((label, pts[0].speedup, pts[0].issue_rate));
     }
     print!(
@@ -73,4 +81,5 @@ fn main() {
          bypass = history = future file ≈ 1.0 (precision without out-of-order \
          issue gains nothing on its own); RUU well above 1.0 (both at once)."
     );
+    Ok(())
 }

@@ -4,23 +4,31 @@
 //! Run with `cargo bench -p ruu-bench --bench table1`.
 
 use ruu_bench::{baseline_rows, cache_ablation, predictor_ablation, report, stall_breakdown};
+use ruu_engine::EngineError;
 use ruu_issue::{Bypass, Mechanism, PredictorConfig};
 use ruu_sim_core::{DCacheConfig, MachineConfig};
 
 fn main() {
+    if let Err(e) = run() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Result<(), EngineError> {
     let cfg = MachineConfig::paper();
-    let rows = baseline_rows(&cfg);
+    let rows = baseline_rows(&cfg)?;
     println!("## Table 1 — statistics for the benchmark programs (simple issue)");
     println!();
     print!("{}", report::format_table1(&rows));
     println!();
-    let stalls = stall_breakdown(&cfg, Mechanism::Simple);
+    let stalls = stall_breakdown(&cfg, Mechanism::Simple)?;
     print!(
         "{}",
         report::format_stall_table("Where the cycles go (simple issue)", &stalls)
     );
     println!();
-    let ablation = predictor_ablation(&cfg, 15);
+    let ablation = predictor_ablation(&cfg, 15)?;
     print!(
         "{}",
         report::format_predictor_ablation(
@@ -50,7 +58,7 @@ fn main() {
         .iter()
         .map(|s| DCacheConfig::parse(s).expect("ablation geometry"))
         .collect();
-    let cache_rows = cache_ablation(&cfg, &mechanisms, &dcaches);
+    let cache_rows = cache_ablation(&cfg, &mechanisms, &dcaches)?;
     print!(
         "{}",
         report::format_cache_ablation(
@@ -76,4 +84,5 @@ fn main() {
         "Note: 'ours' runs hand-compiled kernels (DESIGN.md §1); absolute counts differ \
          from the paper's CFT-compiled code, shapes are compared in tests/shape_checks.rs."
     );
+    Ok(())
 }

@@ -10,12 +10,11 @@ use ruu_sim_core::MachineConfig;
 fn main() {
     let cfg = MachineConfig::paper();
     let entries: Vec<usize> = paper::TABLE2.iter().map(|&(e, ..)| e).collect();
-    let (pts, stats) =
-        harness::try_sweep_report(&cfg, &entries, |entries| Mechanism::Rstu { entries })
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            });
+    let (pts, stats) = harness::sweep(&cfg, &entries, |entries| Mechanism::Rstu { entries })
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
     print!(
         "{}",
         report::format_sweep(

@@ -11,7 +11,7 @@ use ruu_sim_core::MachineConfig;
 fn main() {
     let cfg = MachineConfig::paper();
     let entries: Vec<usize> = paper::TABLE5.iter().map(|&(e, ..)| e).collect();
-    let (pts, stats) = harness::try_sweep_report(&cfg, &entries, |entries| Mechanism::Ruu {
+    let (pts, stats) = harness::sweep(&cfg, &entries, |entries| Mechanism::Ruu {
         entries,
         bypass: Bypass::None,
     })

@@ -9,149 +9,39 @@
 //! `RUU_BENCH_JOBS` environment variable (`1` recovers serial
 //! execution). Numbers are bit-identical for any worker count.
 //!
-//! Every entry point comes in two flavours: a `try_*` function returning
-//! `Result<_, HarnessError>` (workload-verification failures and
-//! simulator errors are typed, not panics) and a thin panicking shim
-//! with the legacy name, kept for the existing bench targets.
+//! Every entry point returns `Result<_, EngineError>`: simulator,
+//! verification and golden-trace failures are typed, not panics. The
+//! per-workload rows are the engine's [`WorkloadRow`]s, whose `RunStats`
+//! carry every counter the tables print.
 
-use std::fmt;
 use std::sync::OnceLock;
 
-use ruu_engine::{EngineError, EngineStats, Job, SweepEngine};
-use ruu_exec::{ArchState, ExecError};
-use ruu_issue::{Mechanism, SimError};
-use ruu_sim_core::{DCacheConfig, MachineConfig, StallHistogram};
-use ruu_workloads::{livermore, VerifyError};
-
-/// A typed failure from a harness run.
-#[derive(Debug, Clone)]
-pub enum HarnessError {
-    /// The simulator failed (instruction limit, deadlock guard).
-    Sim {
-        /// Mechanism (job label) that failed.
-        mechanism: String,
-        /// Workload the failure occurred on.
-        workload: &'static str,
-        /// The underlying simulator error.
-        err: SimError,
-    },
-    /// A simulation completed but its memory image failed the workload's
-    /// mirror verification.
-    Verify {
-        /// Mechanism (job label) that failed.
-        mechanism: String,
-        /// Workload the failure occurred on.
-        workload: &'static str,
-        /// The underlying verification error.
-        err: VerifyError,
-    },
-    /// The golden interpreter failed while capturing the trace the
-    /// dataflow-limit bound is derived from.
-    Golden {
-        /// Workload the failure occurred on.
-        workload: &'static str,
-        /// The underlying interpreter error.
-        err: ExecError,
-    },
-}
-
-impl fmt::Display for HarnessError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HarnessError::Sim {
-                mechanism,
-                workload,
-                err,
-            } => write!(f, "{mechanism} failed on {workload}: {err}"),
-            HarnessError::Verify {
-                mechanism,
-                workload,
-                err,
-            } => write!(f, "{mechanism} wrong result on {workload}: {err}"),
-            HarnessError::Golden { workload, err } => {
-                write!(f, "golden trace for {workload} failed: {err}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for HarnessError {}
-
-impl From<EngineError> for HarnessError {
-    fn from(e: EngineError) -> Self {
-        match e {
-            EngineError::Sim { job, workload, err } => HarnessError::Sim {
-                mechanism: job,
-                workload,
-                err,
-            },
-            EngineError::Verify { job, workload, err } => HarnessError::Verify {
-                mechanism: job,
-                workload,
-                err,
-            },
-            EngineError::Golden { workload, err } => HarnessError::Golden { workload, err },
-        }
-    }
-}
+use ruu_engine::{EngineError, EngineStats, Job, SweepEngine, WorkloadRow};
+use ruu_issue::Mechanism;
+use ruu_sim_core::{DCacheConfig, MachineConfig, RunStats};
+use ruu_workloads::livermore;
 
 /// The process-wide sweep engine: Livermore suite assembled once,
 /// baseline cycles memoized across every table and ablation target.
+///
+/// # Panics
+/// Panics if `RUU_BENCH_JOBS` is set to anything but a worker count.
 pub fn engine() -> &'static SweepEngine {
     static ENGINE: OnceLock<SweepEngine> = OnceLock::new();
     ENGINE.get_or_init(|| {
-        let workers = std::env::var("RUU_BENCH_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
+        let jobs = std::env::var("RUU_BENCH_JOBS").ok();
+        let workers = parse_workers(jobs.as_deref()).unwrap_or_else(|e| panic!("{e}"));
         SweepEngine::livermore().with_workers(workers)
     })
 }
 
-/// One row of a Table-1-style baseline report.
-#[derive(Debug, Clone)]
-pub struct BaselineRow {
-    /// Loop name.
-    pub name: &'static str,
-    /// Dynamic instructions executed.
-    pub instructions: u64,
-    /// Clock cycles to execute.
-    pub cycles: u64,
-    /// Static dataflow-limit lower bound on cycles
-    /// (`ruu_analysis::dataflow_bound` over the golden trace).
-    pub dataflow_bound: u64,
-}
-
-impl BaselineRow {
-    /// Instructions per cycle, or `None` for a zero-cycle row.
-    #[must_use]
-    pub fn try_issue_rate(&self) -> Option<f64> {
-        if self.cycles == 0 {
-            None
-        } else {
-            Some(self.instructions as f64 / self.cycles as f64)
-        }
-    }
-
-    /// Instructions per cycle. A zero-cycle row reports `0.0` (never
-    /// NaN); use [`BaselineRow::try_issue_rate`] to distinguish that
-    /// sentinel from a genuine rate.
-    #[must_use]
-    pub fn issue_rate(&self) -> f64 {
-        self.try_issue_rate().unwrap_or(0.0)
-    }
-
-    /// Percentage of the dataflow limit this run achieved
-    /// (`100 * dataflow_bound / cycles`), or `None` for a zero-cycle
-    /// row. 100% means the machine ran at the dependence-imposed limit.
-    #[must_use]
-    pub fn pct_of_limit(&self) -> Option<f64> {
-        if self.cycles == 0 {
-            None
-        } else {
-            Some(100.0 * self.dataflow_bound as f64 / self.cycles as f64)
-        }
-    }
+/// Parses the `RUU_BENCH_JOBS` worker count (unset = `0`, one worker
+/// per hardware thread).
+fn parse_workers(value: Option<&str>) -> Result<usize, String> {
+    value.map_or(Ok(0), |v| {
+        v.parse()
+            .map_err(|_| format!("RUU_BENCH_JOBS must be a worker count, got {v:?}"))
+    })
 }
 
 /// One point of a mechanism sweep (Tables 2–6 style).
@@ -169,134 +59,41 @@ pub struct SweepPoint {
     pub issue_rate: f64,
 }
 
-/// Per-workload stall breakdown for one mechanism: where the decode/
-/// issue stage spent every non-issuing cycle.
-#[derive(Debug, Clone)]
-pub struct StallBreakdownRow {
-    /// Workload name.
-    pub name: &'static str,
-    /// Cycles to execute it.
-    pub cycles: u64,
-    /// The run's stall histogram (issue cycles, per-reason stalls,
-    /// mean occupancy).
-    pub hist: StallHistogram,
-}
-
-/// Runs `mechanism` over the Livermore suite with a [`StallHistogram`]
-/// attached, returning one breakdown row per workload (suite order).
+/// Runs `mechanism` over the Livermore suite, returning one row per
+/// workload (suite order) whose counters break every cycle down into
+/// issue and per-reason stall cycles.
 ///
 /// # Errors
-/// Propagates the first failing workload as a [`HarnessError`].
-pub fn try_stall_breakdown(
+/// Propagates the first failing workload.
+pub fn stall_breakdown(
     config: &MachineConfig,
     mechanism: Mechanism,
-) -> Result<Vec<StallBreakdownRow>, HarnessError> {
-    let label = mechanism.to_string();
-    let sim = mechanism.build(config);
-    let mut rows = Vec::new();
-    for w in engine().suite() {
-        let mut hist = StallHistogram::default();
-        let r = sim
-            .run_observed(
-                ArchState::new(),
-                w.memory.clone(),
-                &w.program,
-                w.inst_limit,
-                &mut hist,
-            )
-            .map_err(|err| HarnessError::Sim {
-                mechanism: label.clone(),
-                workload: w.name,
-                err,
-            })?;
-        w.verify(&r.memory).map_err(|err| HarnessError::Verify {
-            mechanism: label.clone(),
-            workload: w.name,
-            err,
-        })?;
-        rows.push(StallBreakdownRow {
-            name: w.name,
-            cycles: r.cycles,
-            hist,
-        });
-    }
-    Ok(rows)
-}
-
-/// Panicking shim over [`try_stall_breakdown`] for bench targets.
-///
-/// # Panics
-/// Panics on any simulator or verification failure.
-#[must_use]
-pub fn stall_breakdown(config: &MachineConfig, mechanism: Mechanism) -> Vec<StallBreakdownRow> {
-    try_stall_breakdown(config, mechanism).unwrap_or_else(|e| panic!("{e}"))
+) -> Result<Vec<WorkloadRow>, EngineError> {
+    engine().workload_rows(mechanism, config)
 }
 
 /// Runs the baseline (simple issue) over the full Livermore suite,
 /// returning per-loop rows plus a `Total` row (paper Table 1).
 ///
 /// # Errors
-/// Propagates the first failing loop as a [`HarnessError`].
-pub fn try_baseline_rows(config: &MachineConfig) -> Result<Vec<BaselineRow>, HarnessError> {
-    let mut rows: Vec<BaselineRow> = engine()
-        .workload_rows(Mechanism::Simple, config)?
-        .into_iter()
-        .map(|r| BaselineRow {
-            name: r.name,
-            instructions: r.instructions,
-            cycles: r.cycles,
-            dataflow_bound: r.dataflow_bound,
-        })
-        .collect();
-    let total_i = rows.iter().map(|r| r.instructions).sum();
-    let total_c = rows.iter().map(|r| r.cycles).sum();
-    let total_b = rows.iter().map(|r| r.dataflow_bound).sum();
-    rows.push(BaselineRow {
-        name: "Total",
-        instructions: total_i,
-        cycles: total_c,
-        dataflow_bound: total_b,
-    });
+/// Propagates the first failing loop.
+pub fn baseline_rows(config: &MachineConfig) -> Result<Vec<WorkloadRow>, EngineError> {
+    let mut rows = stall_breakdown(config, Mechanism::Simple)?;
+    rows.push(WorkloadRow::total("Total", &rows));
     Ok(rows)
 }
 
-/// Panicking shim over [`try_baseline_rows`] for bench targets.
-///
-/// # Panics
-/// Panics on any simulator or verification failure.
-#[must_use]
-pub fn baseline_rows(config: &MachineConfig) -> Vec<BaselineRow> {
-    try_baseline_rows(config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Total baseline cycles over the suite (the denominator of every
-/// "relative speedup" in the paper), memoized per configuration.
-///
-/// # Errors
-/// Propagates the first failing loop as a [`HarnessError`].
-pub fn try_baseline_total_cycles(config: &MachineConfig) -> Result<u64, HarnessError> {
-    Ok(engine().baseline_cycles(config)?)
-}
-
-/// Panicking shim over [`try_baseline_total_cycles`].
-///
-/// # Panics
-/// Panics on any simulator or verification failure.
-#[must_use]
-pub fn baseline_total_cycles(config: &MachineConfig) -> u64 {
-    try_baseline_total_cycles(config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Sweeps a mechanism over window sizes on the shared engine, also
-/// returning the engine's execution stats (wall clock, units/sec).
+/// Sweeps a mechanism over window sizes on the shared engine, reporting
+/// paper-style speedup (vs. the simple-issue baseline) and aggregate
+/// issue rate, plus the engine's execution stats (wall clock, units/sec).
 ///
 /// # Errors
 /// Propagates the first failing (mechanism, workload) unit.
-pub fn try_sweep_report(
+pub fn sweep(
     config: &MachineConfig,
     entries_list: &[usize],
     make: impl Fn(usize) -> Mechanism,
-) -> Result<(Vec<SweepPoint>, EngineStats), HarnessError> {
+) -> Result<(Vec<SweepPoint>, EngineStats), EngineError> {
     let jobs: Vec<Job> = entries_list
         .iter()
         .map(|&entries| Job::new(make(entries), config.clone()))
@@ -314,32 +111,6 @@ pub fn try_sweep_report(
         })
         .collect();
     Ok((points, report.stats))
-}
-
-/// Sweeps a mechanism over window sizes, reporting paper-style speedup
-/// (vs. the simple-issue baseline) and aggregate issue rate.
-///
-/// # Errors
-/// Propagates the first failing (mechanism, workload) unit.
-pub fn try_sweep(
-    config: &MachineConfig,
-    entries_list: &[usize],
-    make: impl Fn(usize) -> Mechanism,
-) -> Result<Vec<SweepPoint>, HarnessError> {
-    try_sweep_report(config, entries_list, make).map(|(points, _)| points)
-}
-
-/// Panicking shim over [`try_sweep`] for bench targets.
-///
-/// # Panics
-/// Panics on any simulator or verification failure.
-#[must_use]
-pub fn sweep(
-    config: &MachineConfig,
-    entries_list: &[usize],
-    make: impl Fn(usize) -> Mechanism,
-) -> Vec<SweepPoint> {
-    try_sweep(config, entries_list, make).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The legacy serial sweep: a plain loop of one-shot simulator runs, with
@@ -405,18 +176,13 @@ pub struct PredictorAblationRow {
     pub predictor: String,
     /// Total CBP-replay mispredictions over the 14 loops.
     pub cbp_mispredicts: u64,
-    /// Pipeline predictions actually consulted.
-    pub predicts: u64,
-    /// Pipeline mispredictions (each one a flush).
-    pub mispredicts: u64,
-    /// Cycles spent in mispredict-repair stalls.
-    pub flush_cycles: u64,
     /// Total cycles over the suite.
     pub cycles: u64,
-    /// Total instructions over the suite.
-    pub instructions: u64,
     /// Speedup over the simple-issue baseline.
     pub speedup: f64,
+    /// The pipeline's counters over the suite (predictions consulted,
+    /// mispredictions, mispredict-repair stall cycles).
+    pub stats: RunStats,
 }
 
 /// Sweeps the speculative RUU (at `entries` window entries) across the
@@ -424,10 +190,10 @@ pub struct PredictorAblationRow {
 ///
 /// # Errors
 /// Propagates simulator, verification, and golden-trace failures.
-pub fn try_predictor_ablation(
+pub fn predictor_ablation(
     config: &MachineConfig,
     entries: usize,
-) -> Result<Vec<PredictorAblationRow>, HarnessError> {
+) -> Result<Vec<PredictorAblationRow>, EngineError> {
     use ruu_predict::cbp::{evaluate, BranchStream};
     use ruu_predict::PredictorConfig;
 
@@ -449,7 +215,7 @@ pub fn try_predictor_ablation(
 
     let mut streams = Vec::new();
     for w in livermore::all() {
-        let trace = w.golden_trace().map_err(|err| HarnessError::Golden {
+        let trace = w.golden_trace().map_err(|err| EngineError::Golden {
             workload: w.name,
             err,
         })?;
@@ -458,7 +224,7 @@ pub fn try_predictor_ablation(
 
     Ok(zoo
         .iter()
-        .zip(&report.jobs)
+        .zip(report.jobs)
         .map(|(&p, j)| {
             let cbp_mispredicts = streams
                 .iter()
@@ -468,25 +234,15 @@ pub fn try_predictor_ablation(
                     evaluate(s, pred.as_mut()).mispredicts
                 })
                 .sum();
-            let b = j.branch.unwrap_or_default();
             PredictorAblationRow {
                 predictor: p.to_string(),
                 cbp_mispredicts,
-                predicts: b.predicts,
-                mispredicts: b.mispredicts,
-                flush_cycles: b.flush_cycles,
                 cycles: j.cycles,
-                instructions: j.instructions,
                 speedup: j.speedup,
+                stats: j.stats,
             }
         })
         .collect())
-}
-
-/// Panicking shim over [`try_predictor_ablation`].
-#[must_use]
-pub fn predictor_ablation(config: &MachineConfig, entries: usize) -> Vec<PredictorAblationRow> {
-    try_predictor_ablation(config, entries).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One row of the data-cache ablation table: one mechanism under one
@@ -495,8 +251,8 @@ pub fn predictor_ablation(config: &MachineConfig, entries: usize) -> Vec<Predict
 pub struct CacheAblationRow {
     /// Mechanism label.
     pub mechanism: String,
-    /// Cache model label (`perfect` or the canonical geometry spec).
-    pub dcache: String,
+    /// The data-cache timing model.
+    pub dcache: DCacheConfig,
     /// Total cycles over the suite.
     pub cycles: u64,
     /// Total instructions over the suite (the MPKI denominator).
@@ -507,8 +263,9 @@ pub struct CacheAblationRow {
     /// Speedup vs. the simple-issue baseline *under the same memory
     /// model* (the engine memoizes the baseline per configuration).
     pub speedup: f64,
-    /// Aggregate cache counters (`None` under the perfect memory).
-    pub cache: Option<ruu_engine::CacheSummary>,
+    /// The runs' counters over the suite (data-cache accesses, hits and
+    /// misses are zero under the perfect memory).
+    pub stats: RunStats,
 }
 
 /// Runs every `mechanism` under the perfect memory and then each finite
@@ -518,11 +275,11 @@ pub struct CacheAblationRow {
 ///
 /// # Errors
 /// Propagates the first failing (mechanism, workload) unit.
-pub fn try_cache_ablation(
+pub fn cache_ablation(
     config: &MachineConfig,
     mechanisms: &[Mechanism],
     dcaches: &[DCacheConfig],
-) -> Result<Vec<CacheAblationRow>, HarnessError> {
+) -> Result<Vec<CacheAblationRow>, EngineError> {
     let mut variants = vec![DCacheConfig::Perfect];
     variants.extend(dcaches.iter().copied());
     let jobs: Vec<Job> = mechanisms
@@ -535,42 +292,31 @@ pub fn try_cache_ablation(
         .collect();
     let report = engine().run_grid(&jobs)?;
     let mut rows = Vec::new();
-    for (mi, m) in mechanisms.iter().enumerate() {
-        let base = report.jobs[mi * variants.len()].cycles;
-        for (vi, dc) in variants.iter().enumerate() {
-            let j = &report.jobs[mi * variants.len() + vi];
+    for (group, m) in report.jobs.chunks(variants.len()).zip(mechanisms) {
+        for (j, &dcache) in group.iter().zip(&variants) {
             rows.push(CacheAblationRow {
                 mechanism: m.to_string(),
-                dcache: dc.to_string(),
+                dcache,
                 cycles: j.cycles,
                 instructions: j.instructions,
-                slowdown: j.cycles as f64 / base as f64,
+                slowdown: j.cycles as f64 / group[0].cycles as f64,
                 speedup: j.speedup,
-                cache: j.cache,
+                stats: j.stats.clone(),
             });
         }
     }
     Ok(rows)
 }
 
-/// Panicking shim over [`try_cache_ablation`].
-#[must_use]
-pub fn cache_ablation(
-    config: &MachineConfig,
-    mechanisms: &[Mechanism],
-    dcaches: &[DCacheConfig],
-) -> Vec<CacheAblationRow> {
-    try_cache_ablation(config, mechanisms, dcaches).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ruu_issue::Bypass;
+    use ruu_sim_core::StallReason;
 
     #[test]
     fn baseline_rows_cover_all_loops() {
-        let rows = baseline_rows(&MachineConfig::paper());
+        let rows = baseline_rows(&MachineConfig::paper()).expect("baseline runs");
         assert_eq!(rows.len(), 15);
         assert_eq!(rows[14].name, "Total");
         let sum: u64 = rows[..14].iter().map(|r| r.instructions).sum();
@@ -588,7 +334,7 @@ mod tests {
     #[test]
     fn predictor_ablation_reflects_cbp_wins_in_cycles() {
         let cfg = MachineConfig::paper();
-        let rows = predictor_ablation(&cfg, 15);
+        let rows = predictor_ablation(&cfg, 15).expect("ablation runs");
         assert_eq!(rows.len(), 7, "one row per zoo predictor");
         let find = |name: &str| {
             rows.iter()
@@ -602,10 +348,14 @@ mod tests {
         assert!(tage.cbp_mispredicts < twobit.cbp_mispredicts);
         assert!(tage.cycles < twobit.cycles);
         for r in &rows {
-            assert!(r.predicts > 0, "{}: predictor consulted", r.predictor);
+            assert!(
+                r.stats.predicted_branches > 0,
+                "{}: predictor consulted",
+                r.predictor
+            );
             assert_eq!(
-                r.flush_cycles,
-                r.mispredicts * (cfg.mispredict_penalty + 1),
+                r.stats.stalls(StallReason::MispredictRepair),
+                r.stats.mispredicted_branches * (cfg.mispredict_penalty + 1),
                 "{}: every flush charges penalty+1 repair cycles",
                 r.predictor
             );
@@ -615,42 +365,31 @@ mod tests {
     #[test]
     fn sweep_reports_relative_speedup() {
         let cfg = MachineConfig::paper();
-        let pts = sweep(&cfg, &[10], |entries| Mechanism::Ruu {
+        let (pts, _) = sweep(&cfg, &[10], |entries| Mechanism::Ruu {
             entries,
             bypass: Bypass::Full,
-        });
+        })
+        .expect("sweep runs");
         assert_eq!(pts.len(), 1);
         assert!(pts[0].speedup > 0.5 && pts[0].speedup < 3.0);
     }
 
     #[test]
-    fn try_sweep_surfaces_errors_instead_of_panicking() {
+    fn sweep_surfaces_errors_instead_of_panicking() {
         // An impossible mechanism size: a 0-entry RSTU deadlocks issue
         // immediately, which the simulator reports as an error the
         // harness must surface (not panic on).
         let cfg = MachineConfig::paper();
-        let result = try_sweep(&cfg, &[0], |entries| Mechanism::Rstu { entries });
-        assert!(matches!(result, Err(HarnessError::Sim { .. })));
+        let result = sweep(&cfg, &[0], |entries| Mechanism::Rstu { entries });
+        assert!(matches!(result, Err(EngineError::Sim { .. })));
     }
 
     #[test]
     fn baseline_total_matches_rows() {
         let cfg = MachineConfig::paper();
-        let rows = baseline_rows(&cfg);
-        assert_eq!(baseline_total_cycles(&cfg), rows[14].cycles);
-    }
-
-    #[test]
-    fn zero_cycle_row_has_no_rate() {
-        let row = BaselineRow {
-            name: "empty",
-            instructions: 0,
-            cycles: 0,
-            dataflow_bound: 0,
-        };
-        assert_eq!(row.try_issue_rate(), None);
-        assert_eq!(row.issue_rate(), 0.0); // documented sentinel, not NaN
-        assert_eq!(row.pct_of_limit(), None);
+        let rows = baseline_rows(&cfg).expect("baseline runs");
+        let total = engine().baseline_cycles(&cfg).expect("baseline runs");
+        assert_eq!(total, rows[14].cycles);
     }
 
     #[test]
@@ -662,21 +401,26 @@ mod tests {
                 entries: 10,
                 bypass: Bypass::Full,
             },
-        );
+        )
+        .expect("breakdown runs");
         assert_eq!(rows.len(), engine().suite().len());
         for row in &rows {
             assert_eq!(
                 row.cycles,
-                row.hist.issue_cycles() + row.hist.total_stalls(),
+                row.stats.issue_cycles + row.stats.total_stalls(),
                 "cycle accounting on {}",
                 row.name
             );
-            assert_eq!(
-                row.hist.cycles(),
-                row.cycles,
-                "cycle_end count {}",
-                row.name
-            );
         }
+    }
+
+    #[test]
+    fn worker_count_parser_rejects_a_bad_value() {
+        assert_eq!(parse_workers(None), Ok(0));
+        assert_eq!(parse_workers(Some("3")), Ok(3));
+        let err = parse_workers(Some("abc")).expect_err("not a number");
+        assert!(err.contains("RUU_BENCH_JOBS"), "{err}");
+        assert!(err.contains("\"abc\""), "{err}");
+        assert!(parse_workers(Some("-1")).is_err());
     }
 }

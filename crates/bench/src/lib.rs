@@ -21,16 +21,17 @@
 //!
 //! Sweeps execute on the shared parallel [`ruu_engine::SweepEngine`]
 //! (see [`harness::engine`]); set `RUU_BENCH_JOBS=1` to force serial
-//! execution. Results are bit-identical for any worker count.
+//! execution. Results are bit-identical for any worker count. Every
+//! harness entry point returns `Result<_, ruu_engine::EngineError>`, and
+//! every table reads the runs' `RunStats` (per-loop rows are the
+//! engine's [`WorkloadRow`]s).
 
 pub mod harness;
 pub mod paper;
 pub mod report;
 
 pub use harness::{
-    baseline_rows, baseline_total_cycles, cache_ablation, engine, predictor_ablation,
-    stall_breakdown, sweep, sweep_serial, try_baseline_rows, try_baseline_total_cycles,
-    try_cache_ablation, try_predictor_ablation, try_stall_breakdown, try_sweep, try_sweep_report,
-    BaselineRow, CacheAblationRow, HarnessError, PredictorAblationRow, StallBreakdownRow,
-    SweepPoint,
+    baseline_rows, cache_ablation, engine, predictor_ablation, stall_breakdown, sweep,
+    sweep_serial, CacheAblationRow, PredictorAblationRow, SweepPoint,
 };
+pub use ruu_engine::WorkloadRow;

@@ -1,16 +1,15 @@
 //! Table formatting for the bench targets: measured values printed next
 //! to the paper's published numbers.
 
-use crate::harness::{
-    BaselineRow, CacheAblationRow, PredictorAblationRow, StallBreakdownRow, SweepPoint,
-};
+use crate::harness::{CacheAblationRow, PredictorAblationRow, SweepPoint};
 use crate::paper;
-use ruu_sim_core::{StallHistogram, StallReason};
+use ruu_engine::WorkloadRow;
+use ruu_sim_core::StallReason;
 
 /// Formats a Table-1-style report (per-loop baseline statistics) with the
 /// paper's numbers alongside.
 #[must_use]
-pub fn format_table1(rows: &[BaselineRow]) -> String {
+pub fn format_table1(rows: &[WorkloadRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(
@@ -93,9 +92,9 @@ pub fn format_predictor_ablation(title: &str, rows: &[PredictorAblationRow]) -> 
             "| {:<9} | {:>8} | {:>8} | {:>11} | {:>13} | {:>6} | {:>7.3} |",
             r.predictor,
             r.cbp_mispredicts,
-            r.predicts,
-            r.mispredicts,
-            r.flush_cycles,
+            r.stats.predicted_branches,
+            r.stats.mispredicted_branches,
+            r.stats.stalls(StallReason::MispredictRepair),
             r.cycles,
             r.speedup,
         );
@@ -127,19 +126,22 @@ pub fn format_cache_ablation(title: &str, rows: &[CacheAblationRow]) -> String {
             &r.mechanism
         };
         last = &r.mechanism;
-        let (hit_rate, mpki) = r.cache.map_or_else(
-            || ("-".to_string(), "-".to_string()),
-            |c| {
-                (
-                    format!("{:.1}%", 100.0 * c.hit_rate()),
-                    format!("{:.1}", c.mpki(r.instructions.max(1))),
-                )
-            },
-        );
+        let (hit_rate, mpki) = if r.dcache.is_perfect() {
+            ("-".to_string(), "-".to_string())
+        } else {
+            (
+                format!("{:.1}%", 100.0 * r.stats.dcache_hit_rate()),
+                format!("{:.1}", r.stats.dcache_mpki(r.instructions)),
+            )
+        };
         let _ = writeln!(
             out,
             "| {:<18} | {:<14} | {:>7} | {:>7.3}x | {:>7.3} | {hit_rate:>8} | {mpki:>4} |",
-            label, r.dcache, r.cycles, r.slowdown, r.speedup,
+            label,
+            r.dcache.to_string(),
+            r.cycles,
+            r.slowdown,
+            r.speedup,
         );
     }
     out
@@ -150,11 +152,11 @@ pub fn format_cache_ablation(title: &str, rows: &[CacheAblationRow]) -> String {
 /// `Total` row. Cycle counts, not percentages, so rows can be checked
 /// against `cycles == issue + Σ stalls` by eye.
 #[must_use]
-pub fn format_stall_table(title: &str, rows: &[StallBreakdownRow]) -> String {
+pub fn format_stall_table(title: &str, rows: &[WorkloadRow]) -> String {
     use std::fmt::Write as _;
     let reasons: Vec<StallReason> = StallReason::ALL
         .into_iter()
-        .filter(|&r| rows.iter().any(|row| row.hist.stalls(r) > 0))
+        .filter(|&r| rows.iter().any(|row| row.stats.stalls(r) > 0))
         .collect();
     let mut out = String::new();
     let _ = writeln!(out, "### {title}");
@@ -168,44 +170,25 @@ pub fn format_stall_table(title: &str, rows: &[StallBreakdownRow]) -> String {
         let _ = write!(out, "{:-<width$}:|", "", width = r.to_string().len());
     }
     let _ = writeln!(out, "---------:|");
-    let mut total = StallHistogram::default();
-    let mut total_cycles = 0u64;
-    for row in rows {
-        total.absorb(&row.hist);
-        total_cycles += row.cycles;
+    let total = WorkloadRow::total("Total", rows);
+    for row in rows.iter().chain([&total]) {
+        let s = &row.stats;
         let _ = write!(
             out,
             "| {:<6} | {:>6} | {:>5} |",
-            row.name,
-            row.cycles,
-            row.hist.issue_cycles()
+            row.name, row.cycles, s.issue_cycles
         );
         for r in &reasons {
             let _ = write!(
                 out,
                 " {:>width$} |",
-                row.hist.stalls(*r),
+                s.stalls(*r),
                 width = r.to_string().len()
             );
         }
-        let _ = writeln!(out, " {:>8.2} |", row.hist.mean_occupancy().unwrap_or(0.0));
+        let mean = s.mean_occupancy(row.cycles).unwrap_or(0.0);
+        let _ = writeln!(out, " {mean:>8.2} |");
     }
-    let _ = write!(
-        out,
-        "| {:<6} | {:>6} | {:>5} |",
-        "Total",
-        total_cycles,
-        total.issue_cycles()
-    );
-    for r in &reasons {
-        let _ = write!(
-            out,
-            " {:>width$} |",
-            total.stalls(*r),
-            width = r.to_string().len()
-        );
-    }
-    let _ = writeln!(out, " {:>8.2} |", total.mean_occupancy().unwrap_or(0.0));
     out
 }
 
@@ -238,11 +221,12 @@ mod tests {
 
     #[test]
     fn table1_formatting_includes_paper_columns() {
-        let rows = vec![BaselineRow {
+        let rows = vec![WorkloadRow {
             name: "LLL1",
             instructions: 100,
             cycles: 250,
             dataflow_bound: 125,
+            stats: ruu_sim_core::RunStats::default(),
         }];
         let s = format_table1(&rows);
         assert!(s.contains("LLL1"));
@@ -257,7 +241,8 @@ mod tests {
         let rows = crate::harness::stall_breakdown(
             &ruu_sim_core::MachineConfig::paper(),
             ruu_issue::Mechanism::Simple,
-        );
+        )
+        .expect("breakdown runs");
         let s = format_stall_table("Where the cycles go", &rows);
         assert!(s.contains("operands-not-ready"));
         assert!(s.contains("drained"));

@@ -14,22 +14,27 @@
 //!   `std::thread::scope` worker pool (work-stealing over an atomic
 //!   counter — no external dependencies);
 //! * baseline (simple-issue) cycles are **memoized per configuration**
-//!   in a [`MachineConfig`]-keyed cache, so repeated sweeps over the
+//!   in a [`MachineConfig`]-keyed memo, so repeated sweeps over the
 //!   same machine never pay for the baseline twice;
 //! * per-workload **dataflow-limit lower bounds**
 //!   (`ruu_analysis::dataflow_bound` over each golden trace) are
 //!   memoized the same way, so every [`JobResult`] reports how close
 //!   the mechanism came to the best any issue logic could do;
+//! * each unit runs unobserved; a job's counters are its runs'
+//!   `RunStats` summed with `RunStats::absorb`, the one counter set the
+//!   JSON report and every bench table read;
 //! * results come back as a [`SweepReport`]: per-job cycles,
-//!   instructions, and speedup plus wall-clock and throughput engine
-//!   stats, serializable to JSON with a hand-rolled std-only writer.
+//!   instructions, speedup and counters plus wall-clock and throughput
+//!   engine stats, serializable to JSON with a hand-rolled std-only
+//!   writer.
 //!
 //! Determinism is a hard guarantee: per-job numbers are aggregated in
 //! workload order from per-unit integer results, so a run with 8 workers
 //! is **bit-identical** to a run with 1 (asserted by the workspace's
 //! `engine_determinism` test). Only the wall-clock stats vary.
 //!
-//! The enabling API is `ruu_issue`'s [`IssueSimulator`] trait:
+//! The enabling API is `ruu_issue`'s
+//! [`IssueSimulator`](ruu_issue::IssueSimulator) trait:
 //! [`Mechanism::build`] yields a `Box<dyn IssueSimulator>` (`Send`), so
 //! one worker loop drives every mechanism uniformly.
 //!
@@ -61,9 +66,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ruu_analysis::dataflow_bound;
-use ruu_exec::{ArchState, ExecError};
+use ruu_exec::ExecError;
 use ruu_issue::{Mechanism, SimError};
-use ruu_sim_core::{JsonWriter, MachineConfig, StallHistogram, StallReason};
+use ruu_sim_core::{JsonWriter, MachineConfig, RunStats, StallReason};
 use ruu_workloads::{livermore, VerifyError, Workload};
 
 /// The JSON writer, which lives in `ruu-sim-core` so the Chrome trace
@@ -152,64 +157,6 @@ impl Job {
     }
 }
 
-/// Branch-prediction totals for one speculative job over the suite.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BranchSummary {
-    /// Conditional branches whose direction was predicted.
-    pub predicts: u64,
-    /// Predictions that resolved wrong and forced a squash.
-    pub mispredicts: u64,
-    /// Fetch cycles lost to misprediction repair
-    /// ([`StallReason::MispredictRepair`]).
-    pub flush_cycles: u64,
-}
-
-impl BranchSummary {
-    /// Mispredictions per 1000 instructions.
-    #[must_use]
-    pub fn mpki(&self, instructions: u64) -> f64 {
-        if instructions == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 * 1000.0 / instructions as f64
-        }
-    }
-}
-
-/// Data-cache totals for one job over the suite.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheSummary {
-    /// Loads that consulted the cache.
-    pub accesses: u64,
-    /// Accesses satisfied by a resident line (including merges into an
-    /// outstanding fill).
-    pub hits: u64,
-    /// Accesses that started a fresh line fill.
-    pub misses: u64,
-}
-
-impl CacheSummary {
-    /// Misses per 1000 instructions.
-    #[must_use]
-    pub fn mpki(&self, instructions: u64) -> f64 {
-        if instructions == 0 {
-            0.0
-        } else {
-            self.misses as f64 * 1000.0 / instructions as f64
-        }
-    }
-
-    /// Fraction of accesses that hit (`0.0` for an idle cache).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// Aggregated results of one [`Job`] over the suite.
 #[derive(Debug, Clone)]
 pub struct JobResult {
@@ -237,27 +184,17 @@ pub struct JobResult {
     /// Fraction of the dataflow limit achieved
     /// (`dataflow_bound / cycles`, in `(0, 1]`).
     pub efficiency: f64,
-    /// Decode/issue stall cycles over the suite: the nonzero
-    /// [`StallReason`] counters, in `StallReason::ALL` order. Together
-    /// with the issue cycles these account for every simulated cycle
-    /// (`cycles == instructions + Σ stalls` for the non-speculative
-    /// mechanisms the engine runs).
-    pub stalls: Vec<(StallReason, u64)>,
-    /// Branch-prediction totals, for jobs whose mechanism speculates
-    /// (`None` for every non-speculative mechanism).
-    pub branch: Option<BranchSummary>,
-    /// Data-cache totals, for jobs whose configuration carries a finite
-    /// `DCacheConfig` (`None` under the perfect default, whose loads
+    /// The runs' counters summed over the suite: per-reason stall
+    /// cycles (with the issue cycles they account for every simulated
+    /// cycle), branch predictions and data-cache accesses.
+    pub stats: RunStats,
+    /// Whether the mechanism speculates past branches; the JSON report
+    /// then carries a `branch` object.
+    pub speculative: bool,
+    /// Whether the configuration has a finite data cache; the JSON
+    /// report then carries a `cache` object (the perfect default's loads
     /// never consult a cache).
-    pub cache: Option<CacheSummary>,
-}
-
-impl JobResult {
-    /// Total stall cycles across all reasons.
-    #[must_use]
-    pub fn total_stalls(&self) -> u64 {
-        self.stalls.iter().map(|&(_, n)| n).sum()
-    }
+    pub finite_dcache: bool,
 }
 
 /// Engine-side execution statistics for one grid run.
@@ -317,26 +254,30 @@ impl SweepReport {
             w.key("issue_rate").f64(j.issue_rate);
             w.key("dataflow_bound").u64(j.dataflow_bound);
             w.key("efficiency").f64(j.efficiency);
+            let s = &j.stats;
             w.key("stalls").begin_object();
-            for &(reason, n) in &j.stalls {
-                w.key(&reason.to_string()).u64(n);
+            for reason in StallReason::ALL {
+                if s.stalls(reason) > 0 {
+                    w.key(&reason.to_string()).u64(s.stalls(reason));
+                }
             }
             w.end_object();
-            if let Some(b) = j.branch {
+            if j.speculative {
                 w.key("branch").begin_object();
-                w.key("predicts").u64(b.predicts);
-                w.key("mispredicts").u64(b.mispredicts);
-                w.key("mpki").f64(b.mpki(j.instructions));
-                w.key("flush_cycles").u64(b.flush_cycles);
+                w.key("predicts").u64(s.predicted_branches);
+                w.key("mispredicts").u64(s.mispredicted_branches);
+                w.key("mpki").f64(s.branch_mpki(j.instructions));
+                w.key("flush_cycles")
+                    .u64(s.stalls(StallReason::MispredictRepair));
                 w.end_object();
             }
-            if let Some(c) = j.cache {
+            if j.finite_dcache {
                 w.key("cache").begin_object();
-                w.key("accesses").u64(c.accesses);
-                w.key("hits").u64(c.hits);
-                w.key("misses").u64(c.misses);
-                w.key("hit_rate").f64(c.hit_rate());
-                w.key("mpki").f64(c.mpki(j.instructions));
+                w.key("accesses").u64(s.dcache_accesses);
+                w.key("hits").u64(s.dcache_hits);
+                w.key("misses").u64(s.dcache_misses);
+                w.key("hit_rate").f64(s.dcache_hit_rate());
+                w.key("mpki").f64(s.dcache_mpki(j.instructions));
                 w.end_object();
             }
             w.end_object();
@@ -360,6 +301,60 @@ pub struct WorkloadRow {
     /// Dataflow-limit lower bound on cycles under the run's
     /// configuration (see `ruu_analysis::dataflow_bound`).
     pub dataflow_bound: u64,
+    /// The run's counters (issue and stall cycles, occupancy, branch
+    /// and data-cache counts).
+    pub stats: RunStats,
+}
+
+impl WorkloadRow {
+    /// One row named `name` holding the sums of `rows` (suite totals).
+    #[must_use]
+    pub fn total(name: &'static str, rows: &[WorkloadRow]) -> WorkloadRow {
+        let mut total = WorkloadRow {
+            name,
+            cycles: 0,
+            instructions: 0,
+            dataflow_bound: 0,
+            stats: RunStats::default(),
+        };
+        for r in rows {
+            total.cycles += r.cycles;
+            total.instructions += r.instructions;
+            total.dataflow_bound += r.dataflow_bound;
+            total.stats.absorb(&r.stats);
+        }
+        total
+    }
+
+    /// Instructions per cycle, or `None` for a zero-cycle row.
+    #[must_use]
+    pub fn try_issue_rate(&self) -> Option<f64> {
+        if self.cycles == 0 {
+            None
+        } else {
+            Some(self.instructions as f64 / self.cycles as f64)
+        }
+    }
+
+    /// Instructions per cycle. A zero-cycle row reports `0.0` (never
+    /// NaN); use [`WorkloadRow::try_issue_rate`] to distinguish that
+    /// sentinel from a genuine rate.
+    #[must_use]
+    pub fn issue_rate(&self) -> f64 {
+        self.try_issue_rate().unwrap_or(0.0)
+    }
+
+    /// Percentage of the dataflow limit this run achieved
+    /// (`100 * dataflow_bound / cycles`), or `None` for a zero-cycle
+    /// row. 100% means the machine ran at the dependence-imposed limit.
+    #[must_use]
+    pub fn pct_of_limit(&self) -> Option<f64> {
+        if self.cycles == 0 {
+            None
+        } else {
+            Some(100.0 * self.dataflow_bound as f64 / self.cycles as f64)
+        }
+    }
 }
 
 /// The parallel batch-simulation engine. See the crate docs.
@@ -451,25 +446,17 @@ impl SweepEngine {
 
     /// Runs one (mechanism, config, workload) triple and verifies the
     /// result against the workload's mirror computation. Returns cycles,
-    /// instructions, the run's per-reason stall histogram and its branch
-    /// summary (integer counters, so aggregation stays worker-count
-    /// independent).
+    /// instructions and the run's counters (integers, so aggregation
+    /// stays worker-count independent).
     fn run_unit(
         label: &str,
         mechanism: Mechanism,
         config: &MachineConfig,
         w: &Workload,
-    ) -> Result<(u64, u64, StallHistogram, BranchSummary, CacheSummary), EngineError> {
-        let sim = mechanism.build(config);
-        let mut hist = StallHistogram::default();
-        let r = sim
-            .run_observed(
-                ArchState::new(),
-                w.memory.clone(),
-                &w.program,
-                w.inst_limit,
-                &mut hist,
-            )
+    ) -> Result<(u64, u64, RunStats), EngineError> {
+        let r = mechanism
+            .build(config)
+            .run(&w.program, w.memory.clone(), w.inst_limit)
             .map_err(|err| EngineError::Sim {
                 job: label.to_string(),
                 workload: w.name,
@@ -480,92 +467,76 @@ impl SweepEngine {
             workload: w.name,
             err,
         })?;
-        let branch = BranchSummary {
-            predicts: r.stats.predicted_branches,
-            mispredicts: r.stats.mispredicted_branches,
-            flush_cycles: r.stats.stalls(StallReason::MispredictRepair),
-        };
-        let cache = CacheSummary {
-            accesses: r.stats.dcache_accesses,
-            hits: r.stats.dcache_hits,
-            misses: r.stats.dcache_misses,
-        };
-        Ok((r.cycles, r.instructions, hist, branch, cache))
+        Ok((r.cycles, r.instructions, r.stats))
     }
 
-    /// Fills the baseline cache for every configuration in `configs`
-    /// (one pooled pass over all missing config × workload units).
-    /// Returns the number of units it had to execute.
-    fn ensure_baselines(&self, configs: &[&MachineConfig]) -> Result<usize, EngineError> {
+    /// Fills `memo` for every configuration in `configs` it lacks: one
+    /// pooled pass of `unit` over all missing (config × workload) pairs,
+    /// whose per-config results (suite order) `fold` turns into the
+    /// memoized value. Returns the number of units it ran; the first
+    /// failing unit (in unit order) aborts the fill.
+    fn fill_memo<V, T: Send>(
+        &self,
+        memo: &Mutex<HashMap<MachineConfig, V>>,
+        configs: &[&MachineConfig],
+        unit: impl Fn(&MachineConfig, &Workload) -> Result<T, EngineError> + Sync,
+        fold: impl Fn(Vec<T>) -> V,
+    ) -> Result<usize, EngineError> {
         let missing: Vec<&MachineConfig> = {
-            let cache = self.baseline_cache.lock().expect("baseline cache lock");
+            let memo = memo.lock().expect("memo lock");
             let mut seen: Vec<&MachineConfig> = Vec::new();
             for &c in configs {
-                if !cache.contains_key(c) && !seen.contains(&c) {
+                if !memo.contains_key(c) && !seen.contains(&c) {
                     seen.push(c);
                 }
             }
             seen
         };
-        if missing.is_empty() {
-            return Ok(0);
-        }
         let per_cfg = self.suite.len();
         let n_units = missing.len() * per_cfg;
-        let outs = self.run_pool(n_units, |i| {
-            let cfg = missing[i / per_cfg];
-            let w = &self.suite[i % per_cfg];
-            Self::run_unit("baseline(simple)", Mechanism::Simple, cfg, w)
-        });
-        let mut cache = self.baseline_cache.lock().expect("baseline cache lock");
-        for (ci, &cfg) in missing.iter().enumerate() {
-            let mut cycles = 0u64;
-            for out in &outs[ci * per_cfg..(ci + 1) * per_cfg] {
-                cycles += out.as_ref().map_err(Clone::clone)?.0;
-            }
-            cache.insert(cfg.clone(), cycles);
+        let mut outs = self
+            .run_pool(n_units, |i| {
+                unit(missing[i / per_cfg], &self.suite[i % per_cfg])
+            })
+            .into_iter();
+        let mut memo = memo.lock().expect("memo lock");
+        for &cfg in &missing {
+            let results = outs.by_ref().take(per_cfg).collect::<Result<_, _>>()?;
+            memo.insert(cfg.clone(), fold(results));
         }
         Ok(n_units)
     }
 
-    /// Fills the dataflow-bound cache for every configuration in
+    /// Fills the baseline memo for every configuration in `configs`.
+    /// Returns the number of simulation units it had to execute.
+    fn ensure_baselines(&self, configs: &[&MachineConfig]) -> Result<usize, EngineError> {
+        self.fill_memo(
+            &self.baseline_cache,
+            configs,
+            |cfg, w| Self::run_unit("baseline(simple)", Mechanism::Simple, cfg, w).map(|u| u.0),
+            |cycles| cycles.into_iter().sum(),
+        )
+    }
+
+    /// Fills the dataflow-bound memo for every configuration in
     /// `configs`. Bounds are static analysis over each workload's
     /// golden trace, not simulation units, so fills are **not** counted
     /// in [`EngineStats::units`].
     fn ensure_bounds(&self, configs: &[&MachineConfig]) -> Result<(), EngineError> {
-        let missing: Vec<&MachineConfig> = {
-            let cache = self.bound_cache.lock().expect("bound cache lock");
-            let mut seen: Vec<&MachineConfig> = Vec::new();
-            for &c in configs {
-                if !cache.contains_key(c) && !seen.contains(&c) {
-                    seen.push(c);
-                }
-            }
-            seen
-        };
-        if missing.is_empty() {
-            return Ok(());
-        }
-        let per_cfg = self.suite.len();
-        let outs = self.run_pool(missing.len() * per_cfg, |i| {
-            let cfg = missing[i / per_cfg];
-            let w = &self.suite[i % per_cfg];
-            w.golden_trace()
-                .map(|t| dataflow_bound(&t, cfg).bound)
-                .map_err(|err| EngineError::Golden {
-                    workload: w.name,
-                    err,
-                })
-        });
-        let mut cache = self.bound_cache.lock().expect("bound cache lock");
-        for (ci, &cfg) in missing.iter().enumerate() {
-            let mut bounds = Vec::with_capacity(per_cfg);
-            for out in &outs[ci * per_cfg..(ci + 1) * per_cfg] {
-                bounds.push(*out.as_ref().map_err(Clone::clone)?);
-            }
-            cache.insert(cfg.clone(), Arc::new(bounds));
-        }
-        Ok(())
+        self.fill_memo(
+            &self.bound_cache,
+            configs,
+            |cfg, w| {
+                w.golden_trace()
+                    .map(|t| dataflow_bound(&t, cfg).bound)
+                    .map_err(|err| EngineError::Golden {
+                        workload: w.name,
+                        err,
+                    })
+            },
+            Arc::new,
+        )
+        .map(drop)
     }
 
     /// Per-workload dataflow-limit lower bounds (suite order) under
@@ -625,20 +596,12 @@ impl SweepEngine {
         for (ji, job) in jobs.iter().enumerate() {
             let mut cycles = 0u64;
             let mut instructions = 0u64;
-            let mut stalls = StallHistogram::default();
-            let mut branch = BranchSummary::default();
-            let mut dcache = CacheSummary::default();
+            let mut stats = RunStats::default();
             for out in &outs[ji * per_job..(ji + 1) * per_job] {
-                let (c, n, h, b, dc) = out.as_ref().map_err(Clone::clone)?;
+                let (c, n, s) = out.as_ref().map_err(Clone::clone)?;
                 cycles += c;
                 instructions += n;
-                stalls.absorb(h);
-                branch.predicts += b.predicts;
-                branch.mispredicts += b.mispredicts;
-                branch.flush_cycles += b.flush_cycles;
-                dcache.accesses += dc.accesses;
-                dcache.hits += dc.hits;
-                dcache.misses += dc.misses;
+                stats.absorb(s);
             }
             let baseline_cycles = *cache
                 .get(&job.config)
@@ -659,9 +622,9 @@ impl SweepEngine {
                 issue_rate: instructions as f64 / cycles as f64,
                 dataflow_bound,
                 efficiency: dataflow_bound as f64 / cycles as f64,
-                stalls: stalls.rows(),
-                branch: job.mechanism.predictor().map(|_| branch),
-                cache: (!job.config.dcache.is_perfect()).then_some(dcache),
+                stats,
+                speculative: job.mechanism.predictor().is_some(),
+                finite_dcache: !job.config.dcache.is_perfect(),
             });
         }
         drop(cache);
@@ -702,19 +665,17 @@ impl SweepEngine {
         let bounds = self.dataflow_bounds(config)?;
         let outs = self.run_pool(self.suite.len(), |i| {
             let w = &self.suite[i];
-            Self::run_unit(&label, mechanism, config, w).map(|(c, n, _, _, _)| (w.name, c, n))
-        });
-        outs.into_iter()
-            .zip(bounds.iter())
-            .map(|(out, &dataflow_bound)| {
-                out.map(|(name, cycles, instructions)| WorkloadRow {
-                    name,
+            Self::run_unit(&label, mechanism, config, w).map(|(cycles, instructions, stats)| {
+                WorkloadRow {
+                    name: w.name,
                     cycles,
                     instructions,
-                    dataflow_bound,
-                })
+                    dataflow_bound: bounds[i],
+                    stats,
+                }
             })
-            .collect()
+        });
+        outs.into_iter().collect()
     }
 }
 
@@ -844,7 +805,7 @@ mod tests {
             assert_eq!(a.instructions, b.instructions);
             assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
             assert_eq!(a.issue_rate.to_bits(), b.issue_rate.to_bits());
-            assert_eq!(a.stalls, b.stalls);
+            assert_eq!(a.stats, b.stats);
         }
     }
 
@@ -863,13 +824,12 @@ mod tests {
         for j in &report.jobs {
             assert_eq!(
                 j.cycles,
-                j.instructions + j.total_stalls(),
+                j.instructions + j.stats.total_stalls(),
                 "cycle accounting for {}",
                 j.label
             );
-            assert!(!j.stalls.is_empty(), "{} reports no stalls", j.label);
-            assert!(j.stalls.iter().all(|&(_, n)| n > 0));
-            assert!(j.stalls.len() <= StallReason::ALL.len());
+            assert_eq!(j.stats.issue_cycles, j.instructions, "{}", j.label);
+            assert!(j.stats.total_stalls() > 0, "{} reports no stalls", j.label);
         }
     }
 
@@ -891,23 +851,22 @@ mod tests {
         ];
         let report = engine.run_grid(&jobs).expect("grid");
         assert!(
-            report.jobs[0].branch.is_none(),
+            !report.jobs[0].speculative,
             "non-speculative jobs carry no branch stats"
         );
-        let b = report.jobs[1]
-            .branch
-            .expect("speculative job has branch stats");
+        assert!(report.jobs[1].speculative);
+        let b = &report.jobs[1].stats;
         // The mini kernels' loop condition is computed right before the
         // branch, so the speculative machine must actually predict, and
         // the two-bit counter misses each loop exit.
-        assert!(b.predicts > 0);
-        assert!(b.mispredicts > 0 && b.mispredicts <= b.predicts);
+        assert!(b.predicted_branches > 0);
+        assert!(b.mispredicted_branches > 0 && b.mispredicted_branches <= b.predicted_branches);
         assert_eq!(
-            b.flush_cycles,
-            b.mispredicts * (cfg.mispredict_penalty + 1),
+            b.stalls(StallReason::MispredictRepair),
+            b.mispredicted_branches * (cfg.mispredict_penalty + 1),
             "every flush costs exactly one redirect window"
         );
-        assert!(b.mpki(report.jobs[1].instructions) > 0.0);
+        assert!(b.branch_mpki(report.jobs[1].instructions) > 0.0);
 
         // The JSON report carries the `branch` object for the
         // speculative job only.
@@ -933,15 +892,19 @@ mod tests {
         let jobs = vec![ruu_job(8), Job::new(Mechanism::Simple, finite)];
         let report = engine.run_grid(&jobs).expect("grid");
         assert!(
-            report.jobs[0].cache.is_none(),
+            !report.jobs[0].finite_dcache,
             "perfect-memory jobs carry no cache stats"
         );
-        let c = report.jobs[1].cache.expect("finite-dcache job has stats");
-        assert!(c.accesses > 0, "the mini kernels load every iteration");
-        assert_eq!(c.hits + c.misses, c.accesses);
-        assert!(c.misses > 0, "a cold cache must miss at least once");
-        assert!((0.0..=1.0).contains(&c.hit_rate()));
-        assert!(c.mpki(report.jobs[1].instructions) > 0.0);
+        assert!(report.jobs[1].finite_dcache);
+        let c = &report.jobs[1].stats;
+        assert!(
+            c.dcache_accesses > 0,
+            "the mini kernels load every iteration"
+        );
+        assert_eq!(c.dcache_hits + c.dcache_misses, c.dcache_accesses);
+        assert!(c.dcache_misses > 0, "a cold cache must miss at least once");
+        assert!((0.0..=1.0).contains(&c.dcache_hit_rate()));
+        assert!(c.dcache_mpki(report.jobs[1].instructions) > 0.0);
 
         // The JSON report carries the `cache` object for the finite job
         // only.
@@ -998,6 +961,47 @@ mod tests {
                 .baseline_cycles(&MachineConfig::paper())
                 .expect("baseline")
         );
+    }
+
+    #[test]
+    fn zero_cycle_row_has_no_rate() {
+        let row = WorkloadRow {
+            name: "empty",
+            cycles: 0,
+            instructions: 0,
+            dataflow_bound: 0,
+            stats: RunStats::default(),
+        };
+        assert_eq!(row.try_issue_rate(), None);
+        assert_eq!(row.issue_rate(), 0.0); // documented sentinel, not NaN
+        assert_eq!(row.pct_of_limit(), None);
+    }
+
+    #[test]
+    fn total_row_sums_the_suite() {
+        let engine = SweepEngine::new(mini_suite()).with_workers(2);
+        let rows = engine
+            .workload_rows(Mechanism::Simple, &MachineConfig::paper())
+            .expect("rows");
+        let total = WorkloadRow::total("Total", &rows);
+        assert_eq!(total.name, "Total");
+        assert_eq!(total.cycles, rows[0].cycles + rows[1].cycles);
+        assert_eq!(
+            total.dataflow_bound,
+            rows[0].dataflow_bound + rows[1].dataflow_bound
+        );
+        assert_eq!(
+            total.stats.issue_cycles,
+            rows[0].stats.issue_cycles + rows[1].stats.issue_cycles
+        );
+        for r in rows.iter().chain([&total]) {
+            assert_eq!(
+                r.cycles,
+                r.stats.issue_cycles + r.stats.total_stalls(),
+                "{}",
+                r.name
+            );
+        }
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //!   lookup with hit/miss latencies and bounded outstanding misses, with
 //!   a bit-identical `Perfect` default;
 //! * [`RunStats`] / [`RunResult`] — issue-rate accounting and stall
-//!   breakdowns common to every simulator;
+//!   breakdowns common to every simulator, and the one counter set the
+//!   engine, the bench tables and the reports read (suite totals via
+//!   [`RunStats::absorb`], MPKI and hit rate via its methods);
 //! * [`PipelineObserver`] — per-cycle pipeline event hooks (fetch, issue,
 //!   dispatch, complete, commit, flush, stall, cycle end) with the
-//!   [`CycleAccountant`], [`StallHistogram`] and [`ChromeTraceObserver`]
+//!   [`CycleAccountant`], [`FlushAccountant`] and [`ChromeTraceObserver`]
 //!   implementations;
 //! * [`JsonWriter`] — the std-only JSON writer behind Chrome traces and
 //!   sweep reports.
@@ -42,6 +44,6 @@ pub use json::JsonWriter;
 pub use loadregs::{LoadRegUnit, LrOutcome, MemOpKind, OpId};
 pub use observe::{
     AccountingViolation, ChromeTraceObserver, CycleAccountant, FlushAccountant, FlushViolation,
-    NullObserver, PipelineObserver, StallHistogram, Tee,
+    NullObserver, PipelineObserver, Tee,
 };
 pub use stats::{RunResult, RunStats, StallReason};

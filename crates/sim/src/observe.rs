@@ -11,10 +11,12 @@
 //! cycles == issue_cycles + Σ stall_cycles
 //! ```
 //!
-//! — the invariant [`CycleAccountant`] enforces. Two further observers are
-//! provided: [`StallHistogram`] (per-reason stall breakdown for bench
-//! tables) and [`ChromeTraceObserver`] (Chrome `trace_event` JSON for
-//! `chrome://tracing`, driven by the `ruu-sim trace` subcommand).
+//! — the invariant [`CycleAccountant`] enforces. [`FlushAccountant`] ties
+//! every squash to a recorded misprediction, and [`ChromeTraceObserver`]
+//! writes Chrome `trace_event` JSON for `chrome://tracing` (driven by the
+//! `ruu-sim trace` subcommand). The suite totals the engine and the bench
+//! tables report come from each run's `RunStats`, not from an observer;
+//! the workspace tests check that the two agree.
 //!
 //! All hooks have no-op defaults, so an observer implements only what it
 //! needs, and the null observer used by the unobserved entry points costs
@@ -199,6 +201,12 @@ impl CycleAccountant {
         self.issue_cycles
     }
 
+    /// Stall events observed so far for `reason`.
+    #[must_use]
+    pub fn stalls(&self, reason: StallReason) -> u64 {
+        self.stall_cycles[reason.idx()]
+    }
+
     /// Stall events observed so far, across all reasons.
     #[must_use]
     pub fn total_stalls(&self) -> u64 {
@@ -351,89 +359,6 @@ impl PipelineObserver for FlushAccountant {
         if reason == StallReason::MispredictRepair {
             self.repair_stalls += 1;
         }
-    }
-}
-
-/// Observer that accumulates a per-reason stall histogram (plus issue
-/// cycles and occupancy), for the bench harness's stall-breakdown tables.
-#[derive(Debug, Default, Clone)]
-pub struct StallHistogram {
-    issue_cycles: u64,
-    stall_cycles: [u64; StallReason::ALL.len()],
-    cycles: u64,
-    occupancy_sum: u64,
-}
-
-impl StallHistogram {
-    /// Issue cycles observed.
-    #[must_use]
-    pub fn issue_cycles(&self) -> u64 {
-        self.issue_cycles
-    }
-
-    /// Total cycles observed.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Stall cycles attributed to `reason`.
-    #[must_use]
-    pub fn stalls(&self, reason: StallReason) -> u64 {
-        self.stall_cycles[reason.idx()]
-    }
-
-    /// Total stall cycles across all reasons.
-    #[must_use]
-    pub fn total_stalls(&self) -> u64 {
-        self.stall_cycles.iter().sum()
-    }
-
-    /// Mean window occupancy over the observed cycles (`None` for an
-    /// empty run).
-    #[must_use]
-    pub fn mean_occupancy(&self) -> Option<f64> {
-        if self.cycles == 0 {
-            None
-        } else {
-            Some(self.occupancy_sum as f64 / self.cycles as f64)
-        }
-    }
-
-    /// Accumulates another histogram into this one (suite totals).
-    pub fn absorb(&mut self, other: &StallHistogram) {
-        self.issue_cycles += other.issue_cycles;
-        self.cycles += other.cycles;
-        self.occupancy_sum += other.occupancy_sum;
-        for (into, from) in self.stall_cycles.iter_mut().zip(other.stall_cycles) {
-            *into += from;
-        }
-    }
-
-    /// `(reason, cycles)` rows for the nonzero stall reasons, in
-    /// [`StallReason::ALL`] order.
-    #[must_use]
-    pub fn rows(&self) -> Vec<(StallReason, u64)> {
-        StallReason::ALL
-            .into_iter()
-            .filter_map(|r| {
-                let n = self.stalls(r);
-                (n > 0).then_some((r, n))
-            })
-            .collect()
-    }
-}
-
-impl PipelineObserver for StallHistogram {
-    fn issue(&mut self, _cycle: u64, _seq: u64) {
-        self.issue_cycles += 1;
-    }
-    fn stall(&mut self, _cycle: u64, reason: StallReason) {
-        self.stall_cycles[reason.idx()] += 1;
-    }
-    fn cycle_end(&mut self, _cycle: u64, occupancy: u32) {
-        self.cycles += 1;
-        self.occupancy_sum += u64::from(occupancy);
     }
 }
 
@@ -665,30 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_collects_rows_and_occupancy() {
-        let mut h = StallHistogram::default();
-        drive(&mut h);
-        assert_eq!(h.issue_cycles(), 1);
-        assert_eq!(h.cycles(), 3);
-        assert_eq!(h.stalls(StallReason::Drained), 1);
-        assert_eq!(
-            h.rows(),
-            vec![
-                (StallReason::OperandsNotReady, 1),
-                (StallReason::Drained, 1)
-            ]
-        );
-        let mean = h.mean_occupancy().expect("nonzero cycles");
-        assert!((mean - 2.0 / 3.0).abs() < 1e-12);
-
-        let mut total = StallHistogram::default();
-        total.absorb(&h);
-        total.absorb(&h);
-        assert_eq!(total.cycles(), 6);
-        assert_eq!(total.total_stalls(), 4);
-    }
-
-    #[test]
     fn flush_accountant_ties_flushes_to_mispredictions() {
         let mut acc = FlushAccountant::default();
         // One mispredict with penalty 3: the flush plus 4 repair stalls.
@@ -711,13 +612,19 @@ mod tests {
     #[test]
     fn tee_duplicates_events() {
         let mut acc = CycleAccountant::default();
-        let mut hist = StallHistogram::default();
+        let mut flush = FlushAccountant::default();
         {
-            let mut tee = Tee::new(&mut acc, &mut hist);
+            let mut tee = Tee::new(&mut acc, &mut flush);
             drive(&mut tee);
+            // Cycle 3: a squash and its first repair cycle.
+            tee.flush(3, 2);
+            tee.stall(3, StallReason::MispredictRepair);
+            tee.cycle_end(3, 0);
         }
-        assert!(acc.verify(3).is_ok());
-        assert_eq!(hist.total_stalls(), 2);
+        assert!(acc.verify(4).is_ok());
+        assert_eq!(acc.stalls(StallReason::MispredictRepair), 1);
+        assert_eq!(flush.flushes(), 1);
+        assert_eq!(flush.repair_stalls(), 1);
     }
 
     #[test]

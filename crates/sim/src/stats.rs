@@ -162,6 +162,56 @@ impl RunStats {
             Some(self.occupancy_sum as f64 / cycles as f64)
         }
     }
+
+    /// Branch mispredictions per 1000 of `instructions`.
+    #[must_use]
+    pub fn branch_mpki(&self, instructions: u64) -> f64 {
+        per_kilo(self.mispredicted_branches, instructions)
+    }
+
+    /// Data-cache misses per 1000 of `instructions`.
+    #[must_use]
+    pub fn dcache_mpki(&self, instructions: u64) -> f64 {
+        per_kilo(self.dcache_misses, instructions)
+    }
+
+    /// Fraction of data-cache accesses that hit (`0.0` for an idle cache).
+    #[must_use]
+    pub fn dcache_hit_rate(&self) -> f64 {
+        if self.dcache_accesses == 0 {
+            0.0
+        } else {
+            self.dcache_hits as f64 / self.dcache_accesses as f64
+        }
+    }
+
+    /// Adds another run's counters into this one (suite totals). The
+    /// peak occupancy is the larger of the two peaks.
+    pub fn absorb(&mut self, other: &RunStats) {
+        for (into, from) in self.stall_cycles.iter_mut().zip(other.stall_cycles) {
+            *into += from;
+        }
+        self.issue_cycles += other.issue_cycles;
+        self.branches += other.branches;
+        self.taken_branches += other.taken_branches;
+        self.occupancy_sum += other.occupancy_sum;
+        self.occupancy_peak = self.occupancy_peak.max(other.occupancy_peak);
+        self.forwarded_loads += other.forwarded_loads;
+        self.predicted_branches += other.predicted_branches;
+        self.mispredicted_branches += other.mispredicted_branches;
+        self.dcache_accesses += other.dcache_accesses;
+        self.dcache_hits += other.dcache_hits;
+        self.dcache_misses += other.dcache_misses;
+    }
+}
+
+/// `events` per 1000 `instructions` (`0.0` for an empty run).
+fn per_kilo(events: u64, instructions: u64) -> f64 {
+    if instructions == 0 {
+        0.0
+    } else {
+        events as f64 * 1000.0 / instructions as f64
+    }
 }
 
 impl fmt::Display for RunStats {
@@ -323,6 +373,48 @@ mod tests {
         // The legacy helpers keep their documented NaN-free sentinel.
         assert_eq!(r.issue_rate(), 0.0);
         assert_eq!(r.speedup_vs(400), 0.0);
+    }
+
+    #[test]
+    fn absorb_sums_counters_and_keeps_the_mean_occupancy() {
+        // Three cycles: one issue, then an operand stall, then a drain.
+        let mut run = RunStats {
+            issue_cycles: 1,
+            ..RunStats::default()
+        };
+        run.stall(StallReason::OperandsNotReady);
+        run.stall(StallReason::Drained);
+        for occ in [1, 1, 0] {
+            run.observe_occupancy(occ);
+        }
+        let mean = run.mean_occupancy(3).expect("nonzero cycles");
+        assert!((mean - 2.0 / 3.0).abs() < 1e-12);
+
+        let mut total = RunStats::default();
+        total.absorb(&run);
+        total.absorb(&run);
+        assert_eq!(total.issue_cycles, 2);
+        assert_eq!(total.stalls(StallReason::Drained), 2);
+        assert_eq!(total.total_stalls(), 4);
+        assert_eq!(total.occupancy_peak, 1);
+        assert_eq!(total.mean_occupancy(6), Some(mean));
+    }
+
+    #[test]
+    fn mpki_and_hit_rate_have_one_definition() {
+        let s = RunStats {
+            mispredicted_branches: 3,
+            dcache_accesses: 8,
+            dcache_hits: 6,
+            dcache_misses: 2,
+            ..RunStats::default()
+        };
+        assert_eq!(s.branch_mpki(1500), 2.0);
+        assert_eq!(s.dcache_mpki(500), 4.0);
+        assert_eq!(s.dcache_hit_rate(), 0.75);
+        // Empty runs and idle caches report zero, never NaN.
+        assert_eq!(s.branch_mpki(0), 0.0);
+        assert_eq!(RunStats::default().dcache_hit_rate(), 0.0);
     }
 
     #[test]

@@ -73,7 +73,9 @@ use ruu::isa::text;
 use ruu::issue::{Bypass, Mechanism, PreciseScheme, PredictorConfig};
 use ruu::predict::cbp::{evaluate_with_btb, BranchStream, BtbStats, CbpResult};
 use ruu::predict::Btb;
-use ruu::sim::{ChromeTraceObserver, CycleAccountant, DCacheConfig, MachineConfig, Tee};
+use ruu::sim::{
+    ChromeTraceObserver, CycleAccountant, DCacheConfig, MachineConfig, RunStats, StallReason, Tee,
+};
 use ruu::workloads::{livermore, Workload};
 
 struct Options {
@@ -340,22 +342,23 @@ fn run_sweep(mut args: std::env::Args) -> Result<(), String> {
             j.speedup,
             j.issue_rate,
         );
-        if let Some(b) = &j.branch {
+        let s = &j.stats;
+        if j.speculative {
             println!(
                 "          branch: {} predicted, {} mispredicted ({:.3} MPKI), {} repair cycles",
-                b.predicts,
-                b.mispredicts,
-                b.mpki(j.instructions),
-                b.flush_cycles
+                s.predicted_branches,
+                s.mispredicted_branches,
+                s.branch_mpki(j.instructions),
+                s.stalls(StallReason::MispredictRepair)
             );
         }
-        if let Some(c) = &j.cache {
+        if j.finite_dcache {
             println!(
                 "          cache: {} accesses, {} misses ({:.1}% hit, {:.3} MPKI)",
-                c.accesses,
-                c.misses,
-                100.0 * c.hit_rate(),
-                c.mpki(j.instructions)
+                s.dcache_accesses,
+                s.dcache_misses,
+                100.0 * s.dcache_hit_rate(),
+                s.dcache_mpki(j.instructions)
             );
         }
     }
@@ -485,7 +488,8 @@ fn run_cachesim(mut args: std::env::Args) -> Result<(), String> {
         "| {:<8} | {:>10} | {:>10} | {:>8} | {:>9} | {:>8} | {:>7} |",
         "loop", "perfect", "cached", "slowdown", "accesses", "hit rate", "MPKI"
     );
-    let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64);
+    let (mut perfect_cycles, mut cycles, mut instructions) = (0, 0, 0);
+    let mut total = RunStats::default();
     for w in &suite {
         let run = |cfg: &MachineConfig| {
             mechanism
@@ -497,32 +501,26 @@ fn run_cachesim(mut args: std::env::Args) -> Result<(), String> {
         let r = run(&cached_cfg)?;
         w.verify(&r.memory)
             .map_err(|e| format!("{}: {e}", w.name))?;
-        let s = &r.stats;
-        totals.0 += base.cycles;
-        totals.1 += r.cycles;
-        totals.2 += s.dcache_accesses;
-        totals.3 += s.dcache_misses;
-        totals.4 += r.instructions;
-        println!(
-            "| {:<8} | {:>10} | {:>10} | {:>7.3}x | {:>9} | {:>7.1}% | {:>7.3} |",
-            w.name,
-            base.cycles,
-            r.cycles,
-            r.cycles as f64 / base.cycles as f64,
-            s.dcache_accesses,
-            100.0 * (s.dcache_hits as f64 / s.dcache_accesses.max(1) as f64),
-            1000.0 * s.dcache_misses as f64 / r.instructions as f64,
-        );
+        perfect_cycles += base.cycles;
+        cycles += r.cycles;
+        instructions += r.instructions;
+        total.absorb(&r.stats);
+        print_cachesim_row(w.name, base.cycles, r.cycles, &r.stats, r.instructions);
     }
-    let (bc, cc, acc, miss, insts) = totals;
-    println!(
-        "| {:<8} | {bc:>10} | {cc:>10} | {:>7.3}x | {acc:>9} | {:>7.1}% | {:>7.3} |",
-        "total",
-        cc as f64 / bc as f64,
-        100.0 * ((acc - miss) as f64 / acc.max(1) as f64),
-        1000.0 * miss as f64 / insts.max(1) as f64,
-    );
+    print_cachesim_row("total", perfect_cycles, cycles, &total, instructions);
     Ok(())
+}
+
+/// One `cachesim` table row: perfect vs cached cycles and the cache's
+/// counters over `instructions`.
+fn print_cachesim_row(name: &str, perfect: u64, cached: u64, s: &RunStats, instructions: u64) {
+    println!(
+        "| {name:<8} | {perfect:>10} | {cached:>10} | {:>7.3}x | {:>9} | {:>7.1}% | {:>7.3} |",
+        cached as f64 / perfect as f64,
+        s.dcache_accesses,
+        100.0 * s.dcache_hit_rate(),
+        s.dcache_mpki(instructions),
+    );
 }
 
 /// CBP-style trace-driven predictor evaluation: replays the golden

@@ -18,7 +18,8 @@ use proptest::prelude::*;
 use ruu::exec::ArchState;
 use ruu::issue::{Bypass, IssueSimulator, Mechanism, PreciseScheme, PredictorConfig, SpecRuu};
 use ruu::sim::{
-    ChromeTraceObserver, CycleAccountant, FlushAccountant, MachineConfig, PipelineObserver, Tee,
+    ChromeTraceObserver, CycleAccountant, DCacheConfig, FlushAccountant, MachineConfig,
+    PipelineObserver, StallReason, Tee,
 };
 use ruu::workloads::livermore;
 use ruu::workloads::synth::{random_program, SynthConfig};
@@ -72,25 +73,42 @@ fn all_simulators(cfg: &MachineConfig, entries: usize) -> Vec<(String, Box<dyn I
     sims
 }
 
+/// Besides the identity, the observer stream must agree with the run's
+/// own `RunStats` — the counters the engine and every report read — on
+/// issue cycles and on every stall reason, with and without a data cache.
 #[test]
 fn identity_holds_for_every_mechanism_on_every_livermore_loop() {
-    let cfg = MachineConfig::paper();
-    for w in livermore::all() {
-        for (name, sim) in all_simulators(&cfg, 15) {
-            let mut acct = CycleAccountant::default();
-            let r = sim
-                .run_observed(
-                    ArchState::new(),
-                    w.memory.clone(),
-                    &w.program,
-                    w.inst_limit,
-                    &mut acct,
-                )
-                .unwrap_or_else(|e| panic!("{name} failed on {}: {e}", w.name));
-            w.verify(&r.memory)
-                .unwrap_or_else(|e| panic!("{name} wrong result on {}: {e}", w.name));
-            acct.verify(r.cycles)
-                .unwrap_or_else(|v| panic!("{name} on {}: {v}", w.name));
+    let cached = DCacheConfig::parse("64x2x4:20").expect("valid geometry");
+    for cfg in [
+        MachineConfig::paper(),
+        MachineConfig::paper().with_dcache(cached),
+    ] {
+        for w in livermore::all() {
+            for (name, sim) in all_simulators(&cfg, 15) {
+                let mut acct = CycleAccountant::default();
+                let r = sim
+                    .run_observed(
+                        ArchState::new(),
+                        w.memory.clone(),
+                        &w.program,
+                        w.inst_limit,
+                        &mut acct,
+                    )
+                    .unwrap_or_else(|e| panic!("{name} failed on {}: {e}", w.name));
+                w.verify(&r.memory)
+                    .unwrap_or_else(|e| panic!("{name} wrong result on {}: {e}", w.name));
+                acct.verify(r.cycles)
+                    .unwrap_or_else(|v| panic!("{name} on {}: {v}", w.name));
+                let at = format!("{name} on {} under {}", w.name, cfg.dcache);
+                assert_eq!(acct.issue_cycles(), r.stats.issue_cycles, "{at}");
+                for reason in StallReason::ALL {
+                    assert_eq!(
+                        acct.stalls(reason),
+                        r.stats.stalls(reason),
+                        "{at}: {reason}"
+                    );
+                }
+            }
         }
     }
 }
@@ -349,12 +367,16 @@ fn memory_state_is_identical_under_observation() {
         let plain = sim
             .run_from(ArchState::new(), mem.clone(), &program, LIMIT)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let mut hist = ruu::sim::StallHistogram::default();
+        let mut acct = CycleAccountant::default();
         let observed = sim
-            .run_observed(ArchState::new(), mem.clone(), &program, LIMIT, &mut hist)
+            .run_observed(ArchState::new(), mem.clone(), &program, LIMIT, &mut acct)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(plain.memory, observed.memory, "{name} memory");
-        assert_eq!(hist.cycles(), observed.cycles, "{name} cycle_end count");
+        assert_eq!(
+            acct.cycles_seen(),
+            observed.cycles,
+            "{name} cycle_end count"
+        );
     }
 }
 

@@ -98,12 +98,14 @@ fn speculative_grid_is_deterministic_for_every_predictor() {
         assert_eq!(s.cycles, p.cycles, "{}", s.label);
         assert_eq!(s.instructions, p.instructions, "{}", s.label);
         assert_eq!(s.speedup.to_bits(), p.speedup.to_bits(), "{}", s.label);
-        let (sb, pb) = (
-            s.branch.expect("speculative job has branch stats"),
-            p.branch.expect("speculative job has branch stats"),
+        assert!(
+            s.speculative,
+            "{}: speculative job has branch stats",
+            s.label
         );
-        assert_eq!(sb, pb, "{}", s.label);
-        assert!(sb.predicts > 0, "{}: predictor never consulted", s.label);
+        assert_eq!(s.stats, p.stats, "{}", s.label);
+        let predicts = s.stats.predicted_branches;
+        assert!(predicts > 0, "{}: predictor never consulted", s.label);
     }
 }
 
@@ -139,13 +141,20 @@ fn finite_dcache_grid_is_deterministic_across_worker_counts() {
     assert_eq!(serial.jobs.len(), parallel.jobs.len());
     for (s, p) in serial.jobs.iter().zip(&parallel.jobs) {
         assert_eq!(s.cycles, p.cycles, "{}", s.label);
-        let (sc, pc) = (
-            s.cache.expect("finite-dcache job has cache stats"),
-            p.cache.expect("finite-dcache job has cache stats"),
+        assert!(
+            s.finite_dcache,
+            "{}: finite-dcache job has cache stats",
+            s.label
         );
-        assert_eq!(sc, pc, "{}", s.label);
-        assert!(sc.accesses > 0, "{}: cache never consulted", s.label);
-        assert_eq!(sc.hits + sc.misses, sc.accesses, "{}", s.label);
+        assert_eq!(s.stats, p.stats, "{}", s.label);
+        let sc = &s.stats;
+        assert!(sc.dcache_accesses > 0, "{}: cache never consulted", s.label);
+        assert_eq!(
+            sc.dcache_hits + sc.dcache_misses,
+            sc.dcache_accesses,
+            "{}",
+            s.label
+        );
     }
     // The serialized reports carry identical per-job `cache` objects
     // (only the wall-clock engine stats may differ).

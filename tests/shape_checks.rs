@@ -19,10 +19,14 @@ const SIZES: [usize; 5] = [3, 6, 10, 30, 50];
 fn rstu(cfg: &MachineConfig, paths: u32) -> Vec<harness::SweepPoint> {
     let cfg = cfg.clone().with_dispatch_paths(paths);
     sweep(&cfg, &SIZES, |entries| Mechanism::Rstu { entries })
+        .expect("RSTU sweep runs")
+        .0
 }
 
 fn ruu(cfg: &MachineConfig, bypass: Bypass) -> Vec<harness::SweepPoint> {
     sweep(cfg, &SIZES, |entries| Mechanism::Ruu { entries, bypass })
+        .expect("RUU sweep runs")
+        .0
 }
 
 #[test]
@@ -159,7 +163,7 @@ fn baseline_issue_rate_is_dependency_bound() {
     // dependencies (theirs: 0.438; ours is lower because the hand-coded
     // kernels are leaner — see EXPERIMENTS.md).
     let cfg = MachineConfig::paper();
-    let rows = harness::baseline_rows(&cfg);
+    let rows = harness::baseline_rows(&cfg).expect("baseline runs");
     let total = rows.last().unwrap();
     let rate = total.issue_rate();
     assert!(
