@@ -1,7 +1,9 @@
 //! Calibrated per-loop cycle snapshot for the in-order machines: the
 //! imprecise baseline and all four Smith & Pleszkun precise schemes at
 //! one, four and eight buffer entries, under perfect memory, the
-//! `64x2x4:20` data cache and the MSHR-starved `16x1x4:30:1:1` cache.
+//! `64x2x4:20` data cache and the MSHR-starved `16x1x4:30:1:1` cache,
+//! plus a long-latency machine whose result-bus bookings reach hundreds
+//! of cycles ahead.
 //!
 //! Besides the per-loop cycles, each row pins the suite total of every
 //! [`StallReason`], in [`StallReason::ALL`] order. The totals lock in
@@ -9,6 +11,7 @@
 //! memory, bus, buffer) and the `WindowFull` and `MemStall` paths, which
 //! a refactor can move without moving a single cycle count.
 
+use ruu::isa::FuClass;
 use ruu::issue::{Mechanism, PreciseScheme};
 use ruu::sim::{DCacheConfig, MachineConfig, StallReason};
 use ruu::workloads::livermore;
@@ -22,6 +25,9 @@ enum Cache {
     Cached,
     /// A `16x1x4:30:1:1` data cache with one outstanding-miss register.
     Starved,
+    /// A `64x2x4:200` data cache, a 40-cycle floating-point multiplier and
+    /// two result buses: bus bookings land up to ~200 cycles ahead.
+    LongLatency,
 }
 
 impl Cache {
@@ -30,6 +36,12 @@ impl Cache {
             Cache::Perfect => return MachineConfig::paper(),
             Cache::Cached => "64x2x4:20",
             Cache::Starved => "16x1x4:30:1:1",
+            Cache::LongLatency => {
+                return MachineConfig::paper()
+                    .with_dcache(DCacheConfig::parse("64x2x4:200").expect("valid geometry"))
+                    .with_fu_latency(FuClass::FloatMul, 40)
+                    .with_result_buses(2)
+            }
         };
         MachineConfig::paper().with_dcache(DCacheConfig::parse(geometry).expect("valid geometry"))
     }
@@ -408,6 +420,53 @@ fn calibrated() -> Vec<Row> {
                 85261, 65733,
             ],
             [405827, 0, 0, 19815, 0, 0, 0, 68, 25493, 0, 210031, 104],
+        ),
+        // Captured before the result-bus table and the event map became
+        // cycle-indexed rings.
+        row(
+            Cache::LongLatency,
+            SIMPLE,
+            [
+                77955, 89396, 108773, 150168, 104036, 132046, 88737, 132019, 214267, 211907,
+                151120, 87956, 278885, 257536,
+            ],
+            [1949459, 0, 0, 1186, 0, 0, 0, 68, 25493, 0, 0, 82],
+        ),
+        row(
+            Cache::LongLatency,
+            precise(PreciseScheme::ReorderBuffer, 8),
+            [
+                80745, 92852, 108773, 150802, 109206, 133696, 91868, 144222, 264964, 215283,
+                158594, 95753, 288121, 266852,
+            ],
+            [2066317, 8, 0, 1186, 0, 0, 0, 124, 25493, 0, 0, 90],
+        ),
+        row(
+            Cache::LongLatency,
+            precise(PreciseScheme::ReorderBufferBypass, 8),
+            [
+                77958, 89398, 108773, 150172, 104037, 132049, 88738, 132020, 214268, 211908,
+                151121, 87958, 278886, 257537,
+            ],
+            [1949459, 0, 0, 1186, 0, 0, 0, 68, 25493, 0, 0, 104],
+        ),
+        row(
+            Cache::LongLatency,
+            precise(PreciseScheme::HistoryBuffer, 4),
+            [
+                79155, 90812, 108773, 150770, 106466, 132097, 89679, 132145, 214566, 212295,
+                153724, 90556, 283413, 261477,
+            ],
+            [1943188, 0, 0, 1187, 27385, 0, 0, 68, 25493, 0, 0, 94],
+        ),
+        row(
+            Cache::LongLatency,
+            precise(PreciseScheme::FutureFile, 4),
+            [
+                79155, 90812, 108773, 150770, 106466, 132097, 89679, 132145, 214566, 212295,
+                153724, 90556, 283413, 261477,
+            ],
+            [1943188, 0, 0, 1187, 27385, 0, 0, 68, 25493, 0, 0, 94],
         ),
     ]
 }

@@ -2,13 +2,16 @@
 //! the configurations `tests/dcache_timing.rs` does not pin: the limited
 //! bypass, the Tag Unit and RS-pool organisations, the speculative RUU
 //! without bypass and with a different predictor, two dispatch paths, and
-//! every out-of-order family under a finite data cache.
+//! every out-of-order family under a finite data cache, and a
+//! long-latency machine whose result-bus bookings and completion events
+//! reach hundreds of cycles ahead.
 //!
 //! Besides the per-loop cycles, each row pins the suite totals of
 //! `forwarded_loads` and `mispredicted_branches`, which move with the
 //! memory pipeline and the speculation machinery without always moving
 //! cycles.
 
+use ruu::isa::FuClass;
 use ruu::issue::{Bypass, Mechanism, PredictorConfig};
 use ruu::sim::{DCacheConfig, MachineConfig};
 use ruu::workloads::livermore;
@@ -22,6 +25,10 @@ enum Machine {
     TwoPaths,
     /// The paper machine behind a `64x2x4:20` data cache.
     Cached,
+    /// A `64x2x4:200` data cache, a 40-cycle floating-point multiplier and
+    /// two result buses: bus bookings and completion events land up to
+    /// ~200 cycles ahead, far past any cycle-indexed table's first size.
+    LongLatency,
 }
 
 impl Machine {
@@ -31,6 +38,10 @@ impl Machine {
             Machine::TwoPaths => MachineConfig::paper().with_dispatch_paths(2),
             Machine::Cached => MachineConfig::paper()
                 .with_dcache(DCacheConfig::parse("64x2x4:20").expect("valid geometry")),
+            Machine::LongLatency => MachineConfig::paper()
+                .with_dcache(DCacheConfig::parse("64x2x4:200").expect("valid geometry"))
+                .with_fu_latency(FuClass::FloatMul, 40)
+                .with_result_buses(2),
         }
     }
 }
@@ -214,6 +225,71 @@ fn calibrated() -> Vec<Row> {
             ],
             1915,
             5,
+        ),
+        // Captured before the result-bus table and the event map became
+        // cycle-indexed rings.
+        row(
+            Machine::LongLatency,
+            ruu(Bypass::Full),
+            [
+                41410, 64752, 75513, 53766, 74999, 60771, 46293, 72896, 75809, 79711, 73779, 74956,
+                142295, 158852,
+            ],
+            2018,
+            0,
+        ),
+        row(
+            Machine::LongLatency,
+            ruu(Bypass::None),
+            [
+                75354, 73933, 101013, 149741, 97575, 131632, 58409, 89598, 99661, 81904, 143321,
+                79180, 144034, 177651,
+            ],
+            190,
+            0,
+        ),
+        row(
+            Machine::LongLatency,
+            Mechanism::Ruu {
+                entries: 50,
+                bypass: Bypass::LimitedA,
+            },
+            [
+                44723, 54122, 61763, 39911, 55693, 69564, 51806, 73755, 75804, 65627, 68925, 69765,
+                129740, 158852,
+            ],
+            2342,
+            0,
+        ),
+        row(
+            Machine::LongLatency,
+            spec_ruu(Bypass::Full, PredictorConfig::default()),
+            [
+                41410, 64733, 75513, 53766, 74999, 60771, 46293, 72896, 75809, 79711, 73779, 74956,
+                142295, 158852,
+            ],
+            2018,
+            5,
+        ),
+        row(
+            Machine::LongLatency,
+            Mechanism::Rstu { entries: 15 },
+            [
+                30422, 54119, 63259, 38108, 55692, 30300, 31835, 55478, 75320, 66469, 68924, 69763,
+                129672, 158859,
+            ],
+            2365,
+            0,
+        ),
+        row(
+            Machine::LongLatency,
+            Mechanism::Tomasulo { rs_per_fu: 2 },
+            [
+                39326, 63227, 79258, 50419, 84418, 57260, 53032, 78077, 100743, 107905, 140072,
+                76255, 154402, 174601,
+            ],
+            1369,
+            0,
         ),
     ]
 }
