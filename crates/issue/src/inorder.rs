@@ -310,7 +310,7 @@ fn run(
             // Issue. Timing:
             fus.accept(fu, cycle);
             if inst.dst.is_some() {
-                bus.try_reserve(complete);
+                bus.try_reserve(cycle, complete);
             }
             if let Some(ea) = load_ea {
                 if dcache.is_finite() {

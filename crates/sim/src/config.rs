@@ -170,8 +170,13 @@ impl MachineConfig {
     }
 
     /// Returns a copy with a different load-register forward latency.
+    ///
+    /// # Panics
+    /// Panics if `cycles` is zero: a forwarded load is broadcast in a
+    /// later cycle than the one its data became known in.
     #[must_use]
     pub fn with_forward_latency(mut self, cycles: u64) -> Self {
+        assert!(cycles >= 1, "forwarding takes at least one cycle");
         self.forward_latency = cycles;
         self
     }
@@ -238,6 +243,12 @@ mod tests {
     #[should_panic(expected = "counter width")]
     fn counter_bits_validated() {
         let _ = MachineConfig::paper().with_counter_bits(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one cycle")]
+    fn zero_forward_latency_rejected() {
+        let _ = MachineConfig::paper().with_forward_latency(0);
     }
 
     #[test]
