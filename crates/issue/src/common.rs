@@ -3,7 +3,7 @@
 //! cycles, and per-cycle broadcast records.
 
 use ruu_isa::{semantics, Inst, Program, Reg};
-use ruu_sim_core::{MachineConfig, PipelineObserver, RunStats};
+use ruu_sim_core::{MachineConfig, PipelineObserver, RunStats, StallReason};
 
 /// A register-instance tag: names one in-flight producer of a register.
 ///
@@ -148,6 +148,13 @@ impl Frontend {
         self.pc
     }
 
+    /// The first cycle after the current branch dead cycles: a
+    /// [`FetchSlot::Dead`] slot lasts until then.
+    #[must_use]
+    pub fn next_fetch_cycle(&self) -> u64 {
+        self.next_fetch_cycle
+    }
+
     /// `true` once `Halt` has been decoded.
     #[must_use]
     pub fn halted(&self) -> bool {
@@ -184,6 +191,16 @@ impl Frontend {
             None => FetchSlot::Halted, // running off the end halts; the
                                        // golden interpreter flags it as an
                                        // error so equivalence tests catch it
+        }
+    }
+
+    /// The pc of the instruction presented to decode at `cycle`, if one
+    /// is.
+    #[must_use]
+    pub fn presented(&self, cycle: u64, program: &Program) -> Option<u32> {
+        match self.peek(cycle, program) {
+            FetchSlot::Inst(pc, _) => Some(pc),
+            _ => None,
         }
     }
 
@@ -239,10 +256,9 @@ impl Frontend {
     }
 }
 
-/// Observes the end of one simulated cycle and advances the clock: the
-/// occupancy statistics and the observer's `cycle_end` hook fire exactly
-/// once per simulated cycle (the in-order machines report their in-flight
-/// count as occupancy).
+/// Observes the end of one simulated cycle and advances the clock. Every
+/// simulated cycle ends once, either here or inside [`idle_cycles`]; the
+/// in-order machines report their in-flight count as occupancy.
 pub(crate) fn end_cycle(
     obs: &mut dyn PipelineObserver,
     stats: &mut RunStats,
@@ -252,6 +268,25 @@ pub(crate) fn end_cycle(
     stats.observe_occupancy(occ);
     obs.cycle_end(*cycle, occ);
     *cycle += 1;
+}
+
+/// Ends the cycles from `cycle` up to `until`, in each of which decode
+/// stalls for `reason` (with the instruction at `pc` presented to it, if
+/// any) and nothing else happens, and advances the clock to `until`: the
+/// run's counters and the observer take the whole span in one update.
+pub(crate) fn idle_cycles(
+    obs: &mut dyn PipelineObserver,
+    stats: &mut RunStats,
+    cycle: &mut u64,
+    until: u64,
+    pc: Option<u32>,
+    reason: StallReason,
+    occ: u32,
+) {
+    let n = until - *cycle;
+    stats.idle_span(n, reason, occ);
+    obs.idle_span(*cycle, n, pc, reason, occ);
+    *cycle = until;
 }
 
 #[cfg(test)]

@@ -41,8 +41,14 @@
 //! commit is `max(completion, previous commit + 1)`. In-order issue with
 //! readable operands also makes eager architectural update safe, so the
 //! values are computed at issue too.
+//!
+//! The same fixed timing tells a stalled decode stage when it can next
+//! move: each check that blocks issue names the first cycle its cause can
+//! clear, and the core ends the cycles before that (or before the next
+//! completion or commit, whichever comes first) as one idle span.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use ruu_exec::{ArchState, Memory};
 use ruu_isa::{semantics, FuClass, Program, NUM_REGS};
@@ -51,7 +57,7 @@ use ruu_sim_core::{
     StallReason,
 };
 
-use crate::common::{end_cycle, FetchSlot, Frontend, Operand, Tag};
+use crate::common::{end_cycle, idle_cycles, FetchSlot, Frontend, Operand, Tag};
 use crate::{IssueSimulator, SimError};
 
 /// Which Smith & Pleszkun structure guarantees precision.
@@ -196,20 +202,21 @@ fn run(
     let mut issued: u64 = 0;
     let mut last_commit: u64 = 0;
     // (completion cycle, seq) and (commit cycle, seq) of every in-flight
-    // instruction. Commit times rise with seq, so the commit list is a
-    // FIFO whose length is the buffer occupancy; without a buffer the
-    // in-flight count is the occupancy.
-    let mut pending_complete: Vec<(u64, u64)> = Vec::new();
+    // instruction. Completions pop from a min-heap in (cycle, seq) order;
+    // commit times rise with seq, so the commit list is a FIFO whose
+    // length is the buffer occupancy; without a buffer the in-flight
+    // count is the occupancy.
+    let mut pending_complete: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut pending_commit: VecDeque<(u64, u64)> = VecDeque::new();
 
     'run: loop {
-        pending_complete.retain(|&(done_at, seq)| {
-            let done = done_at <= cycle;
-            if done {
-                obs.complete(cycle, seq);
+        while let Some(&Reverse((done_at, seq))) = pending_complete.peek() {
+            if done_at > cycle {
+                break;
             }
-            !done
-        });
+            obs.complete(cycle, seq);
+            pending_complete.pop();
+        }
         while let Some(&(commit_at, seq)) = pending_commit.front() {
             if commit_at > cycle {
                 break;
@@ -222,6 +229,10 @@ fn run(
             None => pending_complete.len(),
         } as u32;
 
+        // The stall reason, if decode cannot issue, and the first cycle at
+        // which its cause can clear. Checks run in order and each one that
+        // passes keeps passing, so until that cycle decode stalls for the
+        // same reason (`cycle + 1` where that cannot be promised).
         let stall = 'issue: {
             let (pc, inst, parked) = match frontend.peek(cycle, program) {
                 FetchSlot::Inst(pc, inst) => {
@@ -235,14 +246,16 @@ fn run(
                     let pb = *frontend.pending_branch().expect("branch is parked");
                     (pb.pc, pb.inst, true)
                 }
-                FetchSlot::Dead => break 'issue Some(StallReason::DeadCycle),
+                FetchSlot::Dead => {
+                    break 'issue Some((StallReason::DeadCycle, frontend.next_fetch_cycle()))
+                }
                 // The frontend is empty, but issued instructions may still
                 // be completing or committing: attribute the drain tail
                 // instead of dropping it.
                 FetchSlot::Halted if pending_complete.is_empty() && pending_commit.is_empty() => {
                     break 'run
                 }
-                FetchSlot::Halted => break 'issue Some(StallReason::Drained),
+                FetchSlot::Halted => break 'issue Some((StallReason::Drained, u64::MAX)),
             };
 
             if inst.is_branch() {
@@ -255,7 +268,7 @@ fn run(
                         });
                         frontend.park_branch(pc, inst, cond);
                     }
-                    break 'issue Some(StallReason::BranchWait);
+                    break 'issue Some((StallReason::BranchWait, reg_ready[r.index()]));
                 }
                 let v = cond_reg.map_or(0, |r| state.reg(r));
                 frontend.resolve_branch(cycle, &inst, v, cfg, &mut stats);
@@ -270,17 +283,19 @@ fn run(
             };
 
             // (i) sources readable
-            if inst.sources().any(|r| reg_ready[r.index()] > cycle) {
-                break 'issue Some(StallReason::OperandsNotReady);
+            let readable = inst.sources().map(|r| reg_ready[r.index()]).max();
+            if let Some(at) = readable.filter(|&at| at > cycle) {
+                break 'issue Some((StallReason::OperandsNotReady, at));
             }
             // (ii) destination not busy: one outstanding write per
             // register keeps every machine's bookkeeping a plain busy bit
-            if inst.dst.is_some_and(|d| reg_ready[d.index()] > cycle) {
-                break 'issue Some(StallReason::DestinationBusy);
+            let written = inst.dst.map(|d| reg_ready[d.index()]);
+            if let Some(at) = written.filter(|&at| at > cycle) {
+                break 'issue Some((StallReason::DestinationBusy, at));
             }
             // (iii) functional unit free
             if !fus.can_accept(fu, cycle) {
-                break 'issue Some(StallReason::FuBusy);
+                break 'issue Some((StallReason::FuBusy, cycle + 1));
             }
             // A load's port and latency come from the data cache (the
             // perfect cache answers with the fixed memory-unit latency);
@@ -292,19 +307,22 @@ fn run(
                 Some(ea) => match dcache.plan(ea, cycle).latency() {
                     Some(lat) => lat,
                     // every outstanding-miss register busy: the blocking
-                    // decode stage stalls in place
-                    None => break 'issue Some(StallReason::MemStall),
+                    // decode stage stalls in place until one frees
+                    None => {
+                        let free = dcache.next_fill().expect("only a finite cache blocks");
+                        break 'issue Some((StallReason::MemStall, free));
+                    }
                 },
                 None => cfg.fu_latency(fu),
             };
             let complete = cycle + lat;
             // (iv) a result-bus slot at completion
             if inst.dst.is_some() && !bus.available(complete) {
-                break 'issue Some(StallReason::BusConflict);
+                break 'issue Some((StallReason::BusConflict, cycle + 1));
             }
             // (v) a free buffer slot
             if buffer.is_some_and(|(_, entries)| pending_commit.len() >= entries) {
-                break 'issue Some(StallReason::WindowFull);
+                break 'issue Some((StallReason::WindowFull, cycle + 1));
             }
 
             // Issue. Timing:
@@ -324,7 +342,7 @@ fn run(
             }
             obs.issue(cycle, issued);
             obs.dispatch(cycle, issued, fu, complete);
-            pending_complete.push((complete, issued));
+            pending_complete.push(Reverse((complete, issued)));
             if buffer.is_some() {
                 last_commit = commit;
                 pending_commit.push_back((commit, issued));
@@ -344,7 +362,7 @@ fn run(
         };
 
         match stall {
-            Some(reason) => {
+            Some((reason, _)) => {
                 stats.stall(reason);
                 obs.stall(cycle, reason);
             }
@@ -354,6 +372,18 @@ fn run(
             }
         }
         end_cycle(obs, &mut stats, &mut cycle, occ);
+
+        // Until the stall's cause clears and nothing completes or commits,
+        // every cycle repeats this one.
+        if let Some((reason, wake)) = stall {
+            let completes = pending_complete.peek().map_or(u64::MAX, |e| e.0 .0);
+            let commits = pending_commit.front().map_or(u64::MAX, |e| e.0);
+            let until = wake.min(completes).min(commits);
+            if until > cycle {
+                let pc = frontend.presented(cycle, program);
+                idle_cycles(obs, &mut stats, &mut cycle, until, pc, reason, occ);
+            }
+        }
     }
 
     state.pc = frontend.pc();

@@ -474,6 +474,15 @@ impl DCache {
         }
     }
 
+    /// The earliest cycle at which an outstanding-miss register frees —
+    /// the first cycle an access that [`DCache::plan`] reports as
+    /// [`CachePlan::Blocked`] could start. Pure; `None` under
+    /// [`DCacheConfig::Perfect`], which never blocks.
+    #[must_use]
+    pub fn next_fill(&self) -> Option<u64> {
+        self.mshrs.iter().min().copied()
+    }
+
     /// Performs the load of `addr` at `cycle`: updates LRU state, starts a
     /// fill on a miss, counts statistics. Returns the same plan
     /// [`DCache::plan`] reported for the same arguments.
@@ -554,6 +563,7 @@ mod tests {
         }
         assert_eq!(c.stats(), CacheStats::default());
         assert!(!c.is_finite());
+        assert_eq!(c.next_fill(), None);
     }
 
     #[test]
@@ -573,8 +583,13 @@ mod tests {
     fn bounded_mshrs_block_a_third_concurrent_miss() {
         let mut c = DCache::new(&small(20), 11, 1 << 10);
         assert_eq!(c.access(0, 0), CachePlan::Miss { latency: 20 });
-        assert_eq!(c.access(64, 0), CachePlan::Miss { latency: 20 });
-        // Two fills in flight, two MSHRs: a third distinct line blocks.
+        assert_eq!(c.access(64, 3), CachePlan::Miss { latency: 20 });
+        // Two fills in flight, two MSHRs: a third distinct line blocks
+        // until the first fill lands.
+        assert_eq!(c.next_fill(), Some(20));
+        for cycle in 4..20 {
+            assert_eq!(c.plan(128, cycle), CachePlan::Blocked);
+        }
         assert_eq!(c.access(128, 1), CachePlan::Blocked);
         // Blocked attempts are not accesses.
         assert_eq!(c.stats().accesses, 2);

@@ -20,7 +20,7 @@
 //! ("a load register is free if there are no pending load or store
 //! instructions to the memory address").
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Identifier of a dynamic memory operation (the simulators use the
 /// dynamic instruction sequence number).
@@ -69,18 +69,37 @@ struct Entry {
     providers: Vec<OpId>,
 }
 
+/// A data definer's value, once announced, and the loads waiting for it.
 #[derive(Debug, Clone, Default)]
 struct ProviderState {
     value: Option<u64>,
     waiters: Vec<OpId>,
 }
 
+/// One pending operation: its load register, its kind, its provider
+/// state if it defines the address's data, and the provider it waits on
+/// if it is a matched load.
+#[derive(Debug, Clone)]
+struct Op {
+    slot: usize,
+    kind: MemOpKind,
+    provider: Option<ProviderState>,
+    waits_on: Option<OpId>,
+}
+
 /// The load-register unit (paper §3.2.1.2 and §5.1; 6 entries by default).
+///
+/// Pending operations live in a ring indexed by id: `ops[i]` is operation
+/// `base + i`. Operations arrive in program order, so the ring only grows
+/// at the back; ids that are not memory operations, and operations that
+/// retired out of order, leave holes, and the front advances past holes.
 #[derive(Debug, Clone)]
 pub struct LoadRegUnit {
     entries: Vec<Option<Entry>>,
-    providers: HashMap<OpId, ProviderState>,
-    op_entry: HashMap<OpId, (usize, MemOpKind)>,
+    ops: VecDeque<Option<Op>>,
+    base: OpId,
+    /// One past the newest operation processed.
+    next: OpId,
 }
 
 impl LoadRegUnit {
@@ -93,8 +112,9 @@ impl LoadRegUnit {
         assert!(n > 0, "at least one load register is required");
         LoadRegUnit {
             entries: vec![None; n],
-            providers: HashMap::new(),
-            op_entry: HashMap::new(),
+            ops: VecDeque::new(),
+            base: 0,
+            next: 0,
         }
     }
 
@@ -116,6 +136,22 @@ impl LoadRegUnit {
             .position(|e| e.as_ref().is_some_and(|e| e.addr == addr))
     }
 
+    fn op_mut(&mut self, op: OpId) -> Option<&mut Op> {
+        let i = usize::try_from(op.checked_sub(self.base)?).ok()?;
+        self.ops.get_mut(i)?.as_mut()
+    }
+
+    /// Takes pending operation `op` out of the ring.
+    fn take_op(&mut self, op: OpId) -> Option<Op> {
+        let i = usize::try_from(op.checked_sub(self.base)?).ok()?;
+        let taken = self.ops.get_mut(i)?.take();
+        while let Some(None) = self.ops.front() {
+            self.ops.pop_front();
+            self.base += 1;
+        }
+        taken
+    }
+
     /// Presents operation `op` (with known effective address `addr`) to
     /// the load registers. Must be called in program order across memory
     /// operations, exactly once per operation.
@@ -125,12 +161,13 @@ impl LoadRegUnit {
     /// §3.2.1.2).
     ///
     /// # Panics
-    /// Panics if `op` was already processed — a duplicate would silently
-    /// corrupt the entry's pending-operation count, so the protocol check
-    /// is always on, not just in debug builds.
+    /// Panics if `op` is not younger than every operation already
+    /// processed — a duplicate would silently corrupt the entry's
+    /// pending-operation count, so the protocol check is always on, not
+    /// just in debug builds.
     pub fn process(&mut self, op: OpId, kind: MemOpKind, addr: u64) -> Option<LrOutcome> {
         assert!(
-            !self.op_entry.contains_key(&op),
+            op >= self.next,
             "op {op} processed twice by the load registers"
         );
         let slot = match self.find(addr) {
@@ -147,32 +184,41 @@ impl LoadRegUnit {
         };
         let entry = self.entries[slot].as_mut().expect("slot just ensured");
         entry.count += 1;
-        self.op_entry.insert(op, (slot, kind));
-
-        match kind {
-            MemOpKind::Store => {
-                entry.providers.push(op);
-                self.providers.insert(op, ProviderState::default());
-                Some(LrOutcome::StoreRecorded)
-            }
-            MemOpKind::Load => match entry.providers.last().copied() {
-                None => {
-                    entry.providers.push(op);
-                    self.providers.insert(op, ProviderState::default());
-                    Some(LrOutcome::ToMemory)
-                }
-                Some(p) => {
-                    let ps = self.providers.get_mut(&p).expect("live provider has state");
-                    match ps.value {
-                        Some(v) => Some(LrOutcome::Forwarded { value: v }),
-                        None => {
-                            ps.waiters.push(op);
-                            Some(LrOutcome::WaitOn { provider: p })
-                        }
+        let current = entry.providers.last().copied();
+        let defines = kind == MemOpKind::Store || current.is_none();
+        if defines {
+            entry.providers.push(op);
+        }
+        let (outcome, waits_on) = match (kind, current) {
+            (MemOpKind::Store, _) => (LrOutcome::StoreRecorded, None),
+            (MemOpKind::Load, None) => (LrOutcome::ToMemory, None),
+            (MemOpKind::Load, Some(p)) => {
+                let ps = self
+                    .op_mut(p)
+                    .and_then(|o| o.provider.as_mut())
+                    .expect("live provider has state");
+                match ps.value {
+                    Some(value) => (LrOutcome::Forwarded { value }, None),
+                    None => {
+                        ps.waiters.push(op);
+                        (LrOutcome::WaitOn { provider: p }, Some(p))
                     }
                 }
-            },
+            }
+        };
+        if self.ops.is_empty() {
+            self.base = op;
         }
+        let gap = op - (self.base + self.ops.len() as u64);
+        self.ops.extend((0..gap).map(|_| None));
+        self.ops.push_back(Some(Op {
+            slot,
+            kind,
+            provider: defines.then(ProviderState::default),
+            waits_on,
+        }));
+        self.next = op + 1;
+        Some(outcome)
     }
 
     /// Announces that `provider`'s data value is now known (a store's
@@ -185,8 +231,8 @@ impl LoadRegUnit {
     /// would observe the wrong one, so the check is always on.
     pub fn provider_ready(&mut self, provider: OpId, value: u64) -> Vec<OpId> {
         let ps = self
-            .providers
-            .get_mut(&provider)
+            .op_mut(provider)
+            .and_then(|o| o.provider.as_mut())
             .expect("provider_ready called for unknown provider");
         assert!(ps.value.is_none(), "provider {provider} announced twice");
         ps.value = Some(value);
@@ -198,8 +244,8 @@ impl LoadRegUnit {
     /// (providers are assigned in program order) and is being squashed by
     /// the same event — callers must squash in descending sequence order
     /// (youngest first) so waiters disappear before their providers; `op`
-    /// is also dropped from other providers' waiter lists. A no-op if
-    /// `op` was never processed.
+    /// is also dropped from its provider's waiter list. A no-op if `op`
+    /// was never processed.
     ///
     /// # Panics
     /// Panics if `op` still has unwoken waiters — squashing a provider
@@ -207,23 +253,27 @@ impl LoadRegUnit {
     /// contract forbids, and would strand those waiters forever; the
     /// check is always on.
     pub fn squash(&mut self, op: OpId) {
-        let Some((slot, _)) = self.op_entry.remove(&op) else {
+        let Some(squashed) = self.take_op(op) else {
             return;
         };
-        if let Some(ps) = self.providers.remove(&op) {
+        if let Some(ps) = &squashed.provider {
             assert!(
                 ps.waiters.is_empty() || ps.value.is_some(),
                 "unwoken waiters of a squashed provider must be squashed too"
             );
         }
-        for ps in self.providers.values_mut() {
+        if let Some(ps) = squashed
+            .waits_on
+            .and_then(|p| self.op_mut(p))
+            .and_then(|o| o.provider.as_mut())
+        {
             ps.waiters.retain(|w| *w != op);
         }
-        let entry = self.entries[slot].as_mut().expect("entry is live");
+        let entry = self.entries[squashed.slot].as_mut().expect("entry is live");
         entry.providers.retain(|p| *p != op);
         entry.count -= 1;
         if entry.count == 0 {
-            self.entries[slot] = None;
+            self.entries[squashed.slot] = None;
         }
     }
 
@@ -234,11 +284,7 @@ impl LoadRegUnit {
     /// # Panics
     /// Panics if `op` was never processed.
     pub fn retire(&mut self, op: OpId) {
-        let (slot, kind) = self
-            .op_entry
-            .remove(&op)
-            .expect("retire called for unprocessed op");
-        self.providers.remove(&op);
+        let Op { slot, kind, .. } = self.take_op(op).expect("retire called for unprocessed op");
         let entry = self.entries[slot].as_mut().expect("entry is live");
         match kind {
             // A retiring store has written the architectural memory: it
@@ -390,6 +436,41 @@ mod tests {
         lr.retire(2);
         lr.retire(5);
         assert_eq!(lr.free_count(), 2);
+    }
+
+    #[test]
+    fn squash_after_an_out_of_order_retire_skips_the_holes() {
+        let mut lr = LoadRegUnit::new(3);
+        assert_eq!(lr.process(2, MemOpKind::Load, 7), Some(LrOutcome::ToMemory));
+        assert_eq!(lr.process(5, MemOpKind::Load, 8), Some(LrOutcome::ToMemory));
+        lr.process(6, MemOpKind::Store, 7);
+        assert_eq!(
+            lr.process(9, MemOpKind::Load, 7),
+            Some(LrOutcome::WaitOn { provider: 6 })
+        );
+        // The younger load to 8 finishes first: a hole between 2 and 6.
+        lr.provider_ready(5, 50);
+        lr.retire(5);
+        assert_eq!(lr.free_count(), 2);
+        // A mispredict squashes 9 and 6, youngest first; 9 leaves its
+        // provider's waiter list, and 6 leaves the definer stack.
+        lr.squash(9);
+        lr.squash(6);
+        lr.squash(5); // already retired: a no-op
+        assert_eq!(lr.provider_ready(2, 20), Vec::<OpId>::new());
+        assert_eq!(
+            lr.process(10, MemOpKind::Load, 7),
+            Some(LrOutcome::Forwarded { value: 20 })
+        );
+        lr.retire(2);
+        lr.retire(10);
+        assert_eq!(lr.free_count(), 3);
+        // The ring is empty again; younger operations start a new one.
+        assert_eq!(
+            lr.process(40, MemOpKind::Load, 7),
+            Some(LrOutcome::ToMemory)
+        );
+        assert_eq!(lr.ops.len(), 1);
     }
 
     #[test]

@@ -152,6 +152,18 @@ impl RunStats {
         self.occupancy_peak = self.occupancy_peak.max(occ);
     }
 
+    /// Records `n` cycles that each stalled for `reason` with `occ`
+    /// instructions in flight: the same counts as `n` calls to
+    /// [`RunStats::stall`] and [`RunStats::observe_occupancy`].
+    pub fn idle_span(&mut self, n: u64, reason: StallReason, occ: u32) {
+        if n == 0 {
+            return;
+        }
+        self.stall_cycles[reason.idx()] += n;
+        self.occupancy_sum += n * u64::from(occ);
+        self.occupancy_peak = self.occupancy_peak.max(occ);
+    }
+
     /// Mean window occupancy over a run of `cycles` cycles, or `None`
     /// for an empty (zero-cycle) run.
     #[must_use]
@@ -341,6 +353,30 @@ mod tests {
         s.observe_occupancy(6);
         assert_eq!(s.occupancy_sum, 8);
         assert_eq!(s.occupancy_peak, 6);
+    }
+
+    #[test]
+    fn idle_span_counts_like_its_cycles() {
+        let mut spanned = RunStats::default();
+        let mut stepped = RunStats::default();
+        for (n, reason, occ) in [
+            (3, StallReason::BranchWait, 5),
+            (4, StallReason::MemStall, 2),
+            (1, StallReason::BranchWait, 0),
+        ] {
+            spanned.idle_span(n, reason, occ);
+            for _ in 0..n {
+                stepped.stall(reason);
+                stepped.observe_occupancy(occ);
+            }
+        }
+        assert_eq!(spanned, stepped);
+        assert_eq!(spanned.stalls(StallReason::BranchWait), 4);
+        assert_eq!(spanned.occupancy_sum, 3 * 5 + 4 * 2);
+        assert_eq!(spanned.occupancy_peak, 5);
+        // An empty span changes nothing, not even the peak.
+        spanned.idle_span(0, StallReason::Drained, 9);
+        assert_eq!(spanned, stepped);
     }
 
     #[test]
