@@ -1,6 +1,7 @@
 //! Event-stream snapshot: a hash of every observer callback, and the
 //! run's `RunStats`, for every `Mechanism` on the 14 Livermore loops
-//! under three machines.
+//! under four machines, plus the speculative RUUs on 16 random programs
+//! (which mispredict far more often than the loops do) under each.
 //!
 //! The hashing observer overrides only the per-cycle hooks, so a core
 //! that reports a stretch of idle cycles through `idle_span` reaches it
@@ -9,18 +10,28 @@
 //! what the core counts for itself. Both must survive any change to how
 //! a core steps through its cycles.
 //!
+//! Each unit also runs unobserved, and must end in the same cycles,
+//! instructions, `RunStats`, state and memory as the observed run: the
+//! two entry points may be compiled separately.
+//!
 //! The snapshot lives in `tests/snapshots/event_stream.txt`, one
-//! tab-separated row per (machine, mechanism, loop). To print the rows
+//! tab-separated row per (machine, mechanism, program). To print the rows
 //! the current tree produces, run
 //! `cargo test --test event_stream_snapshot -- --ignored --nocapture`.
 
-use ruu::exec::ArchState;
+use ruu::exec::{ArchState, Memory};
 use ruu::isa::FuClass;
+use ruu::isa::Program;
 use ruu::issue::{Bypass, Mechanism, PreciseScheme, PredictorConfig};
 use ruu::sim::{DCacheConfig, MachineConfig, PipelineObserver, StallReason};
 use ruu::workloads::livermore;
+use ruu::workloads::synth::{random_program, SynthConfig};
 
 const SNAPSHOT: &str = include_str!("snapshots/event_stream.txt");
+
+/// Instruction limit of the random programs (they always halt well
+/// before it).
+const SYNTH_LIMIT: u64 = 500_000;
 
 /// FNV-1a over a kind byte and the little-endian arguments of every
 /// callback.
@@ -90,7 +101,7 @@ impl PipelineObserver for StreamHash {
     }
 }
 
-fn machines() -> [(&'static str, MachineConfig); 3] {
+fn machines() -> [(&'static str, MachineConfig); 4] {
     let cache = |g: &str| DCacheConfig::parse(g).expect("valid geometry");
     [
         ("perfect", MachineConfig::paper()),
@@ -104,6 +115,11 @@ fn machines() -> [(&'static str, MachineConfig); 3] {
                 .with_dcache(cache("64x2x4:200"))
                 .with_fu_latency(FuClass::FloatMul, 40)
                 .with_result_buses(2),
+        ),
+        // One-bit LI counters: a register's tag aliases after two renames.
+        (
+            "counter-bits-1",
+            MachineConfig::paper().with_counter_bits(1),
         ),
     ]
 }
@@ -158,28 +174,80 @@ fn mechanisms() -> Vec<Mechanism> {
     ]
 }
 
-/// One row per (machine, mechanism, loop), in a fixed order.
+/// The row of one unit: runs it observed and unobserved, and checks that
+/// both runs end alike.
+fn row(
+    machine: &str,
+    m: &Mechanism,
+    cfg: &MachineConfig,
+    name: &str,
+    program: &Program,
+    mem: &Memory,
+    limit: u64,
+) -> String {
+    let sim = m.build(cfg);
+    let mut obs = StreamHash::new();
+    let r = sim
+        .run_observed(ArchState::new(), mem.clone(), program, limit, &mut obs)
+        .unwrap_or_else(|e| panic!("{m} on {machine} failed on {name}: {e}"));
+    let plain = sim
+        .run(program, mem.clone(), limit)
+        .unwrap_or_else(|e| panic!("{m} on {machine} failed unobserved on {name}: {e}"));
+    let unit = format!("{m} on {machine}, {name}");
+    assert_eq!(plain.cycles, r.cycles, "{unit}: unobserved cycles");
+    assert_eq!(plain.instructions, r.instructions, "{unit}: instructions");
+    assert_eq!(plain.stats, r.stats, "{unit}: unobserved RunStats");
+    assert_eq!(plain.state, r.state, "{unit}: unobserved final state");
+    assert_eq!(plain.memory, r.memory, "{unit}: unobserved final memory");
+    format!(
+        "{machine}\t{m}\t{name}\tcycles={}\tinsts={}\tevents={}\thash={:016x}\t{:?}",
+        r.cycles, r.instructions, obs.events, obs.hash, r.stats
+    )
+}
+
+/// The random programs of the speculative rows: the default generator,
+/// every other seed with all memory traffic on a few hot addresses.
+fn synth_programs() -> Vec<(String, Program, Memory)> {
+    (0..16u64)
+        .map(|seed| {
+            let cfg = SynthConfig {
+                hot_addresses: seed % 2 == 1,
+                ..SynthConfig::default()
+            };
+            let (program, mem) = random_program(seed, &cfg);
+            (format!("synth-{seed}"), program, mem)
+        })
+        .collect()
+}
+
+/// One row per (machine, mechanism, loop), then one per (machine,
+/// speculative mechanism, random program), in a fixed order.
 fn rows() -> Vec<String> {
     let loops = livermore::all();
     let mut rows = Vec::new();
     for (machine, cfg) in machines() {
         for m in mechanisms() {
-            let sim = m.build(&cfg);
             for w in &loops {
-                let mut obs = StreamHash::new();
-                let r = sim
-                    .run_observed(
-                        ArchState::new(),
-                        w.memory.clone(),
-                        &w.program,
-                        w.inst_limit,
-                        &mut obs,
-                    )
-                    .unwrap_or_else(|e| panic!("{m} on {machine} failed on {}: {e}", w.name));
-                rows.push(format!(
-                    "{machine}\t{m}\t{}\tcycles={}\tinsts={}\tevents={}\thash={:016x}\t{:?}",
-                    w.name, r.cycles, r.instructions, obs.events, obs.hash, r.stats
+                rows.push(row(
+                    machine,
+                    &m,
+                    &cfg,
+                    w.name,
+                    &w.program,
+                    &w.memory,
+                    w.inst_limit,
                 ));
+            }
+        }
+    }
+    let programs = synth_programs();
+    for (machine, cfg) in machines() {
+        for m in mechanisms() {
+            if !matches!(m, Mechanism::SpecRuu { .. }) {
+                continue;
+            }
+            for (name, program, mem) in &programs {
+                rows.push(row(machine, &m, &cfg, name, program, mem, SYNTH_LIMIT));
             }
         }
     }

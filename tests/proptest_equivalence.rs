@@ -80,15 +80,18 @@ proptest! {
     fn speculation_is_architecturally_invisible(
         seed in 0u64..10_000,
         entries in 2usize..24,
+        counter_bits in 1u32..5,
     ) {
         let (program, mem) = random_program(seed, &synth_cfg(6, 10, true));
         let golden = Trace::capture(&program, mem.clone(), LIMIT).expect("golden runs");
-        let cfg = MachineConfig::paper();
+        let cfg = MachineConfig::paper().with_counter_bits(counter_bits);
         for bypass in [Bypass::Full, Bypass::None, Bypass::LimitedA] {
             let mut pred = TwoBit::default();
             let r = SpecRuu::new(cfg.clone(), entries, bypass)
                 .run(&program, mem.clone(), LIMIT, &mut pred)
-                .unwrap_or_else(|e| panic!("spec {bypass:?} failed on seed {seed}: {e}"));
+                .unwrap_or_else(|e| {
+                    panic!("spec {bypass:?} failed on seed {seed}, {counter_bits}-bit LI: {e}")
+                });
             prop_assert_eq!(&r.run.state.regs, &golden.final_state().regs);
             prop_assert_eq!(&r.run.memory, golden.final_memory());
             prop_assert_eq!(r.run.instructions, golden.len() as u64);
