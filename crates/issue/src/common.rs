@@ -259,8 +259,8 @@ impl Frontend {
 /// Observes the end of one simulated cycle and advances the clock. Every
 /// simulated cycle ends once, either here or inside [`idle_cycles`]; the
 /// in-order machines report their in-flight count as occupancy.
-pub(crate) fn end_cycle(
-    obs: &mut dyn PipelineObserver,
+pub(crate) fn end_cycle<O: PipelineObserver + ?Sized>(
+    obs: &mut O,
     stats: &mut RunStats,
     cycle: &mut u64,
     occ: u32,
@@ -274,8 +274,8 @@ pub(crate) fn end_cycle(
 /// stalls for `reason` (with the instruction at `pc` presented to it, if
 /// any) and nothing else happens, and advances the clock to `until`: the
 /// run's counters and the observer take the whole span in one update.
-pub(crate) fn idle_cycles(
-    obs: &mut dyn PipelineObserver,
+pub(crate) fn idle_cycles<O: PipelineObserver + ?Sized>(
+    obs: &mut O,
     stats: &mut RunStats,
     cycle: &mut u64,
     until: u64,

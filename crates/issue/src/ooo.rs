@@ -134,9 +134,8 @@ pub fn expect_completed(outcome: RunOutcome) -> RunResult {
     }
 }
 
-/// A predicting mechanism run through the uniform interface builds a fresh
-/// predictor from its configuration, so `&self` runs stay independent and
-/// repeatable.
+/// Unobserved runs are compiled against [`NullObserver`], so its no-op
+/// hooks vanish; observed runs go through `dyn PipelineObserver`.
 impl<T: OutOfOrder> IssueSimulator for T {
     fn config(&self) -> &MachineConfig {
         self.machine_config()
@@ -150,17 +149,41 @@ impl<T: OutOfOrder> IssueSimulator for T {
         limit: u64,
         obs: &mut dyn PipelineObserver,
     ) -> Result<RunResult, SimError> {
-        let policy = self.policy();
-        let mut owned = match policy.branches {
-            Branches::Predict(p) => Some(p.build()),
-            Branches::Park => None,
-        };
-        let predictor = owned.as_deref_mut().map(|p| p as &mut dyn Predictor);
-        let cfg = self.machine_config();
-        Machine::new(cfg, policy, state, mem, program, limit, obs)
-            .run(None, predictor)
-            .map(|(outcome, _)| expect_completed(outcome))
+        run_face(self, state, mem, program, limit, obs)
     }
+
+    fn run_from(
+        &self,
+        state: ArchState,
+        mem: Memory,
+        program: &Program,
+        limit: u64,
+    ) -> Result<RunResult, SimError> {
+        run_face(self, state, mem, program, limit, &mut NullObserver)
+    }
+}
+
+/// Runs `program` on `face` through the uniform interface. A predicting
+/// mechanism builds a fresh predictor from its configuration, so `&self`
+/// runs stay independent and repeatable.
+fn run_face<T: OutOfOrder, O: PipelineObserver + ?Sized>(
+    face: &T,
+    state: ArchState,
+    mem: Memory,
+    program: &Program,
+    limit: u64,
+    obs: &mut O,
+) -> Result<RunResult, SimError> {
+    let policy = face.policy();
+    let mut owned = match policy.branches {
+        Branches::Predict(p) => Some(p.build()),
+        Branches::Park => None,
+    };
+    let predictor = owned.as_deref_mut().map(|p| p as &mut dyn Predictor);
+    let cfg = face.machine_config();
+    Machine::new(cfg, policy, state, mem, program, limit, obs)
+        .run(None, predictor)
+        .map(|(outcome, _)| expect_completed(outcome))
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,6 +301,11 @@ impl EventWheel {
 
     fn is_empty(&self) -> bool {
         self.pending == 0
+    }
+
+    /// `true` if an event is due at `now`.
+    fn is_due(&self, now: u64) -> bool {
+        !self.slots[self.index(now)].is_empty()
     }
 
     /// The first cycle from `now` on with an event due, if any is pending.
@@ -443,9 +471,16 @@ impl Window {
         self.slots[i].waiters.push(w);
     }
 
+    /// `true` if a consumer waits for `producer`'s result. The producer
+    /// may have just left the window: nothing is pushed in between, so its
+    /// slot is still its own.
+    fn has_waiters(&self, producer: u64) -> bool {
+        !self.slots[self.index(producer)].waiters.is_empty()
+    }
+
     /// Takes `producer`'s waiters; hand the vector back with
-    /// [`Window::recycle_waiters`]. The producer may have just left the
-    /// window: nothing is pushed in between, so its slot is still its own.
+    /// [`Window::recycle_waiters`]. As for [`Window::has_waiters`], the
+    /// producer may have just left the window.
     fn take_waiters(&mut self, producer: u64) -> Vec<Waiter> {
         let i = self.index(producer);
         std::mem::take(&mut self.slots[i].waiters)
@@ -469,6 +504,9 @@ fn insert_by_age(list: &mut Vec<u64>, seq: u64) {
 /// a record too (`assumed_taken` = the actual outcome, so only predicted
 /// ones can mispredict): a branch only counts architecturally when it reaches the
 /// front of the record queue, i.e. when it is itself on the correct path.
+/// The LI counters need no snapshot: only issue advances them, and every
+/// entry issued after the branch is still in the window when it
+/// mispredicts, so [`Machine::squash`] undoes each one's increment.
 #[derive(Debug, Clone)]
 struct BranchRecord {
     seq: u64,
@@ -478,24 +516,22 @@ struct BranchRecord {
     cond: Operand,
     /// pc of the *other* path, fetched on misprediction.
     repair_pc: u32,
-    /// LI counters at prediction time (only issue advances LI, and every
-    /// post-branch issue is squashed, so restoring is exact).
-    li: [u64; NUM_REGS],
     /// A future file at prediction time (restoring is conservative: a
     /// legitimate older broadcast in between re-arrives via the commit
     /// bus, so a stale-invalid entry only delays, never corrupts).
     ff: [Option<u64>; 8],
 }
 
-/// Per-run state of the out-of-order core.
-pub struct Machine<'a> {
+/// Per-run state of the out-of-order core, reporting to an observer of
+/// type `O`.
+pub struct Machine<'a, O: PipelineObserver + ?Sized> {
     cfg: &'a MachineConfig,
     program: &'a Program,
     policy: Policy,
     limit: u64,
     fault_seq: Option<u64>,
     predictor: Option<&'a mut dyn Predictor>,
-    obs: &'a mut dyn PipelineObserver,
+    obs: &'a mut O,
 
     cycle: u64,
     arch: ArchState,
@@ -552,7 +588,7 @@ pub struct Machine<'a> {
     last_progress_cycle: u64,
 }
 
-impl<'a> Machine<'a> {
+impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     /// A machine about to run `program` from `state`.
     pub fn new(
         cfg: &'a MachineConfig,
@@ -561,7 +597,7 @@ impl<'a> Machine<'a> {
         mem: Memory,
         program: &'a Program,
         limit: u64,
-        obs: &'a mut dyn PipelineObserver,
+        obs: &'a mut O,
     ) -> Self {
         let dcache = DCache::new(
             &cfg.dcache,
@@ -656,6 +692,9 @@ impl<'a> Machine<'a> {
         self.broadcasts.push(tag, value);
         if let Some(pb) = self.frontend.pending_branch_mut() {
             pb.cond.gate(tag, value);
+        }
+        if !self.window.has_waiters(producer) {
+            return;
         }
         let waiters = self.window.take_waiters(producer);
         for &w in &waiters {
@@ -773,6 +812,9 @@ impl<'a> Machine<'a> {
     // ---- phase 1: completions -------------------------------------------
 
     fn phase_completions(&mut self) -> Option<InterruptFrame> {
+        if !self.events.is_due(self.cycle) {
+            return None;
+        }
         let evs = self.events.take_due(self.cycle);
         let at_completion = self.policy.update == Update::AtCompletion;
         for &ev in &evs {
@@ -869,6 +911,9 @@ impl<'a> Machine<'a> {
     // ---- phase 3: forwarded-load broadcasts -----------------------------
 
     fn phase_forwards(&mut self) {
+        if self.forward_queue.is_empty() {
+            return;
+        }
         let done = self.cycle + self.cfg.forward_latency;
         let mut queue = std::mem::take(&mut self.forward_queue);
         queue.retain(|&seq| {
@@ -906,6 +951,11 @@ impl<'a> Machine<'a> {
     }
 
     fn phase_dispatch(&mut self) {
+        // `mem_order` is cleaned lazily, so a cycle with nothing ready
+        // may put that off too.
+        if self.mem_ready.is_empty() && self.alu_ready.is_empty() {
+            return;
+        }
         // Distributed organisations have a private path from each unit's
         // stations; the others share `dispatch_paths` ports.
         let mut paths = match self.policy.stations {
@@ -1072,9 +1122,12 @@ impl<'a> Machine<'a> {
             // Undo the instance the squashed instruction acquired. (NI is
             // repaired per entry rather than snapshot-restored: older
             // instructions may have committed since the prediction, and
-            // their NI decrements must survive the squash.)
+            // their NI decrements must survive the squash. Every entry
+            // issued after the branch is squashed here, so undoing each
+            // LI increment restores LI exactly.)
             if let Some(tag) = e.dst_tag {
                 self.ni[tag.reg.index()] -= 1;
+                self.li[tag.reg.index()] -= 1;
             }
             if !e.dispatched {
                 let fu = e.inst.fu_class().expect("an undispatched entry has a unit");
@@ -1091,10 +1144,9 @@ impl<'a> Machine<'a> {
         self.events.retain(|ev| ev.seq() <= b.seq);
         self.branches.clear(); // all younger than b
 
-        // Restore the rename state from the branch's snapshot. A register
+        // Restore the future file from the branch's snapshot. A register
         // with instances left has its latest one older than the branch, so
         // its producer is the youngest surviving entry that writes it.
-        self.li = b.li;
         self.ff = b.ff;
         for e in self.window.iter() {
             if let Some(tag) = e.dst_tag {
@@ -1257,7 +1309,6 @@ impl<'a> Machine<'a> {
             assumed_taken,
             cond,
             repair_pc,
-            li: self.li,
             ff: self.ff,
         });
         self.count_issue();

@@ -19,6 +19,10 @@
 //! An entry is freed when every operation that touched it has retired
 //! ("a load register is free if there are no pending load or store
 //! instructions to the memory address").
+//!
+//! The registers and their definer stacks are allocated once per unit: a
+//! register with no pending operation is free, and taking it again only
+//! clears its stack.
 
 use std::collections::VecDeque;
 
@@ -56,10 +60,11 @@ pub enum LrOutcome {
     StoreRecorded,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Entry {
     addr: u64,
-    /// Operations (loads and stores) still pending on this address.
+    /// Operations (loads and stores) still pending on this address; the
+    /// register is free when this is zero.
     count: u32,
     /// Pending data definers for this address, oldest first; the last is
     /// the current provider. Empty means the architectural memory is
@@ -95,7 +100,9 @@ struct Op {
 /// retired out of order, leave holes, and the front advances past holes.
 #[derive(Debug, Clone)]
 pub struct LoadRegUnit {
-    entries: Vec<Option<Entry>>,
+    entries: Vec<Entry>,
+    /// Registers with a pending operation.
+    busy: usize,
     ops: VecDeque<Option<Op>>,
     base: OpId,
     /// One past the newest operation processed.
@@ -111,7 +118,8 @@ impl LoadRegUnit {
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "at least one load register is required");
         LoadRegUnit {
-            entries: vec![None; n],
+            entries: vec![Entry::default(); n],
+            busy: 0,
             ops: VecDeque::new(),
             base: 0,
             next: 0,
@@ -121,19 +129,29 @@ impl LoadRegUnit {
     /// Number of free load registers.
     #[must_use]
     pub fn free_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_none()).count()
+        self.entries.iter().filter(|e| e.count == 0).count()
     }
 
     /// `true` if every load register is busy.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.free_count() == 0
+        self.busy == self.entries.len()
     }
 
     fn find(&self, addr: u64) -> Option<usize> {
         self.entries
             .iter()
-            .position(|e| e.as_ref().is_some_and(|e| e.addr == addr))
+            .position(|e| e.count > 0 && e.addr == addr)
+    }
+
+    /// Drops one pending operation from register `slot`, freeing it when
+    /// none is left.
+    fn release(&mut self, slot: usize) {
+        let entry = &mut self.entries[slot];
+        entry.count -= 1;
+        if entry.count == 0 {
+            self.busy -= 1;
+        }
     }
 
     fn op_mut(&mut self, op: OpId) -> Option<&mut Op> {
@@ -173,16 +191,15 @@ impl LoadRegUnit {
         let slot = match self.find(addr) {
             Some(slot) => slot,
             None => {
-                let slot = self.entries.iter().position(|e| e.is_none())?;
-                self.entries[slot] = Some(Entry {
-                    addr,
-                    count: 0,
-                    providers: Vec::new(),
-                });
+                let slot = self.entries.iter().position(|e| e.count == 0)?;
+                let entry = &mut self.entries[slot];
+                entry.addr = addr;
+                entry.providers.clear();
+                self.busy += 1;
                 slot
             }
         };
-        let entry = self.entries[slot].as_mut().expect("slot just ensured");
+        let entry = &mut self.entries[slot];
         entry.count += 1;
         let current = entry.providers.last().copied();
         let defines = kind == MemOpKind::Store || current.is_none();
@@ -269,12 +286,10 @@ impl LoadRegUnit {
         {
             ps.waiters.retain(|w| *w != op);
         }
-        let entry = self.entries[squashed.slot].as_mut().expect("entry is live");
+        let entry = &mut self.entries[squashed.slot];
+        assert!(entry.count > 0, "a pending op's register is busy");
         entry.providers.retain(|p| *p != op);
-        entry.count -= 1;
-        if entry.count == 0 {
-            self.entries[squashed.slot] = None;
-        }
+        self.release(squashed.slot);
     }
 
     /// Marks `op` as finished with the memory system (its broadcast is
@@ -285,7 +300,8 @@ impl LoadRegUnit {
     /// Panics if `op` was never processed.
     pub fn retire(&mut self, op: OpId) {
         let Op { slot, kind, .. } = self.take_op(op).expect("retire called for unprocessed op");
-        let entry = self.entries[slot].as_mut().expect("entry is live");
+        let entry = &mut self.entries[slot];
+        assert!(entry.count > 0, "a pending op's register is busy");
         match kind {
             // A retiring store has written the architectural memory: it
             // leaves the definer stack, and so does everything *older*
@@ -302,10 +318,7 @@ impl LoadRegUnit {
             // stay in charge.
             MemOpKind::Load => entry.providers.retain(|p| *p != op),
         }
-        entry.count -= 1;
-        if entry.count == 0 {
-            self.entries[slot] = None;
-        }
+        self.release(slot);
     }
 }
 
@@ -474,6 +487,50 @@ mod tests {
     }
 
     #[test]
+    fn freed_registers_are_reused_without_stale_providers() {
+        let mut lr = LoadRegUnit::new(2);
+        // One register holds a store whose data is known, and is freed by
+        // retiring it; the other holds a load still waiting for memory,
+        // and is freed by squashing it.
+        assert_eq!(
+            lr.process(1, MemOpKind::Store, 10),
+            Some(LrOutcome::StoreRecorded)
+        );
+        lr.provider_ready(1, 7);
+        assert_eq!(
+            lr.process(2, MemOpKind::Load, 20),
+            Some(LrOutcome::ToMemory)
+        );
+        assert!(lr.is_full());
+        lr.retire(1);
+        lr.squash(2);
+        assert_eq!(lr.free_count(), 2);
+        // New addresses take both registers. Each load goes to memory
+        // rather than forwarding from or waiting on an old provider, and
+        // becomes the provider of the next load to its address.
+        assert_eq!(
+            lr.process(3, MemOpKind::Load, 30),
+            Some(LrOutcome::ToMemory)
+        );
+        assert_eq!(
+            lr.process(4, MemOpKind::Load, 40),
+            Some(LrOutcome::ToMemory)
+        );
+        assert!(lr.is_full());
+        assert_eq!(
+            lr.process(5, MemOpKind::Load, 30),
+            Some(LrOutcome::WaitOn { provider: 3 })
+        );
+        assert_eq!(
+            lr.process(6, MemOpKind::Load, 40),
+            Some(LrOutcome::WaitOn { provider: 4 })
+        );
+        // The old addresses no longer hold a register.
+        assert_eq!(lr.process(7, MemOpKind::Load, 10), None);
+        assert_eq!(lr.process(7, MemOpKind::Load, 20), None);
+    }
+
+    #[test]
     fn squash_of_sole_op_frees_entry() {
         let mut lr = LoadRegUnit::new(1);
         lr.process(1, MemOpKind::Load, 3);
@@ -539,6 +596,7 @@ mod tests {
             let mut processed = 0usize;
             let mut guard = 0;
             while st.iter().any(|s| !matches!(s, St::Retired | St::Squashed)) {
+                assert_eq!(lr.is_full(), lr.free_count() == 0, "round {round}");
                 guard += 1;
                 assert!(guard < 20_000, "driver wedged in round {round}");
                 match next() % 8 {
