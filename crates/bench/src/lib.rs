@@ -13,7 +13,6 @@
 //! | `table6` | RUU sweep, limited (A future file) bypass |
 //! | `figure3` | Tag Unit walkthrough |
 //! | `ablation_*`, `speculation`, `precision_cost` | extension experiments |
-//! | `throughput` | host simulation speed (criterion) |
 //!
 //! The library half holds the harness (workload sweeps), the paper's
 //! published numbers ([`paper`]), and table formatting, so integration

@@ -40,7 +40,8 @@ pub trait IssueSimulator: Send {
         obs: &mut dyn PipelineObserver,
     ) -> Result<RunResult, SimError>;
 
-    /// As [`IssueSimulator::run_observed`], unobserved.
+    /// As [`IssueSimulator::run_observed`], unobserved. The cores override
+    /// it to run the same code compiled against [`NullObserver`].
     ///
     /// # Errors
     /// As for [`IssueSimulator::run_observed`].

@@ -19,8 +19,9 @@
 //! the workspace tests check that the two agree.
 //!
 //! All per-cycle hooks have no-op defaults, so an observer implements
-//! only what it needs, and the null observer used by the unobserved entry
-//! points costs nothing but virtual dispatch. The one bulk hook,
+//! only what it needs. The cores compile their unobserved entry points
+//! against the null observer, whose empty hooks inline away; observed
+//! runs pay one virtual call per event. The one bulk hook,
 //! [`PipelineObserver::idle_span`], replays a stretch of idle cycles as
 //! per-cycle calls unless an observer counts it in one step.
 
