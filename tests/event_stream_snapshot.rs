@@ -1,6 +1,6 @@
 //! Event-stream snapshot: a hash of every observer callback, and the
 //! run's `RunStats`, for every `Mechanism` on the 14 Livermore loops
-//! under four machines, plus the speculative RUUs on 16 random programs
+//! under five machines, plus the speculative RUUs on 16 random programs
 //! (which mispredict far more often than the loops do) under each.
 //!
 //! The hashing observer overrides only the per-cycle hooks, so a core
@@ -101,7 +101,7 @@ impl PipelineObserver for StreamHash {
     }
 }
 
-fn machines() -> [(&'static str, MachineConfig); 4] {
+fn machines() -> [(&'static str, MachineConfig); 5] {
     let cache = |g: &str| DCacheConfig::parse(g).expect("valid geometry");
     [
         ("perfect", MachineConfig::paper()),
@@ -120,6 +120,12 @@ fn machines() -> [(&'static str, MachineConfig); 4] {
         (
             "counter-bits-1",
             MachineConfig::paper().with_counter_bits(1),
+        ),
+        // One outstanding miss on a direct-mapped cache: loads that miss
+        // behind a fill stall on `MemStall` until it lands.
+        (
+            "16x1x4:30:1:1",
+            MachineConfig::paper().with_dcache(cache("16x1x4:30:1:1")),
         ),
     ]
 }
