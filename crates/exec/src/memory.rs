@@ -51,17 +51,20 @@ impl Memory {
     /// registers) must compare canonical addresses, or two aliases of one
     /// word would escape disambiguation.
     #[must_use]
+    #[inline]
     pub fn canonicalize(&self, addr: u64) -> u64 {
         addr & self.mask
     }
 
     /// Reads the word at `addr` (masked into range).
     #[must_use]
+    #[inline]
     pub fn read(&self, addr: u64) -> u64 {
         self.words[(addr & self.mask) as usize]
     }
 
     /// Writes the word at `addr` (masked into range).
+    #[inline]
     pub fn write(&mut self, addr: u64, value: u64) {
         self.words[(addr & self.mask) as usize] = value;
     }

@@ -21,11 +21,13 @@ impl RegValues {
 
     /// The value of register `r`.
     #[must_use]
+    #[inline]
     pub fn get(&self, r: Reg) -> u64 {
         self.vals[r.index()]
     }
 
     /// Sets register `r` to `v`.
+    #[inline]
     pub fn set(&mut self, r: Reg, v: u64) {
         self.vals[r.index()] = v;
     }
@@ -91,11 +93,13 @@ impl ArchState {
 
     /// The value of register `r`.
     #[must_use]
+    #[inline]
     pub fn reg(&self, r: Reg) -> u64 {
         self.regs.get(r)
     }
 
     /// Sets register `r` to `v`.
+    #[inline]
     pub fn set_reg(&mut self, r: Reg, v: u64) {
         self.regs.set(r, v);
     }

@@ -68,11 +68,13 @@ impl Inst {
     /// The functional unit class this instruction executes on, or `None`
     /// for branches/`Nop`/`Halt` which resolve in the issue stage.
     #[must_use]
+    #[inline]
     pub fn fu_class(&self) -> Option<FuClass> {
         self.opcode.fu_class()
     }
 
     /// Iterator over the source registers (0, 1 or 2 of them).
+    #[inline]
     pub fn sources(&self) -> impl Iterator<Item = Reg> {
         self.src1.into_iter().chain(self.src2)
     }
@@ -91,30 +93,35 @@ impl Inst {
 
     /// `true` for any (conditional or unconditional) branch.
     #[must_use]
+    #[inline]
     pub fn is_branch(&self) -> bool {
         self.opcode.is_branch()
     }
 
     /// `true` for memory loads.
     #[must_use]
+    #[inline]
     pub fn is_load(&self) -> bool {
         self.opcode.is_load()
     }
 
     /// `true` for memory stores.
     #[must_use]
+    #[inline]
     pub fn is_store(&self) -> bool {
         self.opcode.is_store()
     }
 
     /// `true` for any memory operation.
     #[must_use]
+    #[inline]
     pub fn is_mem(&self) -> bool {
         self.opcode.is_mem()
     }
 
     /// `true` if this is the `Halt` pseudo-instruction.
     #[must_use]
+    #[inline]
     pub fn is_halt(&self) -> bool {
         self.opcode == Opcode::Halt
     }

@@ -59,6 +59,7 @@ impl FuClass {
 
     /// Stable index of this class within [`FuClass::ALL`].
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             FuClass::AddrAdd => 0,
@@ -219,6 +220,7 @@ impl Opcode {
     /// Branches, `Nop` and `Halt` are resolved in the decode/issue stage
     /// and never visit a functional unit; they return `None`.
     #[must_use]
+    #[inline]
     pub fn fu_class(self) -> Option<FuClass> {
         use Opcode::*;
         Some(match self {
@@ -241,6 +243,7 @@ impl Opcode {
 
     /// `true` for any (conditional or unconditional) branch.
     #[must_use]
+    #[inline]
     pub fn is_branch(self) -> bool {
         use Opcode::*;
         matches!(
@@ -251,6 +254,7 @@ impl Opcode {
 
     /// `true` for conditional branches (those that read `A0`/`S0`).
     #[must_use]
+    #[inline]
     pub fn is_cond_branch(self) -> bool {
         use Opcode::*;
         matches!(self, BrAZ | BrAN | BrAP | BrAM | BrSZ | BrSN | BrSP | BrSM)
@@ -258,18 +262,21 @@ impl Opcode {
 
     /// `true` for memory loads.
     #[must_use]
+    #[inline]
     pub fn is_load(self) -> bool {
         matches!(self, Opcode::LoadA | Opcode::LoadS)
     }
 
     /// `true` for memory stores.
     #[must_use]
+    #[inline]
     pub fn is_store(self) -> bool {
         matches!(self, Opcode::StoreA | Opcode::StoreS)
     }
 
     /// `true` for any memory operation.
     #[must_use]
+    #[inline]
     pub fn is_mem(self) -> bool {
         self.is_load() || self.is_store()
     }

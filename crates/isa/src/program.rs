@@ -60,6 +60,7 @@ impl Program {
 
     /// The instruction at `pc`, or `None` past the end.
     #[must_use]
+    #[inline]
     pub fn get(&self, pc: u32) -> Option<&Inst> {
         self.insts.get(pc as usize)
     }

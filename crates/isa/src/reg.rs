@@ -131,6 +131,7 @@ impl Reg {
 
     /// The index within its file (e.g. `3` for `A3`).
     #[must_use]
+    #[inline]
     pub fn num(self) -> u8 {
         self.num
     }
@@ -139,6 +140,7 @@ impl Reg {
     /// T0..T63`. Used to index per-register tables (busy bits, NI/LI
     /// counters, the architectural register file).
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         let base = match self.file {
             RegFile::A => 0,
@@ -177,6 +179,7 @@ impl Reg {
 
     /// `true` for registers in the A file.
     #[must_use]
+    #[inline]
     pub fn is_a(self) -> bool {
         self.file == RegFile::A
     }

@@ -19,6 +19,7 @@ use crate::value;
 /// Panics if called with a branch, memory, `Nop` or `Halt` opcode — those
 /// have no ALU result.
 #[must_use]
+#[inline]
 pub fn alu_result(op: Opcode, s1: u64, s2: u64, imm: i64) -> u64 {
     use Opcode::*;
     match op {
@@ -62,6 +63,7 @@ pub fn recip_approx(x: f64) -> f64 {
 /// Effective address of a memory operation: `base + displacement`, in
 /// 64-bit words (the machine is word-addressed, paper §2).
 #[must_use]
+#[inline]
 pub fn effective_address(base: u64, imm: i64) -> u64 {
     base.wrapping_add(imm as u64)
 }
@@ -72,6 +74,7 @@ pub fn effective_address(base: u64, imm: i64) -> u64 {
 /// # Panics
 /// Panics if `op` is not a branch.
 #[must_use]
+#[inline]
 pub fn branch_taken(op: Opcode, cond: u64) -> bool {
     use Opcode::*;
     match op {

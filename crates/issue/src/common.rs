@@ -117,11 +117,12 @@ pub struct Frontend {
     pending_branch: Option<PendingBranch>,
 }
 
-/// What the frontend offers the decode/issue stage this cycle.
+/// What the frontend offers the decode/issue stage this cycle, borrowing
+/// a fetched instruction from the program.
 #[derive(Debug, Clone, Copy)]
-pub enum FetchSlot {
+pub enum FetchSlot<'p> {
     /// A fetched instruction at this pc, ready to decode.
-    Inst(u32, Inst),
+    Inst(u32, &'p Inst),
     /// Dead cycle following a branch.
     Dead,
     /// A parked conditional branch is waiting for its condition.
@@ -175,7 +176,7 @@ impl Frontend {
 
     /// What decode/issue sees at `cycle`.
     #[must_use]
-    pub fn peek(&self, cycle: u64, program: &Program) -> FetchSlot {
+    pub fn peek<'p>(&self, cycle: u64, program: &'p Program) -> FetchSlot<'p> {
         if self.halted {
             return FetchSlot::Halted;
         }
@@ -187,7 +188,7 @@ impl Frontend {
         }
         match program.get(self.pc) {
             Some(i) if i.is_halt() => FetchSlot::Halted,
-            Some(i) => FetchSlot::Inst(self.pc, *i),
+            Some(i) => FetchSlot::Inst(self.pc, i),
             None => FetchSlot::Halted, // running off the end halts; the
                                        // golden interpreter flags it as an
                                        // error so equivalence tests catch it

@@ -7,7 +7,9 @@
 //! (ii) its destination register is not busy, (iii) its functional unit
 //! can accept it, and (iv) a result-bus slot is free at its completion
 //! cycle. While an instruction waits, everything behind it waits too —
-//! the degradation the out-of-order mechanisms exist to remove.
+//! the degradation the out-of-order mechanisms exist to remove. Every
+//! unit is pipelined and decode issues at most one instruction a cycle,
+//! so (iii) always holds and the core does not check it.
 //!
 //! **The baseline is the in-order core without a commit stage.**
 //! [`SimpleIssue`] retires results as they complete, out of program
@@ -45,16 +47,17 @@
 //! The same fixed timing tells a stalled decode stage when it can next
 //! move: each check that blocks issue names the first cycle its cause can
 //! clear, and the core ends the cycles before that (or before the next
-//! completion or commit, whichever comes first) as one idle span.
+//! completion or commit, whichever comes first) as one idle span. A
+//! completion or commit inside the stall cannot clear it, so the core
+//! replays the stall at that cycle without deciding it again.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use ruu_exec::{ArchState, Memory};
-use ruu_isa::{semantics, FuClass, Program, NUM_REGS};
+use ruu_isa::{semantics, FuClass, Program, Reg, NUM_REGS};
 use ruu_sim_core::{
-    DCache, FuPool, MachineConfig, NullObserver, PipelineObserver, RunResult, RunStats,
-    SlotReservation, StallReason,
+    DCache, MachineConfig, NullObserver, PipelineObserver, RunResult, RunStats, SlotReservation,
+    StallReason,
 };
 
 use crate::common::{end_cycle, idle_cycles, FetchSlot, Frontend, Operand, Tag};
@@ -217,7 +220,6 @@ fn run<O: PipelineObserver + ?Sized>(
     // for the plain reorder buffer, at completion otherwise.
     let mut reg_ready = [0u64; NUM_REGS];
     let reads_at_commit = buffer.is_some_and(|(scheme, _)| !scheme.reads_at_completion());
-    let mut fus = FuPool::new();
     let mut bus = SlotReservation::new(cfg.result_buses);
     let mut dcache = DCache::new(
         &cfg.dcache,
@@ -229,20 +231,30 @@ fn run<O: PipelineObserver + ?Sized>(
     let mut issued: u64 = 0;
     let mut last_commit: u64 = 0;
     // (completion cycle, seq) and (commit cycle, seq) of every in-flight
-    // instruction. Completions pop from a min-heap in (cycle, seq) order;
-    // commit times rise with seq, so the commit list is a FIFO whose
-    // length is the buffer occupancy; without a buffer the in-flight
-    // count is the occupancy.
-    let mut pending_complete: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+    // instruction. The completion list is in seq order and `next_done` is
+    // its earliest cycle; every cycle something completes is stepped, so
+    // what completes at `cycle` leaves in (cycle, seq) order. Commit times
+    // rise with seq, so the commit list is a FIFO whose length is the
+    // buffer occupancy; without a buffer the in-flight count is the
+    // occupancy.
+    let mut pending_complete: Vec<(u64, u64)> = Vec::new();
+    let mut next_done = u64::MAX;
     let mut pending_commit: VecDeque<(u64, u64)> = VecDeque::new();
+    // The stall decode is held in until its wake cycle, and the pc
+    // presented to it meanwhile: (reason, wake, pc).
+    let mut held: Option<(StallReason, u64, Option<u32>)> = None;
 
     'run: loop {
-        while let Some(&Reverse((done_at, seq))) = pending_complete.peek() {
-            if done_at > cycle {
-                break;
-            }
-            obs.complete(cycle, seq);
-            pending_complete.pop();
+        if next_done <= cycle {
+            next_done = u64::MAX;
+            pending_complete.retain(|&(done_at, seq)| {
+                if done_at <= cycle {
+                    obs.complete(cycle, seq);
+                    return false;
+                }
+                next_done = next_done.min(done_at);
+                true
+            });
         }
         while let Some(&(commit_at, seq)) = pending_commit.front() {
             if commit_at > cycle {
@@ -259,8 +271,21 @@ fn run<O: PipelineObserver + ?Sized>(
         // The stall reason, if decode cannot issue, and the first cycle at
         // which its cause can clear. Checks run in order and each one that
         // passes keeps passing, so until that cycle decode stalls for the
-        // same reason (`cycle + 1` where that cannot be promised).
+        // same reason (`cycle + 1` where that cannot be promised). A
+        // completion or commit before then changes nothing decode sees:
+        // that cycle replays the held stall instead of deciding it again.
+        let replay = held.filter(|&(_, wake, _)| cycle < wake);
         let stall = 'issue: {
+            if let Some((reason, wake, pc)) = replay {
+                let drained = pending_complete.is_empty() && pending_commit.is_empty();
+                if reason == StallReason::Drained && drained {
+                    break 'run;
+                }
+                if let Some(pc) = pc {
+                    obs.fetch(cycle, pc);
+                }
+                break 'issue Some((reason, wake));
+            }
             let (pc, inst, parked) = match frontend.peek(cycle, program) {
                 FetchSlot::Inst(pc, inst) => {
                     if issued >= limit {
@@ -270,8 +295,8 @@ fn run<O: PipelineObserver + ?Sized>(
                     (pc, inst, false)
                 }
                 FetchSlot::BranchParked => {
-                    let pb = *frontend.pending_branch().expect("branch is parked");
-                    (pb.pc, pb.inst, true)
+                    let pc = frontend.pending_branch().expect("branch is parked").pc;
+                    (pc, &program[pc], true)
                 }
                 FetchSlot::Dead => {
                     break 'issue Some((StallReason::DeadCycle, frontend.next_fetch_cycle()))
@@ -293,12 +318,12 @@ fn run<O: PipelineObserver + ?Sized>(
                             reg: r,
                             instance: 0,
                         });
-                        frontend.park_branch(pc, inst, cond);
+                        frontend.park_branch(pc, *inst, cond);
                     }
                     break 'issue Some((StallReason::BranchWait, reg_ready[r.index()]));
                 }
                 let v = cond_reg.map_or(0, |r| state.reg(r));
-                frontend.resolve_branch(cycle, &inst, v, cfg, &mut stats);
+                frontend.resolve_branch(cycle, inst, v, cfg, &mut stats);
                 obs.issue(cycle, issued);
                 break 'issue None;
             }
@@ -310,19 +335,16 @@ fn run<O: PipelineObserver + ?Sized>(
             };
 
             // (i) sources readable
-            let readable = inst.sources().map(|r| reg_ready[r.index()]).max();
-            if let Some(at) = readable.filter(|&at| at > cycle) {
-                break 'issue Some((StallReason::OperandsNotReady, at));
+            let ready = |r: Option<Reg>| r.map_or(0, |r| reg_ready[r.index()]);
+            let readable = ready(inst.src1).max(ready(inst.src2));
+            if readable > cycle {
+                break 'issue Some((StallReason::OperandsNotReady, readable));
             }
             // (ii) destination not busy: one outstanding write per
             // register keeps every machine's bookkeeping a plain busy bit
             let written = inst.dst.map(|d| reg_ready[d.index()]);
             if let Some(at) = written.filter(|&at| at > cycle) {
                 break 'issue Some((StallReason::DestinationBusy, at));
-            }
-            // (iii) functional unit free
-            if !fus.can_accept(fu, cycle) {
-                break 'issue Some((StallReason::FuBusy, cycle + 1));
             }
             // A load's port and latency come from the data cache (the
             // perfect cache answers with the fixed memory-unit latency);
@@ -353,7 +375,6 @@ fn run<O: PipelineObserver + ?Sized>(
             }
 
             // Issue. Timing:
-            fus.accept(fu, cycle);
             if inst.dst.is_some() {
                 bus.try_reserve(cycle, complete);
             }
@@ -369,7 +390,8 @@ fn run<O: PipelineObserver + ?Sized>(
             }
             obs.issue(cycle, issued);
             obs.dispatch(cycle, issued, fu, complete);
-            pending_complete.push(Reverse((complete, issued)));
+            pending_complete.push((complete, issued));
+            next_done = next_done.min(complete);
             if buffer.is_some() {
                 last_commit = commit;
                 pending_commit.push_back((commit, issued));
@@ -402,12 +424,16 @@ fn run<O: PipelineObserver + ?Sized>(
 
         // Until the stall's cause clears and nothing completes or commits,
         // every cycle repeats this one.
-        if let Some((reason, wake)) = stall {
-            let completes = pending_complete.peek().map_or(u64::MAX, |e| e.0 .0);
+        held = match stall {
+            Some((reason, wake)) if wake > cycle => {
+                Some(replay.unwrap_or_else(|| (reason, wake, frontend.presented(cycle, program))))
+            }
+            _ => None,
+        };
+        if let Some((reason, wake, pc)) = held {
             let commits = pending_commit.front().map_or(u64::MAX, |e| e.0);
-            let until = wake.min(completes).min(commits);
+            let until = wake.min(next_done).min(commits);
             if until > cycle {
-                let pc = frontend.presented(cycle, program);
                 idle_cycles(obs, &mut stats, &mut cycle, until, pc, reason, occ);
             }
         }

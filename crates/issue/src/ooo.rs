@@ -203,19 +203,25 @@ enum MemPhase {
     StorePending,
 }
 
+/// One in-flight instruction. It borrows its instruction from the
+/// program rather than copying it.
 #[derive(Debug, Clone)]
-struct Entry {
+struct Entry<'a> {
     seq: u64,
     pc: u32,
-    inst: Inst,
+    inst: &'a Inst,
     dst_tag: Option<Tag>,
     ops: [Operand; 2],
     /// Left its station for a unit (or booked the bus, for a forwarded
     /// load).
     dispatched: bool,
     executed: bool,
-    result: Option<u64>,
-    ea: Option<u64>,
+    /// The value it produces: meaningful once it has dispatched, or once
+    /// its load has data in hand (`MemPhase::Forwarding`).
+    result: u64,
+    /// Effective address: meaningful once it has left
+    /// `MemPhase::AwaitingLr`.
+    ea: u64,
     mem_phase: MemPhase,
     lr_provider: bool,
 }
@@ -254,6 +260,7 @@ impl EventWheel {
         }
     }
 
+    #[inline]
     fn index(&self, cycle: u64) -> usize {
         cycle as usize & (self.slots.len() - 1)
     }
@@ -304,6 +311,7 @@ impl EventWheel {
     }
 
     /// `true` if an event is due at `now`.
+    #[inline]
     fn is_due(&self, now: u64) -> bool {
         !self.slots[self.index(now)].is_empty()
     }
@@ -329,8 +337,8 @@ enum Waiter {
 
 /// One window slot: the entry, and the consumers waiting for its result
 /// (the waiter vector is reused from entry to entry).
-struct Slot {
-    entry: Option<Entry>,
+struct Slot<'a> {
+    entry: Option<Entry<'a>>,
     waiters: Vec<Waiter>,
 }
 
@@ -340,14 +348,14 @@ struct Slot {
 /// as they complete, so the ring has holes; `head` is the oldest live
 /// entry and `tail` one past the youngest. A push further from `head` than
 /// the ring reaches doubles it.
-struct Window {
-    slots: Vec<Slot>,
+struct Window<'a> {
+    slots: Vec<Slot<'a>>,
     head: u64,
     tail: u64,
     live: usize,
 }
 
-impl Window {
+impl<'a> Window<'a> {
     fn new() -> Self {
         Window {
             slots: Self::empty_slots(32),
@@ -357,7 +365,7 @@ impl Window {
         }
     }
 
-    fn empty_slots(n: usize) -> Vec<Slot> {
+    fn empty_slots(n: usize) -> Vec<Slot<'a>> {
         (0..n)
             .map(|_| Slot {
                 entry: None,
@@ -366,6 +374,7 @@ impl Window {
             .collect()
     }
 
+    #[inline]
     fn index(&self, seq: u64) -> usize {
         seq as usize & (self.slots.len() - 1)
     }
@@ -378,7 +387,8 @@ impl Window {
         self.live == 0
     }
 
-    fn get(&self, seq: u64) -> Option<&Entry> {
+    #[inline]
+    fn get(&self, seq: u64) -> Option<&Entry<'a>> {
         if !(self.head..self.tail).contains(&seq) {
             return None;
         }
@@ -387,7 +397,8 @@ impl Window {
         e
     }
 
-    fn get_mut(&mut self, seq: u64) -> Option<&mut Entry> {
+    #[inline]
+    fn get_mut(&mut self, seq: u64) -> Option<&mut Entry<'a>> {
         if !(self.head..self.tail).contains(&seq) {
             return None;
         }
@@ -395,27 +406,29 @@ impl Window {
         self.slots[i].entry.as_mut()
     }
 
-    fn entry(&self, seq: u64) -> &Entry {
+    #[inline]
+    fn entry(&self, seq: u64) -> &Entry<'a> {
         self.get(seq).expect("entry for live seq is in the window")
     }
 
-    fn entry_mut(&mut self, seq: u64) -> &mut Entry {
+    #[inline]
+    fn entry_mut(&mut self, seq: u64) -> &mut Entry<'a> {
         self.get_mut(seq)
             .expect("entry for live seq is in the window")
     }
 
     /// The oldest entry.
-    fn front(&self) -> Option<&Entry> {
+    fn front(&self) -> Option<&Entry<'a>> {
         self.get(self.head)
     }
 
     /// Live entries, oldest first.
-    fn iter(&self) -> impl Iterator<Item = &Entry> {
+    fn iter(&self) -> impl Iterator<Item = &Entry<'a>> {
         (self.head..self.tail).filter_map(|seq| self.get(seq))
     }
 
     /// Appends `e`, younger than every entry in the window.
-    fn push(&mut self, e: Entry) {
+    fn push(&mut self, e: Entry<'a>) {
         if self.live == 0 {
             (self.head, self.tail) = (e.seq, e.seq);
         }
@@ -440,7 +453,7 @@ impl Window {
     }
 
     /// Takes entry `seq` out of the window.
-    fn remove(&mut self, seq: u64) -> Entry {
+    fn remove(&mut self, seq: u64) -> Entry<'a> {
         let i = self.index(seq);
         let e = self.slots[i].entry.take().expect("removed entry is live");
         self.live -= 1;
@@ -451,7 +464,7 @@ impl Window {
     }
 
     /// Takes the youngest entry out if it is younger than `seq`.
-    fn pop_younger_than(&mut self, seq: u64) -> Option<Entry> {
+    fn pop_younger_than(&mut self, seq: u64) -> Option<Entry<'a>> {
         while self.tail > self.head && self.tail - 1 > seq {
             self.tail -= 1;
             let i = self.index(self.tail);
@@ -474,6 +487,7 @@ impl Window {
     /// `true` if a consumer waits for `producer`'s result. The producer
     /// may have just left the window: nothing is pushed in between, so its
     /// slot is still its own.
+    #[inline]
     fn has_waiters(&self, producer: u64) -> bool {
         !self.slots[self.index(producer)].waiters.is_empty()
     }
@@ -549,7 +563,7 @@ pub struct Machine<'a, O: PipelineObserver + ?Sized> {
     /// each register (meaningful while the register's NI is non-zero).
     producer: [u64; NUM_REGS],
     /// In-flight instructions.
-    window: Window,
+    window: Window<'a>,
     /// Undispatched entries per unit (the tagged kinds' stations in use).
     stations: [usize; FuClass::ALL.len()],
     /// Entries ready to leave for a unit, oldest first: loads with an
@@ -761,7 +775,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         for w in self.lr.provider_ready(seq, value) {
             let e = self.window.entry_mut(w);
             debug_assert_eq!(e.mem_phase, MemPhase::AwaitingData);
-            e.result = Some(value);
+            e.result = value;
             e.mem_phase = MemPhase::Forwarding;
             self.forward_queue.push(w);
             self.stats.forwarded_loads += 1;
@@ -789,17 +803,18 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
 
     /// Entry `e`, just taken out of the window, updates architectural
     /// state.
-    fn retire(&mut self, e: Entry) {
+    fn retire(&mut self, e: Entry<'a>) {
         if e.inst.is_store() {
-            let ea = e.ea.expect("executed store has an address");
-            self.mem.write(ea, e.ops[1].value());
+            debug_assert_ne!(e.mem_phase, MemPhase::AwaitingLr, "a store's address");
+            self.mem.write(e.ea, e.ops[1].value());
             self.lr.retire(e.seq);
         }
         if self.policy.update == Update::AtCommit {
             if let Some(tag) = e.dst_tag {
                 // The RUU→register-file bus: stations listen, the future
                 // file does not.
-                let v = e.result.expect("executed producer has a result");
+                debug_assert!(e.executed, "a committing producer has executed");
+                let v = e.result;
                 self.arch.set_reg(tag.reg, v);
                 self.ni[tag.reg.index()] -= 1;
                 self.gate(e.seq, tag, v);
@@ -829,16 +844,15 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             e.executed = true;
             match ev {
                 Event::Finish(_) => {
+                    debug_assert!(e.dispatched, "a finished entry has its result");
                     let (dst_tag, value, is_load) = (e.dst_tag, e.result, e.inst.is_load());
                     let was_provider = e.lr_provider;
                     if let Some(tag) = dst_tag {
-                        let v = value.expect("finished producer has a result");
-                        self.broadcast_result(seq, tag, v);
+                        self.broadcast_result(seq, tag, value);
                     }
                     if is_load {
                         if was_provider {
-                            let v = value.expect("finished load has data");
-                            self.wake_forwarded_loads(seq, v);
+                            self.wake_forwarded_loads(seq, value);
                         }
                         self.lr.retire(seq);
                     }
@@ -882,7 +896,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         };
         self.mem_queue.pop_front();
         let e = self.window.entry_mut(seq);
-        e.ea = Some(ea);
+        e.ea = ea;
         match outcome {
             LrOutcome::ToMemory => {
                 e.mem_phase = MemPhase::ToMemory;
@@ -890,7 +904,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 insert_by_age(&mut self.mem_ready, seq);
             }
             LrOutcome::Forwarded { value } => {
-                e.result = Some(value);
+                e.result = value;
                 e.mem_phase = MemPhase::Forwarding;
                 self.forward_queue.push(seq);
                 self.stats.forwarded_loads += 1;
@@ -991,10 +1005,8 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     /// that writes memory as it executes must be `oldest`.
     fn dispatch_mem(&mut self, seq: u64, oldest: Option<u64>) -> bool {
         let e = self.window.entry(seq);
-        let (ea, is_load) = (
-            e.ea.expect("address generated"),
-            e.mem_phase == MemPhase::ToMemory,
-        );
+        debug_assert_ne!(e.mem_phase, MemPhase::AwaitingLr, "address generated");
+        let (ea, is_load) = (e.ea, e.mem_phase == MemPhase::ToMemory);
         if !is_load {
             let stores_wait = self.policy.update == Update::AtCompletion;
             if (stores_wait && oldest != Some(seq))
@@ -1019,7 +1031,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         }
         self.fus.accept(FuClass::Memory, self.cycle);
         self.bus.try_reserve(self.cycle, done);
-        self.window.entry_mut(seq).result = Some(self.mem.read(ea));
+        self.window.entry_mut(seq).result = self.mem.read(ea);
         self.mark_dispatched(seq);
         self.obs.dispatch(self.cycle, seq, FuClass::Memory, done);
         if self.dcache.is_finite() {
@@ -1047,7 +1059,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             e.ops[1].value(),
             e.inst.imm,
         );
-        self.window.entry_mut(seq).result = Some(v);
+        self.window.entry_mut(seq).result = v;
         self.mark_dispatched(seq);
         self.obs.dispatch(self.cycle, seq, fu, done);
         self.schedule(done, Event::Finish(seq));
@@ -1195,7 +1207,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 .filter(|e| e.executed)
                 .map(|e| {
                     debug_assert_eq!(e.dst_tag, Some(tag));
-                    e.result.expect("executed producer has a result")
+                    e.result
                 }),
             Bypass::LimitedA => r.is_a().then(|| self.ff[r.num() as usize]).flatten(),
         };
@@ -1353,19 +1365,19 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                         .map_or(Operand::Ready(0), |r| self.read_operand(r));
                     match (self.policy.branches, cond) {
                         (Branches::Predict(_), _) => {
-                            self.predict_branch(pc, inst, cond);
+                            self.predict_branch(pc, *inst, cond);
                             None
                         }
                         (Branches::Park, Operand::Ready(v)) => {
-                            self.resolve_in_decode(&inst, v);
+                            self.resolve_in_decode(inst, v);
                             None
                         }
                         (Branches::Park, Operand::Waiting(_)) => {
-                            self.frontend.park_branch(pc, inst, cond);
+                            self.frontend.park_branch(pc, *inst, cond);
                             Some(StallReason::BranchWait)
                         }
                     }
-                } else if let Some(reason) = self.issue_blocked(&inst) {
+                } else if let Some(reason) = self.issue_blocked(inst) {
                     Some(reason)
                 } else {
                     self.issue(pc, inst);
@@ -1382,7 +1394,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
 
     /// Puts `inst` into the window: reads its operands (value or tag) and
     /// acquires its destination instance.
-    fn issue(&mut self, pc: u32, inst: Inst) {
+    fn issue(&mut self, pc: u32, inst: &'a Inst) {
         let ops = [
             inst.src1
                 .map_or(Operand::Ready(0), |r| self.read_operand(r)),
@@ -1410,8 +1422,8 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 ops,
                 dispatched: nop,
                 executed: nop,
-                result: None,
-                ea: None,
+                result: 0,
+                ea: 0,
                 mem_phase: if is_mem {
                     MemPhase::AwaitingLr
                 } else {
@@ -1579,17 +1591,26 @@ mod tests {
     use super::*;
     use ruu_isa::Opcode;
 
-    fn nop(seq: u64) -> Entry {
+    const NOP: Inst = Inst {
+        opcode: Opcode::Nop,
+        dst: None,
+        src1: None,
+        src2: None,
+        imm: 0,
+        target: None,
+    };
+
+    fn nop(seq: u64) -> Entry<'static> {
         Entry {
             seq,
             pc: 0,
-            inst: Inst::new(Opcode::Nop, None, None, None, 0, None),
+            inst: &NOP,
             dst_tag: None,
             ops: [Operand::Ready(0); 2],
             dispatched: true,
             executed: true,
-            result: None,
-            ea: None,
+            result: 0,
+            ea: 0,
             mem_phase: MemPhase::NotMem,
             lr_provider: false,
         }

@@ -43,12 +43,14 @@ impl SlotReservation {
         self.capacity
     }
 
+    #[inline]
     fn index(&self, cycle: u64) -> usize {
         cycle as usize & (self.slots.len() - 1)
     }
 
     /// `true` if a slot at `cycle` is still available.
     #[must_use]
+    #[inline]
     pub fn available(&self, cycle: u64) -> bool {
         self.booked_at(cycle) < self.capacity
     }
@@ -57,6 +59,7 @@ impl SlotReservation {
     /// cycle: bookings before it are history, and the table may forget
     /// them, so callers must never ask about a cycle before a `now` they
     /// have passed.
+    #[inline]
     pub fn try_reserve(&mut self, now: u64, cycle: u64) -> bool {
         debug_assert!(cycle >= now, "booking cycle {cycle} is in the past ({now})");
         loop {
@@ -92,6 +95,7 @@ impl SlotReservation {
 
     /// Number of slots booked at `cycle`.
     #[must_use]
+    #[inline]
     pub fn booked_at(&self, cycle: u64) -> u32 {
         match self.slots[self.index(cycle)] {
             (held, n) if held == cycle => n,

@@ -321,7 +321,8 @@ struct Line {
 struct Geometry {
     sets: usize,
     ways: usize,
-    line_words: usize,
+    /// log2 of the line size in words (validated a power of two).
+    line_shift: u32,
     hit_latency: u64,
     miss_latency: u64,
 }
@@ -375,7 +376,7 @@ impl DCache {
                 Some(Geometry {
                     sets,
                     ways,
-                    line_words,
+                    line_shift: line_words.trailing_zeros(),
                     hit_latency,
                     miss_latency,
                 }),
@@ -397,6 +398,7 @@ impl DCache {
     /// `true` when a finite cache is modelled (i.e. not
     /// [`DCacheConfig::Perfect`]).
     #[must_use]
+    #[inline]
     pub fn is_finite(&self) -> bool {
         self.geom.is_some()
     }
@@ -412,7 +414,7 @@ impl DCache {
     #[must_use]
     pub fn set_of(&self, addr: u64) -> Option<usize> {
         let g = self.geom?;
-        Some((self.line_number(addr, &g) as usize) & (g.sets - 1))
+        Some(self.locate(addr, &g).0)
     }
 
     /// The way currently holding a word address, if resident — `None`
@@ -421,29 +423,57 @@ impl DCache {
     pub fn way_of(&self, addr: u64) -> Option<usize> {
         let g = self.geom?;
         let (set, tag) = self.locate(addr, &g);
-        (0..g.ways).find(|&w| {
-            let line = self.lines[set * g.ways + w];
-            line.valid && line.tag == tag
-        })
+        self.find_way(&g, set, tag)
     }
 
-    fn line_number(&self, addr: u64, g: &Geometry) -> u64 {
-        // Canonicalize exactly like `Memory::canonicalize`, then drop the
-        // offset-in-line bits.
-        (addr & self.word_mask) / g.line_words as u64
-    }
-
+    /// The set and tag of a word address: canonicalized exactly like
+    /// `Memory::canonicalize`, with the offset-in-line bits dropped.
+    #[inline]
     fn locate(&self, addr: u64, g: &Geometry) -> (usize, u64) {
-        let ln = self.line_number(addr, g);
+        let ln = (addr & self.word_mask) >> g.line_shift;
         let set = (ln as usize) & (g.sets - 1);
         let tag = ln >> g.sets.trailing_zeros();
         (set, tag)
+    }
+
+    /// The way of `set` holding `tag`, if resident.
+    #[inline]
+    fn find_way(&self, g: &Geometry, set: usize, tag: u64) -> Option<usize> {
+        let base = set * g.ways;
+        self.lines[base..base + g.ways]
+            .iter()
+            .position(|line| line.valid && line.tag == tag)
+    }
+
+    /// What a lookup at `cycle` costs, given the way of `set` that
+    /// [`DCache::find_way`] found.
+    #[inline]
+    fn plan_way(&self, g: &Geometry, set: usize, way: Option<usize>, cycle: u64) -> CachePlan {
+        match way {
+            Some(w) => {
+                let ready_at = self.lines[set * g.ways + w].ready_at;
+                if ready_at > cycle {
+                    CachePlan::MshrHit {
+                        latency: (ready_at - cycle).max(g.hit_latency),
+                    }
+                } else {
+                    CachePlan::Hit {
+                        latency: g.hit_latency,
+                    }
+                }
+            }
+            None if self.mshrs.iter().any(|&busy_until| busy_until <= cycle) => CachePlan::Miss {
+                latency: g.miss_latency,
+            },
+            None => CachePlan::Blocked,
+        }
     }
 
     /// What a load of `addr` dispatched at `cycle` would cost — pure: no
     /// state changes. Call [`DCache::access`] once the load actually
     /// dispatches.
     #[must_use]
+    #[inline]
     pub fn plan(&self, addr: u64, cycle: u64) -> CachePlan {
         let Some(g) = self.geom else {
             return CachePlan::Hit {
@@ -451,27 +481,7 @@ impl DCache {
             };
         };
         let (set, tag) = self.locate(addr, &g);
-        for w in 0..g.ways {
-            let line = self.lines[set * g.ways + w];
-            if line.valid && line.tag == tag {
-                return if line.ready_at > cycle {
-                    CachePlan::MshrHit {
-                        latency: (line.ready_at - cycle).max(g.hit_latency),
-                    }
-                } else {
-                    CachePlan::Hit {
-                        latency: g.hit_latency,
-                    }
-                };
-            }
-        }
-        if self.mshrs.iter().any(|&busy_until| busy_until <= cycle) {
-            CachePlan::Miss {
-                latency: g.miss_latency,
-            }
-        } else {
-            CachePlan::Blocked
-        }
+        self.plan_way(&g, set, self.find_way(&g, set, tag), cycle)
     }
 
     /// The earliest cycle at which an outstanding-miss register frees —
@@ -479,6 +489,7 @@ impl DCache {
     /// [`CachePlan::Blocked`] could start. Pure; `None` under
     /// [`DCacheConfig::Perfect`], which never blocks.
     #[must_use]
+    #[inline]
     pub fn next_fill(&self) -> Option<u64> {
         self.mshrs.iter().min().copied()
     }
@@ -486,26 +497,31 @@ impl DCache {
     /// Performs the load of `addr` at `cycle`: updates LRU state, starts a
     /// fill on a miss, counts statistics. Returns the same plan
     /// [`DCache::plan`] reported for the same arguments.
+    #[inline]
     pub fn access(&mut self, addr: u64, cycle: u64) -> CachePlan {
-        let plan = self.plan(addr, cycle);
         let Some(g) = self.geom else {
-            return plan;
+            return CachePlan::Hit {
+                latency: self.perfect_latency,
+            };
         };
         let (set, tag) = self.locate(addr, &g);
-        self.clock += 1;
-        self.stats.accesses += 1;
+        let way = self.find_way(&g, set, tag);
+        let plan = self.plan_way(&g, set, way, cycle);
+        let base = set * g.ways;
         match plan {
             CachePlan::Hit { .. } | CachePlan::MshrHit { .. } => {
+                self.clock += 1;
+                self.stats.accesses += 1;
                 self.stats.hits += 1;
                 if matches!(plan, CachePlan::MshrHit { .. }) {
                     self.stats.mshr_hits += 1;
                 }
-                let way = self
-                    .way_of(addr)
-                    .expect("a planned hit has a resident line");
-                self.lines[set * g.ways + way].last_use = self.clock;
+                let way = way.expect("a planned hit has a resident line");
+                self.lines[base + way].last_use = self.clock;
             }
             CachePlan::Miss { .. } => {
+                self.clock += 1;
+                self.stats.accesses += 1;
                 self.stats.misses += 1;
                 let slot = self
                     .mshrs
@@ -515,7 +531,6 @@ impl DCache {
                 self.mshrs[slot] = cycle + g.miss_latency;
                 // Victim: an invalid way if any, else the least recently
                 // used (ties broken by way index — deterministic).
-                let base = set * g.ways;
                 let victim = (0..g.ways)
                     .find(|&w| !self.lines[base + w].valid)
                     .unwrap_or_else(|| {
@@ -530,11 +545,8 @@ impl DCache {
                     ready_at: cycle + g.miss_latency,
                 };
             }
-            CachePlan::Blocked => {
-                // Not an access: the caller must retry. Undo the counters.
-                self.clock -= 1;
-                self.stats.accesses -= 1;
-            }
+            // Not an access: the caller must retry.
+            CachePlan::Blocked => {}
         }
         plan
     }
@@ -630,19 +642,75 @@ mod tests {
         assert!(c.plan(100 + words, 40).is_hit());
     }
 
+    /// Every line size a geometry may have, 4-way and 8-set.
+    fn line_sizes(miss: u64) -> impl Iterator<Item = (usize, DCacheConfig)> {
+        [1usize, 2, 4, 8, 16].into_iter().map(move |line_words| {
+            let cfg = DCacheConfig::Cache {
+                sets: 8,
+                ways: 4,
+                line_words,
+                hit_latency: 1,
+                miss_latency: miss,
+                mshrs: 2,
+            };
+            (line_words, cfg)
+        })
+    }
+
     #[test]
     fn plan_matches_access() {
-        let mut c = DCache::new(&small(7), 11, 1 << 10);
-        let mut cycle = 0;
-        for i in 0..200u64 {
-            let addr = (i * 37) % 48;
-            let planned = c.plan(addr, cycle);
-            assert_eq!(planned, c.access(addr, cycle));
-            cycle += 3;
+        for (line_words, cfg) in line_sizes(7) {
+            let mut c = DCache::new(&cfg, 11, 1 << 10);
+            let mut cycle = 0;
+            let mut blocked = 0;
+            for i in 0..400u64 {
+                let addr = (i * 37) % (48 * line_words as u64);
+                let planned = c.plan(addr, cycle);
+                assert_eq!(planned, c.access(addr, cycle), "{line_words}-word lines");
+                blocked += u64::from(planned == CachePlan::Blocked);
+                cycle += 3;
+            }
+            let s = c.stats();
+            assert_eq!(s.accesses, s.hits + s.misses);
+            assert_eq!(s.accesses + blocked, 400);
+            assert!(s.hits > 0 && s.misses > 0, "{line_words}-word lines");
         }
-        let s = c.stats();
-        assert_eq!(s.accesses, s.hits + s.misses);
-        assert!(s.hits > 0 && s.misses > 0);
+    }
+
+    #[test]
+    fn set_and_way_follow_the_line_number_at_every_line_size() {
+        let words = 1u64 << 10;
+        for (line_words, cfg) in line_sizes(4) {
+            let line_words = line_words as u64;
+            let mut c = DCache::new(&cfg, 11, words);
+            for i in 0..300u64 {
+                // every third address is an alias past the memory size
+                let addr = (i * 53) % 300 + (i % 3) * words;
+                let line = (addr % words) / line_words;
+                assert_eq!(
+                    c.set_of(addr),
+                    Some(line as usize % 8),
+                    "{line_words}: {addr}"
+                );
+                // one access at a time, each after the last fill landed
+                if c.access(addr, i * 10).latency().is_none() {
+                    panic!("{line_words}-word lines: a lone miss never blocks");
+                }
+                let way = c.way_of(addr);
+                assert!(
+                    way.is_some(),
+                    "{line_words}: {addr} resident after its access"
+                );
+                // every word of the line shares its way ...
+                for w in line * line_words..(line + 1) * line_words {
+                    assert_eq!(c.way_of(w), way, "{line_words}: word {w} of line {line}");
+                }
+                // ... and the next line of the same set, resident or not,
+                // is not in it
+                let next = (line + 8) * line_words % words;
+                assert_ne!(c.way_of(next), way, "{line_words}: {next} aliases {addr}");
+            }
+        }
     }
 
     #[test]

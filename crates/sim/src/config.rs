@@ -97,6 +97,7 @@ impl MachineConfig {
 
     /// Latency of a functional-unit class under this configuration.
     #[must_use]
+    #[inline]
     pub fn fu_latency(&self, fu: FuClass) -> u64 {
         self.latency[fu.index()]
     }

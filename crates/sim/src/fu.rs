@@ -26,6 +26,7 @@ impl FuPool {
     /// `true` if unit `fu` can accept an operation at `cycle` (it has not
     /// already accepted one this cycle).
     #[must_use]
+    #[inline]
     pub fn can_accept(&self, fu: FuClass, cycle: u64) -> bool {
         self.last_accept[fu.index()] != Some(cycle)
     }
@@ -35,6 +36,7 @@ impl FuPool {
     /// # Panics
     /// Panics if the unit already accepted an operation this cycle (caller
     /// must check [`FuPool::can_accept`] first).
+    #[inline]
     pub fn accept(&mut self, fu: FuClass, cycle: u64) {
         assert!(
             self.can_accept(fu, cycle),

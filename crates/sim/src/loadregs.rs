@@ -134,10 +134,12 @@ impl LoadRegUnit {
 
     /// `true` if every load register is busy.
     #[must_use]
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.busy == self.entries.len()
     }
 
+    #[inline]
     fn find(&self, addr: u64) -> Option<usize> {
         self.entries
             .iter()
@@ -146,6 +148,7 @@ impl LoadRegUnit {
 
     /// Drops one pending operation from register `slot`, freeing it when
     /// none is left.
+    #[inline]
     fn release(&mut self, slot: usize) {
         let entry = &mut self.entries[slot];
         entry.count -= 1;
@@ -154,12 +157,14 @@ impl LoadRegUnit {
         }
     }
 
+    #[inline]
     fn op_mut(&mut self, op: OpId) -> Option<&mut Op> {
         let i = usize::try_from(op.checked_sub(self.base)?).ok()?;
         self.ops.get_mut(i)?.as_mut()
     }
 
     /// Takes pending operation `op` out of the ring.
+    #[inline]
     fn take_op(&mut self, op: OpId) -> Option<Op> {
         let i = usize::try_from(op.checked_sub(self.base)?).ok()?;
         let taken = self.ops.get_mut(i)?.take();
@@ -183,6 +188,7 @@ impl LoadRegUnit {
     /// processed — a duplicate would silently corrupt the entry's
     /// pending-operation count, so the protocol check is always on, not
     /// just in debug builds.
+    #[inline]
     pub fn process(&mut self, op: OpId, kind: MemOpKind, addr: u64) -> Option<LrOutcome> {
         assert!(
             op >= self.next,
@@ -246,6 +252,7 @@ impl LoadRegUnit {
     /// Panics if `provider` is not a live provider, or if its value was
     /// already announced — waiters attached between the two announcements
     /// would observe the wrong one, so the check is always on.
+    #[inline]
     pub fn provider_ready(&mut self, provider: OpId, value: u64) -> Vec<OpId> {
         let ps = self
             .op_mut(provider)
@@ -269,6 +276,7 @@ impl LoadRegUnit {
     /// before its (younger) waiters is the out-of-order squash the
     /// contract forbids, and would strand those waiters forever; the
     /// check is always on.
+    #[inline]
     pub fn squash(&mut self, op: OpId) {
         let Some(squashed) = self.take_op(op) else {
             return;
@@ -298,6 +306,7 @@ impl LoadRegUnit {
     ///
     /// # Panics
     /// Panics if `op` was never processed.
+    #[inline]
     pub fn retire(&mut self, op: OpId) {
         let Op { slot, kind, .. } = self.take_op(op).expect("retire called for unprocessed op");
         let entry = &mut self.entries[slot];

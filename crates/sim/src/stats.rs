@@ -17,7 +17,9 @@ pub enum StallReason {
     OperandsNotReady,
     /// The destination register was busy (in-order mechanisms only).
     DestinationBusy,
-    /// The target functional unit could not accept the instruction.
+    /// The target functional unit could not accept the instruction. No
+    /// core reports it today: every unit is pipelined, and the in-order
+    /// decode stage issues at most one instruction a cycle.
     FuBusy,
     /// No result-bus slot at the completion cycle.
     BusConflict,
@@ -58,6 +60,7 @@ impl StallReason {
         StallReason::Drained,
     ];
 
+    #[inline]
     pub(crate) fn idx(self) -> usize {
         match self {
             StallReason::OperandsNotReady => 0,
@@ -130,6 +133,7 @@ pub struct RunStats {
 
 impl RunStats {
     /// Records a stalled decode/issue cycle.
+    #[inline]
     pub fn stall(&mut self, reason: StallReason) {
         self.stall_cycles[reason.idx()] += 1;
     }
@@ -147,6 +151,7 @@ impl RunStats {
     }
 
     /// Records the window occupancy at the start of a cycle.
+    #[inline]
     pub fn observe_occupancy(&mut self, occ: u32) {
         self.occupancy_sum += u64::from(occ);
         self.occupancy_peak = self.occupancy_peak.max(occ);
@@ -155,6 +160,7 @@ impl RunStats {
     /// Records `n` cycles that each stalled for `reason` with `occ`
     /// instructions in flight: the same counts as `n` calls to
     /// [`RunStats::stall`] and [`RunStats::observe_occupancy`].
+    #[inline]
     pub fn idle_span(&mut self, n: u64, reason: StallReason, occ: u32) {
         if n == 0 {
             return;
