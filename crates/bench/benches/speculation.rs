@@ -5,8 +5,9 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench speculation`.
 
-use ruu_issue::{AlwaysTaken, Btfn, Bypass, Mechanism, Predictor, SpecRuu, TwoBit};
-use ruu_sim_core::MachineConfig;
+use ruu_exec::ArchState;
+use ruu_issue::{Bypass, Mechanism, PredictorConfig};
+use ruu_sim_core::{FlushAccountant, MachineConfig};
 use ruu_workloads::livermore;
 
 fn main() {
@@ -48,32 +49,42 @@ fn main() {
             insts as f64 / cycles as f64
         );
 
-        let mk: Vec<Box<dyn Fn() -> Box<dyn Predictor>>> = vec![
-            Box::new(|| Box::new(AlwaysTaken)),
-            Box::new(|| Box::new(Btfn)),
-            Box::new(|| Box::new(TwoBit::default())),
-        ];
-        for make in &mk {
+        for predictor in [
+            PredictorConfig::AlwaysTaken,
+            PredictorConfig::Btfn,
+            PredictorConfig::default(),
+        ] {
+            let sim = Mechanism::SpecRuu {
+                entries,
+                bypass: Bypass::Full,
+                predictor,
+            }
+            .build(&cfg);
             let mut cycles = 0;
             let mut insts = 0;
             let mut predicted = 0;
             let mut mispredicted = 0;
-            let mut nullified = 0;
-            let mut name = "";
+            // Each misprediction reports the entries it nullified as a flush.
+            let mut flushes = FlushAccountant::default();
             for w in &suite {
-                let mut p = make();
-                let r = SpecRuu::new(cfg.clone(), entries, Bypass::Full)
-                    .run(&w.program, w.memory.clone(), w.inst_limit, p.as_mut())
+                let r = sim
+                    .run_observed(
+                        ArchState::new(),
+                        w.memory.clone(),
+                        &w.program,
+                        w.inst_limit,
+                        &mut flushes,
+                    )
                     .expect("speculative RUU runs");
-                w.verify(&r.run.memory)
-                    .expect("speculative result verifies");
-                cycles += r.run.cycles;
-                insts += r.run.instructions;
-                predicted += r.spec.predicted;
-                mispredicted += r.spec.mispredicted;
-                nullified += r.spec.nullified;
-                name = p.name();
+                w.verify(&r.memory).expect("speculative result verifies");
+                cycles += r.cycles;
+                insts += r.instructions;
+                predicted += r.stats.predicted_branches;
+                mispredicted += r.stats.mispredicted_branches;
             }
+            // The predictor's own name ("2-bit"), as the table has always shown.
+            let name = predictor.build().name();
+            let nullified = flushes.squashed();
             let mp = if predicted == 0 {
                 0.0
             } else {

@@ -12,11 +12,11 @@
 //! so (iii) always holds and the core does not check it.
 //!
 //! **The baseline is the in-order core without a commit stage.**
-//! [`SimpleIssue`] retires results as they complete, out of program
-//! order, so its interrupts are *imprecise*, like the CRAY-1 scalar unit
-//! it models. [`InOrderPrecise`] adds a buffer of `entries` slots and an
-//! in-order commit stage, one commit per cycle over the
-//! buffer→register-file path:
+//! [`crate::Mechanism::Simple`] retires results as they complete, out of
+//! program order, so its interrupts are *imprecise*, like the CRAY-1
+//! scalar unit it models. [`crate::Mechanism::InOrderPrecise`] adds a
+//! buffer of `entries` slots and an in-order commit stage, one commit per
+//! cycle over the buffer→register-file path:
 //!
 //! * [`PreciseScheme::ReorderBuffer`] — results wait in a reorder buffer
 //!   and update the register file in program order. A source register
@@ -99,21 +99,32 @@ impl PreciseScheme {
     }
 }
 
-/// The in-order, blocking-issue baseline simulator.
+/// The in-order simulator: the baseline without a commit stage when
+/// `buffer` is `None`, a §4 scheme with a buffer of `entries` slots when it
+/// is `Some((scheme, entries))`.
 #[derive(Debug, Clone)]
-pub struct SimpleIssue {
+pub(crate) struct InOrder {
     config: MachineConfig,
+    buffer: Option<(PreciseScheme, usize)>,
 }
 
-impl SimpleIssue {
-    /// Creates a baseline simulator with the given machine configuration.
-    #[must_use]
-    pub fn new(config: MachineConfig) -> Self {
-        SimpleIssue { config }
+impl InOrder {
+    /// The baseline (`buffer: None`) or a §4 scheme.
+    ///
+    /// # Panics
+    /// Panics if the buffer has no entries.
+    pub(crate) fn new(config: MachineConfig, buffer: Option<(PreciseScheme, usize)>) -> Self {
+        assert!(
+            buffer.is_none_or(|(_, entries)| entries > 0),
+            "the buffer needs at least one entry"
+        );
+        InOrder { config, buffer }
     }
 }
 
-impl IssueSimulator for SimpleIssue {
+/// Each method matches on the buffer so that the baseline calls `run` with
+/// a constant `None`: the inlined copy it gets has no commit stage at all.
+impl IssueSimulator for InOrder {
     fn config(&self) -> &MachineConfig {
         &self.config
     }
@@ -126,67 +137,12 @@ impl IssueSimulator for SimpleIssue {
         limit: u64,
         obs: &mut dyn PipelineObserver,
     ) -> Result<RunResult, SimError> {
-        run(&self.config, None, state, mem, program, limit, obs)
-    }
-
-    fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        let obs = &mut NullObserver;
-        run(&self.config, None, state, mem, program, limit, obs)
-    }
-}
-
-/// An in-order-issue machine with one of the [`PreciseScheme`]s bolted
-/// on — the §4 strawmen the RUU improves upon.
-#[derive(Debug, Clone)]
-pub struct InOrderPrecise {
-    config: MachineConfig,
-    scheme: PreciseScheme,
-    buffer_entries: usize,
-}
-
-impl InOrderPrecise {
-    /// Creates the machine with `buffer_entries` reorder/history/future
-    /// buffer slots.
-    ///
-    /// # Panics
-    /// Panics if `buffer_entries` is zero.
-    #[must_use]
-    pub fn new(config: MachineConfig, scheme: PreciseScheme, buffer_entries: usize) -> Self {
-        assert!(buffer_entries > 0, "the buffer needs at least one entry");
-        InOrderPrecise {
-            config,
-            scheme,
-            buffer_entries,
+        match self.buffer {
+            None => run(&self.config, None, state, mem, program, limit, obs),
+            b => run(&self.config, b, state, mem, program, limit, obs),
         }
     }
 
-    fn buffer(&self) -> Option<(PreciseScheme, usize)> {
-        Some((self.scheme, self.buffer_entries))
-    }
-}
-
-impl IssueSimulator for InOrderPrecise {
-    fn config(&self) -> &MachineConfig {
-        &self.config
-    }
-
-    fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        run(&self.config, self.buffer(), state, mem, program, limit, obs)
-    }
-
     fn run_from(
         &self,
         state: ArchState,
@@ -195,16 +151,20 @@ impl IssueSimulator for InOrderPrecise {
         limit: u64,
     ) -> Result<RunResult, SimError> {
         let obs = &mut NullObserver;
-        run(&self.config, self.buffer(), state, mem, program, limit, obs)
+        match self.buffer {
+            None => run(&self.config, None, state, mem, program, limit, obs),
+            b => run(&self.config, b, state, mem, program, limit, obs),
+        }
     }
 }
 
 /// Runs `program` on the in-order core, with an in-order commit stage
 /// through a buffer of `entries` slots when `buffer` is
-/// `Some((scheme, entries))`. Inlined into each face, so the baseline
-/// pays nothing for the commit stage it does not have; each face compiles
-/// it against [`NullObserver`] for unobserved runs and against
-/// `dyn PipelineObserver` for observed ones.
+/// `Some((scheme, entries))`. Inlined into each call in [`InOrder`], so
+/// the baseline, which passes a constant `None`, pays nothing for the
+/// commit stage it does not have; it is compiled against [`NullObserver`]
+/// for unobserved runs and against `dyn PipelineObserver` for observed
+/// ones.
 #[inline(always)]
 fn run<O: PipelineObserver + ?Sized>(
     cfg: &MachineConfig,
@@ -456,6 +416,7 @@ fn run<O: PipelineObserver + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mechanism;
     use ruu_isa::{Asm, Reg};
     use ruu_workloads::livermore;
 
@@ -463,9 +424,14 @@ mod tests {
         MachineConfig::paper()
     }
 
+    fn precise(scheme: PreciseScheme, entries: usize) -> Box<dyn IssueSimulator> {
+        Mechanism::InOrderPrecise { scheme, entries }.build(&cfg())
+    }
+
     fn run_simple(asm: Asm) -> RunResult {
         let p = asm.assemble().unwrap();
-        SimpleIssue::new(MachineConfig::paper())
+        Mechanism::Simple
+            .build(&MachineConfig::paper())
             .run(&p, Memory::new(1 << 12), 100_000)
             .unwrap()
     }
@@ -588,7 +554,8 @@ mod tests {
         let p = a.assemble().unwrap();
 
         let golden = ruu_exec::Trace::capture(&p, Memory::new(1 << 12), 100_000).unwrap();
-        let r = SimpleIssue::new(MachineConfig::paper())
+        let r = Mechanism::Simple
+            .build(&MachineConfig::paper())
             .run(&p, Memory::new(1 << 12), 100_000)
             .unwrap();
         assert_eq!(r.instructions, golden.len() as u64);
@@ -610,7 +577,7 @@ mod tests {
         let w = livermore::lll5();
         let g = w.golden_trace().unwrap();
         for scheme in all_schemes() {
-            let r = InOrderPrecise::new(cfg(), scheme, 8)
+            let r = precise(scheme, 8)
                 .run(&w.program, w.memory.clone(), w.inst_limit)
                 .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
             assert_eq!(&r.state.regs, &g.final_state().regs, "{}", scheme.name());
@@ -630,10 +597,10 @@ mod tests {
         a.s_add(Reg::s(3), Reg::s(2), Reg::s(2)); // consumer of the quick one
         a.halt();
         let p = a.assemble().unwrap();
-        let plain = InOrderPrecise::new(cfg(), PreciseScheme::ReorderBuffer, 8)
+        let plain = precise(PreciseScheme::ReorderBuffer, 8)
             .run(&p, Memory::new(1 << 8), 1000)
             .unwrap();
-        let bypass = InOrderPrecise::new(cfg(), PreciseScheme::ReorderBufferBypass, 8)
+        let bypass = precise(PreciseScheme::ReorderBufferBypass, 8)
             .run(&p, Memory::new(1 << 8), 1000)
             .unwrap();
         assert!(
@@ -657,7 +624,7 @@ mod tests {
         ]
         .into_iter()
         .map(|s| {
-            InOrderPrecise::new(cfg(), s, 10)
+            precise(s, 10)
                 .run(&w.program, w.memory.clone(), w.inst_limit)
                 .unwrap()
                 .cycles
@@ -673,10 +640,11 @@ mod tests {
         // machine is not degraded considerably if the size of the buffer
         // is reasonably large".
         let w = livermore::lll12();
-        let base = SimpleIssue::new(cfg())
+        let base = Mechanism::Simple
+            .build(&cfg())
             .run(&w.program, w.memory.clone(), w.inst_limit)
             .unwrap();
-        let rb = InOrderPrecise::new(cfg(), PreciseScheme::ReorderBufferBypass, 12)
+        let rb = precise(PreciseScheme::ReorderBufferBypass, 12)
             .run(&w.program, w.memory.clone(), w.inst_limit)
             .unwrap();
         let ratio = rb.cycles as f64 / base.cycles as f64;
@@ -689,10 +657,10 @@ mod tests {
     #[test]
     fn tiny_buffer_throttles_issue() {
         let w = livermore::lll7();
-        let small = InOrderPrecise::new(cfg(), PreciseScheme::ReorderBufferBypass, 1)
+        let small = precise(PreciseScheme::ReorderBufferBypass, 1)
             .run(&w.program, w.memory.clone(), w.inst_limit)
             .unwrap();
-        let big = InOrderPrecise::new(cfg(), PreciseScheme::ReorderBufferBypass, 16)
+        let big = precise(PreciseScheme::ReorderBufferBypass, 16)
             .run(&w.program, w.memory.clone(), w.inst_limit)
             .unwrap();
         assert!(small.cycles > big.cycles);

@@ -5,20 +5,21 @@
 //!
 //! | Mechanism | Paper | Type |
 //! |---|---|---|
-//! | Simple in-order, blocking issue | §2.2, Table 1 | [`SimpleIssue`] (in-order core) |
-//! | Tomasulo: distributed stations, a tag per register | §3.1 | [`TaggedSim`], [`WindowKind::Distributed`] |
-//! | Tag Unit + distributed stations | §3.2.1 | [`TaggedSim`], [`WindowKind::TagUnitDistributed`] |
-//! | Tag Unit + merged station pool | §3.2.2 | [`TaggedSim`], [`WindowKind::Pooled`] |
-//! | RSTU | §3.2.3, Tables 2–3 | [`TaggedSim`], [`WindowKind::Merged`] |
-//! | In-order issue, precise: reorder buffer (± bypass), history buffer, future file | §4 | [`InOrderPrecise`] (in-order core), [`PreciseScheme`] |
-//! | RUU, with full / no / limited bypass | §5–6, Tables 4–6 | [`Ruu`], [`Bypass`] |
-//! | Speculative RUU: branch prediction + nullification | §7 | [`SpecRuu`] |
+//! | Simple in-order, blocking issue | §2.2, Table 1 | [`Mechanism::Simple`] (in-order core) |
+//! | Tomasulo: distributed stations, a tag per register | §3.1 | [`OutOfOrder::tagged`], [`WindowKind::Distributed`] |
+//! | Tag Unit + distributed stations | §3.2.1 | [`OutOfOrder::tagged`], [`WindowKind::TagUnitDistributed`] |
+//! | Tag Unit + merged station pool | §3.2.2 | [`OutOfOrder::tagged`], [`WindowKind::Pooled`] |
+//! | RSTU | §3.2.3, Tables 2–3 | [`OutOfOrder::tagged`], [`WindowKind::Merged`] |
+//! | In-order issue, precise: reorder buffer (± bypass), history buffer, future file | §4 | [`Mechanism::InOrderPrecise`] (in-order core), [`PreciseScheme`] |
+//! | RUU, with full / no / limited bypass | §5–6, Tables 4–6 | [`OutOfOrder::ruu`], [`Bypass`] |
+//! | Speculative RUU: branch prediction + nullification | §7 | [`OutOfOrder::spec_ruu`], [`PredictorConfig`] |
 //!
 //! [`Mechanism`] names each of them with its sizing parameters and builds
 //! it behind the uniform [`IssueSimulator`] interface. The tagged
-//! mechanisms, the RUU and the speculative RUU are one out-of-order core
-//! that differs only by where stations and tags live, when results update
-//! state, and what happens to unresolved branches.
+//! mechanisms, the RUU and the speculative RUU are one out-of-order
+//! simulator, [`OutOfOrder`], that differs only by where stations and tags
+//! live, when results update state, and what happens to unresolved
+//! branches. It also injects faults ([`OutOfOrder::run_with_exception`]).
 //!
 //! The other two rows are one in-order core ([`inorder`]). The baseline
 //! is the in-order core without a commit stage: results retire as they
@@ -37,24 +38,15 @@ mod common;
 pub mod inorder;
 pub mod mechanism;
 mod ooo;
-pub mod predict;
-pub mod ruu;
 pub mod simulator;
-pub mod spec_ruu;
 pub mod tag_unit;
-pub mod tagged;
 
-pub use inorder::{InOrderPrecise, PreciseScheme, SimpleIssue};
+pub use inorder::PreciseScheme;
 pub use mechanism::Mechanism;
-pub use predict::{
-    AlwaysTaken, Bimodal, Btfn, Gshare, LocalPag, PredictError, Predictor, PredictorConfig,
-    TageLite, TwoBit,
-};
-pub use ruu::{Bypass, InterruptFrame, RunOutcome, Ruu};
+pub use ooo::{Bypass, InterruptFrame, OutOfOrder, RunOutcome, WindowKind};
+pub use ruu_predict::PredictorConfig;
 pub use simulator::IssueSimulator;
-pub use spec_ruu::{SpecRunResult, SpecRuu, SpecStats};
 pub use tag_unit::{TagRetirement, TagUnitModel, TuEntry};
-pub use tagged::{TaggedSim, WindowKind};
 
 /// Errors from the timing simulators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

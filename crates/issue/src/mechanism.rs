@@ -5,12 +5,11 @@ use std::fmt;
 
 use ruu_sim_core::MachineConfig;
 
-use crate::inorder::{InOrderPrecise, PreciseScheme, SimpleIssue};
-use crate::predict::PredictorConfig;
-use crate::ruu::{Bypass, Ruu};
+use ruu_predict::PredictorConfig;
+
+use crate::inorder::{InOrder, PreciseScheme};
+use crate::ooo::{Bypass, OutOfOrder, WindowKind};
 use crate::simulator::IssueSimulator;
-use crate::spec_ruu::SpecRuu;
-use crate::tagged::{TaggedSim, WindowKind};
 
 /// Any of the paper's issue mechanisms, with its sizing parameters.
 ///
@@ -76,8 +75,26 @@ pub enum Mechanism {
         /// Buffer entries.
         entries: usize,
     },
-    /// The speculative RUU (paper §7): RUU plus branch prediction and
-    /// conditional execution.
+    /// The speculative RUU (paper §7): the RUU plus branch prediction and
+    /// conditional (speculative) execution. The paper notes that the RUU
+    /// "provides a very powerful mechanism for nullifying instructions"
+    /// and that "there is no hard limit to the number of branches that can
+    /// be predicted"; this is that machine:
+    ///
+    /// * a conditional branch whose condition is not ready no longer parks
+    ///   in decode — the predictor picks a path and fetch continues;
+    /// * speculative instructions enter the RUU, execute and forward
+    ///   results normally, but **cannot commit** past an unresolved
+    ///   branch, so the architectural state stays precise;
+    /// * on a misprediction every younger RUU entry is nullified. Only the
+    ///   A future file is restored from the branch's snapshot: each
+    ///   squashed entry gives back its NI/LI instance, the load registers
+    ///   drop the squashed operations youngest first, and fetch redirects
+    ///   to the other path.
+    ///
+    /// Predicted and mispredicted branches are counted in
+    /// [`ruu_sim_core::RunStats`]; the nullified entries are reported to
+    /// [`ruu_sim_core::PipelineObserver::flush`].
     SpecRuu {
         /// RUU entries.
         entries: usize,
@@ -94,42 +111,41 @@ impl Mechanism {
     ///
     /// The returned trait object is `Send`, so it can be handed to a
     /// worker thread; construction is configuration-only and cheap.
+    ///
+    /// # Panics
+    /// Panics on a size through which nothing could issue (a window,
+    /// buffer, station pool or tag unit with no entries) and on a
+    /// predictor configuration that fails [`PredictorConfig::validate`].
     #[must_use]
     pub fn build(&self, config: &MachineConfig) -> Box<dyn IssueSimulator> {
+        let config = config.clone();
         match *self {
-            Mechanism::Simple => Box::new(SimpleIssue::new(config.clone())),
-            Mechanism::Tomasulo { rs_per_fu } => Box::new(TaggedSim::new(
-                config.clone(),
+            Mechanism::Simple => Box::new(InOrder::new(config, None)),
+            Mechanism::Tomasulo { rs_per_fu } => Box::new(OutOfOrder::tagged(
+                config,
                 WindowKind::Distributed { rs_per_fu },
             )),
-            Mechanism::TagUnitDistributed { rs_per_fu, tags } => Box::new(TaggedSim::new(
-                config.clone(),
+            Mechanism::TagUnitDistributed { rs_per_fu, tags } => Box::new(OutOfOrder::tagged(
+                config,
                 WindowKind::TagUnitDistributed { rs_per_fu, tags },
             )),
-            Mechanism::RsPool { rs, tags } => Box::new(TaggedSim::new(
-                config.clone(),
-                WindowKind::Pooled { rs, tags },
-            )),
-            Mechanism::Rstu { entries } => Box::new(TaggedSim::new(
-                config.clone(),
-                WindowKind::Merged { entries },
-            )),
+            Mechanism::RsPool { rs, tags } => {
+                Box::new(OutOfOrder::tagged(config, WindowKind::Pooled { rs, tags }))
+            }
+            Mechanism::Rstu { entries } => {
+                Box::new(OutOfOrder::tagged(config, WindowKind::Merged { entries }))
+            }
             Mechanism::Ruu { entries, bypass } => {
-                Box::new(Ruu::new(config.clone(), entries, bypass))
+                Box::new(OutOfOrder::ruu(config, entries, bypass))
             }
             Mechanism::InOrderPrecise { scheme, entries } => {
-                Box::new(InOrderPrecise::new(config.clone(), scheme, entries))
+                Box::new(InOrder::new(config, Some((scheme, entries))))
             }
             Mechanism::SpecRuu {
                 entries,
                 bypass,
                 predictor,
-            } => Box::new(SpecRuu::with_predictor(
-                config.clone(),
-                entries,
-                bypass,
-                predictor,
-            )),
+            } => Box::new(OutOfOrder::spec_ruu(config, entries, bypass, predictor)),
         }
     }
 

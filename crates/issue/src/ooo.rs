@@ -1,6 +1,6 @@
-//! The one out-of-order core behind the tagged mechanisms
-//! ([`crate::TaggedSim`]: Tomasulo, Tag Unit, RS pool, RSTU), the RUU
-//! ([`crate::Ruu`]) and the speculative RUU ([`crate::SpecRuu`]).
+//! The out-of-order simulator, [`OutOfOrder`]: one core behind the tagged
+//! mechanisms (Tomasulo, Tag Unit, RS pool, RSTU), the RUU and the
+//! speculative RUU.
 //!
 //! The paper's dynamic mechanisms differ only in *where reservation
 //! stations live and how many tags exist* (§3.2); the RUU is an RSTU
@@ -39,22 +39,125 @@ use std::ops::ControlFlow;
 
 use ruu_exec::{ArchState, Memory};
 use ruu_isa::{semantics, FuClass, Inst, Program, Reg, NUM_REGS};
+use ruu_predict::{Predictor, PredictorConfig};
 use ruu_sim_core::{
     DCache, FuPool, LoadRegUnit, LrOutcome, MachineConfig, MemOpKind, NullObserver,
     PipelineObserver, RunResult, RunStats, SlotReservation, StallReason,
 };
 
 use crate::common::{end_cycle, idle_cycles, Broadcasts, FetchSlot, Frontend, Operand, Tag};
-use crate::predict::{Predictor, PredictorConfig};
-use crate::ruu::{Bypass, InterruptFrame, RunOutcome};
 use crate::simulator::IssueSimulator;
-use crate::spec_ruu::SpecStats;
-use crate::tagged::WindowKind;
 use crate::SimError;
 
 /// Cycles without progress (nothing issued, completed or scheduled) after
 /// which a run is declared deadlocked.
 const DEADLOCK_CYCLES: u64 = 100_000;
+
+/// Window organisation of a tagged mechanism (paper §3). All of them
+/// update the register file *as results complete*, out of program order,
+/// so their interrupts are **imprecise** — what the RUU fixes. A
+/// completing result updates the register file only if it is the *latest*
+/// instance of its register (Tomasulo's register-capture rule; the paper's
+/// "may update the register but may not unlock it" is modelled this way so
+/// that stale instances never clobber newer values).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowKind {
+    /// Classic Tomasulo (§3.1): `rs_per_fu` reservation stations at each
+    /// functional unit; every register is tagged (no tag limit —
+    /// conceptually 144 tag-matching units, the expense the Tag Unit
+    /// removes).
+    Distributed {
+        /// Reservation stations per functional unit.
+        rs_per_fu: usize,
+    },
+    /// §3.2.1, Figure 2: a central Tag Unit (capacity `tags`) holding tags
+    /// only for *currently active* registers, with distributed
+    /// reservation stations.
+    TagUnitDistributed {
+        /// Reservation stations per functional unit.
+        rs_per_fu: usize,
+        /// Tag Unit entries.
+        tags: usize,
+    },
+    /// §3.2.2: the reservation stations merged into a common pool
+    /// (released when the instruction dispatches to a unit), Tag Unit
+    /// unchanged.
+    Pooled {
+        /// Stations in the merged pool.
+        rs: usize,
+        /// Tag Unit entries.
+        tags: usize,
+    },
+    /// §3.2.3, Figure 4: the **RSTU**, one merged structure; an entry is
+    /// both station and tag, reserved together and released at writeback.
+    Merged {
+        /// RSTU entries.
+        entries: usize,
+    },
+}
+
+impl WindowKind {
+    /// How many results may be in flight, if the tags are limited.
+    fn tag_capacity(self) -> Option<usize> {
+        match self {
+            WindowKind::Distributed { .. } => None,
+            WindowKind::TagUnitDistributed { tags, .. } | WindowKind::Pooled { tags, .. } => {
+                Some(tags)
+            }
+            WindowKind::Merged { entries } => Some(entries),
+        }
+    }
+}
+
+/// Operand-bypass policy of the RUU (paper §6). Managing the RSTU as a
+/// FIFO queue removes its associative tag search: each register carries
+/// two small counters, *NI* (number of instances in the RUU) and *LI*
+/// (latest instance), and a tag is the register number appended with LI
+/// (§5.1). What a consumer that missed its producer's result-bus
+/// broadcast may read is the policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Bypass {
+    /// Associative bypass from every executed RUU entry (§6.1, Table 4).
+    Full,
+    /// No bypass: reservation stations monitor the result bus *and* the
+    /// RUU→register-file bus, so a consumer that missed the broadcast
+    /// waits until the value crosses it at commit (§6.2, Table 5).
+    None,
+    /// A future file, updated from the result bus, shadows the 8 A
+    /// registers; other files are un-bypassed (§6.3, Table 6).
+    LimitedA,
+}
+
+/// The machine state captured when an interrupt is taken. On the RUU it
+/// is precise; on the tagged machines it is whatever state the
+/// out-of-order completions had reached.
+#[derive(Debug, Clone)]
+pub struct InterruptFrame {
+    /// The register state. Precise on the RUU: every instruction before
+    /// the faulting one has updated it; none after (nor the faulting
+    /// one) has.
+    pub state: ArchState,
+    /// The memory. Precise on the RUU: committed stores only.
+    pub memory: Memory,
+    /// Program counter of the faulting instruction (restart point).
+    pub resume_pc: u32,
+    /// Dynamic instructions that updated state before the interrupt
+    /// (branches excluded; they resolve in the issue stage).
+    pub committed: u64,
+    /// Cycle at which the interrupt was taken.
+    pub cycle: u64,
+}
+
+/// Outcome of [`OutOfOrder::run_with_exception`].
+#[derive(Debug, Clone)]
+pub enum RunOutcome {
+    /// The program ran to completion (the designated instruction never
+    /// reached its update point — e.g. it was never reached).
+    Completed(RunResult),
+    /// The designated instruction reached the point where it would update
+    /// state, and the interrupt was taken with this frame.
+    Interrupted(InterruptFrame),
+}
 
 /// Where reservation stations and tags live.
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +187,8 @@ pub enum Update {
 pub enum Branches {
     /// It parks in decode; fetch waits for the condition.
     Park,
-    /// A predictor built from this configuration picks the path.
+    /// A predictor built from this configuration picks the path; see
+    /// [`Machine::squash`] for the repair.
     Predict(PredictorConfig),
 }
 
@@ -101,33 +205,111 @@ pub struct Policy {
     pub branches: Branches,
 }
 
-/// The three public faces of the core. Each supplies its machine
-/// configuration and policy; the [`IssueSimulator`] impl below serves all of them.
-pub trait OutOfOrder: Send {
-    /// The machine configuration.
-    fn machine_config(&self) -> &MachineConfig;
-    /// The mechanism.
-    fn policy(&self) -> Policy;
+/// Cycle-level simulator of the out-of-order mechanisms: a machine
+/// configuration and the mechanism one of the three constructors picks
+/// (where stations and tags live, when results update state, and what
+/// happens to unresolved branches).
+#[derive(Debug, Clone)]
+pub struct OutOfOrder {
+    config: MachineConfig,
+    policy: Policy,
+}
 
-    /// Runs `program` from zeroed registers, taking an interrupt when the
-    /// dynamic instruction `fault_seq` reaches the point where it would
-    /// update state.
-    fn run_faulting(
+impl OutOfOrder {
+    /// A tagged mechanism (Tomasulo, Tag Unit, RS pool or RSTU): imprecise,
+    /// results update state as they complete, unresolved branches park in
+    /// decode.
+    ///
+    /// # Panics
+    /// Panics if `kind` has no reservation station or no tag: nothing
+    /// could ever issue.
+    #[must_use]
+    pub fn tagged(config: MachineConfig, kind: WindowKind) -> Self {
+        let empty = match kind {
+            WindowKind::Distributed { rs_per_fu } => rs_per_fu == 0,
+            WindowKind::TagUnitDistributed { rs_per_fu, tags } => rs_per_fu == 0 || tags == 0,
+            WindowKind::Pooled { rs, tags } => rs == 0 || tags == 0,
+            WindowKind::Merged { entries } => entries == 0,
+        };
+        assert!(!empty, "{kind:?} needs at least one station and one tag");
+        OutOfOrder {
+            config,
+            policy: Policy {
+                stations: Stations::Tagged(kind),
+                update: Update::AtCompletion,
+                branches: Branches::Park,
+            },
+        }
+    }
+
+    /// The RUU (paper §5–6): a queue of `entries` slots that commits in
+    /// program order from its head, so interrupts are precise; unresolved
+    /// branches park in decode.
+    ///
+    /// # Panics
+    /// Panics if `entries` is zero.
+    #[must_use]
+    pub fn ruu(config: MachineConfig, entries: usize, bypass: Bypass) -> Self {
+        assert!(entries > 0, "the RUU needs at least one entry");
+        OutOfOrder {
+            config,
+            policy: Policy {
+                stations: Stations::Queue { entries, bypass },
+                update: Update::AtCommit,
+                branches: Branches::Park,
+            },
+        }
+    }
+
+    /// The speculative RUU (paper §7): the RUU, with unresolved branches
+    /// predicted by a fresh `predictor` each run and wrong-path work
+    /// nullified.
+    ///
+    /// # Panics
+    /// Panics if `entries` is zero or `predictor` fails
+    /// [`PredictorConfig::validate`].
+    #[must_use]
+    pub fn spec_ruu(
+        config: MachineConfig,
+        entries: usize,
+        bypass: Bypass,
+        predictor: PredictorConfig,
+    ) -> Self {
+        if let Err(e) = predictor.validate() {
+            panic!("invalid predictor configuration: {e}");
+        }
+        let mut sim = OutOfOrder::ruu(config, entries, bypass);
+        sim.policy.branches = Branches::Predict(predictor);
+        sim
+    }
+
+    /// Runs `program` from zeroed registers, injecting an exception on the
+    /// dynamic instruction `fault_seq` (0-based over *all* dynamic
+    /// instructions, branches included). The interrupt is taken when that
+    /// instruction reaches the point where it would update state: the head
+    /// of the RUU, where the frame is precise, or completion on the tagged
+    /// machines, where younger instructions may already have completed
+    /// while older ones are in flight (see `ruu_precise::imprecision`). A
+    /// branch never reaches that point, nor does a `Nop` on the tagged
+    /// machines, so faulting one runs to completion.
+    ///
+    /// # Errors
+    /// As for [`IssueSimulator::run`].
+    pub fn run_with_exception(
         &self,
         program: &Program,
         mem: Memory,
         limit: u64,
         fault_seq: u64,
     ) -> Result<RunOutcome, SimError> {
-        let (cfg, policy, state) = (self.machine_config(), self.policy(), ArchState::new());
-        Machine::new(cfg, policy, state, mem, program, limit, &mut NullObserver)
-            .run(Some(fault_seq), None)
-            .map(|(outcome, _)| outcome)
+        let (state, obs) = (ArchState::new(), &mut NullObserver);
+        Machine::new(&self.config, self.policy, state, mem, program, limit, obs)
+            .run(Some(fault_seq))
     }
 }
 
 /// Unwraps the result of a run that had no fault injected.
-pub fn expect_completed(outcome: RunOutcome) -> RunResult {
+fn expect_completed(outcome: RunOutcome) -> RunResult {
     match outcome {
         RunOutcome::Completed(r) => r,
         RunOutcome::Interrupted(_) => unreachable!("no fault was injected"),
@@ -136,9 +318,9 @@ pub fn expect_completed(outcome: RunOutcome) -> RunResult {
 
 /// Unobserved runs are compiled against [`NullObserver`], so its no-op
 /// hooks vanish; observed runs go through `dyn PipelineObserver`.
-impl<T: OutOfOrder> IssueSimulator for T {
+impl IssueSimulator for OutOfOrder {
     fn config(&self) -> &MachineConfig {
-        self.machine_config()
+        &self.config
     }
 
     fn run_observed(
@@ -149,7 +331,9 @@ impl<T: OutOfOrder> IssueSimulator for T {
         limit: u64,
         obs: &mut dyn PipelineObserver,
     ) -> Result<RunResult, SimError> {
-        run_face(self, state, mem, program, limit, obs)
+        Machine::new(&self.config, self.policy, state, mem, program, limit, obs)
+            .run(None)
+            .map(expect_completed)
     }
 
     fn run_from(
@@ -159,31 +343,11 @@ impl<T: OutOfOrder> IssueSimulator for T {
         program: &Program,
         limit: u64,
     ) -> Result<RunResult, SimError> {
-        run_face(self, state, mem, program, limit, &mut NullObserver)
+        let obs = &mut NullObserver;
+        Machine::new(&self.config, self.policy, state, mem, program, limit, obs)
+            .run(None)
+            .map(expect_completed)
     }
-}
-
-/// Runs `program` on `face` through the uniform interface. A predicting
-/// mechanism builds a fresh predictor from its configuration, so `&self`
-/// runs stay independent and repeatable.
-fn run_face<T: OutOfOrder, O: PipelineObserver + ?Sized>(
-    face: &T,
-    state: ArchState,
-    mem: Memory,
-    program: &Program,
-    limit: u64,
-    obs: &mut O,
-) -> Result<RunResult, SimError> {
-    let policy = face.policy();
-    let mut owned = match policy.branches {
-        Branches::Predict(p) => Some(p.build()),
-        Branches::Park => None,
-    };
-    let predictor = owned.as_deref_mut().map(|p| p as &mut dyn Predictor);
-    let cfg = face.machine_config();
-    Machine::new(cfg, policy, state, mem, program, limit, obs)
-        .run(None, predictor)
-        .map(|(outcome, _)| expect_completed(outcome))
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -427,7 +591,10 @@ impl<'a> Window<'a> {
         (self.head..self.tail).filter_map(|seq| self.get(seq))
     }
 
-    /// Appends `e`, younger than every entry in the window.
+    /// Appends `e`, younger than every entry in the window. Forced inline:
+    /// `Machine::run` is near the inliner's budget, and an out-of-line push
+    /// costs a copy of the 88-byte entry per issued instruction.
+    #[inline(always)]
     fn push(&mut self, e: Entry<'a>) {
         if self.live == 0 {
             (self.head, self.tail) = (e.seq, e.seq);
@@ -544,7 +711,9 @@ pub struct Machine<'a, O: PipelineObserver + ?Sized> {
     policy: Policy,
     limit: u64,
     fault_seq: Option<u64>,
-    predictor: Option<&'a mut dyn Predictor>,
+    /// Built from [`Branches::Predict`], fresh for each run, so the runs
+    /// of one simulator stay independent and repeatable.
+    predictor: Option<Box<dyn Predictor>>,
     obs: &'a mut O,
 
     cycle: u64,
@@ -587,7 +756,6 @@ pub struct Machine<'a, O: PipelineObserver + ?Sized> {
     frontend: Frontend,
     broadcasts: Broadcasts,
     stats: RunStats,
-    spec: SpecStats,
     /// Fetch-stall cycles strictly before this cycle are misprediction
     /// repair (squash + redirect) rather than ordinary branch bubbles.
     repair_until: u64,
@@ -624,7 +792,10 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             policy,
             limit,
             fault_seq: None,
-            predictor: None,
+            predictor: match policy.branches {
+                Branches::Predict(p) => Some(p.build()),
+                Branches::Park => None,
+            },
             obs,
             cycle: 0,
             frontend: Frontend::new(state.pc),
@@ -650,7 +821,6 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             dcache,
             broadcasts: Broadcasts::default(),
             stats: RunStats::default(),
-            spec: SpecStats::default(),
             repair_until: 0,
             seq: 0,
             committed: 0,
@@ -1113,7 +1283,6 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 self.stats.taken_branches += 1;
             }
             if actual != b.assumed_taken {
-                self.spec.mispredicted += 1;
                 self.stats.mispredicted_branches += 1;
                 self.squash(&b);
                 break; // younger branches were squashed with everything else
@@ -1124,7 +1293,11 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     /// Nullifies every instruction younger than the mispredicted branch
     /// (paper §7: identify conditional instructions "and prevent them
     /// from being committed until they are proven to be from a correct
-    /// path" — here they are removed outright).
+    /// path" — here they are removed outright). Only the A future file is
+    /// restored from the branch's snapshot: each squashed entry gives back
+    /// its NI/LI instance and its station, the load registers drop the
+    /// squashed operations youngest first, and fetch redirects to the other
+    /// path.
     fn squash(&mut self, b: &BranchRecord) {
         // Youngest first: the load registers require that order.
         let mut squashed = 0;
@@ -1146,7 +1319,6 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 self.stations[fu.index()] -= 1;
             }
         }
-        self.spec.nullified += squashed;
         self.obs.flush(self.cycle, squashed);
         let younger = |list: &mut Vec<u64>| list.truncate(list.partition_point(|&s| s <= b.seq));
         younger(&mut self.mem_ready);
@@ -1295,7 +1467,6 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         let (assumed_taken, speculative) = match cond {
             Operand::Ready(v) => (semantics::branch_taken(inst.opcode, v), false),
             Operand::Waiting(_) => {
-                self.spec.predicted += 1;
                 self.stats.predicted_branches += 1;
                 let predictor = self
                     .predictor
@@ -1522,21 +1693,13 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
 
     /// Runs to completion, or until dynamic instruction `fault_seq`
     /// reaches the point where it would update state (the fault hook).
-    /// A predicting policy needs `predictor`.
-    pub fn run(
-        mut self,
-        fault_seq: Option<u64>,
-        predictor: Option<&'a mut dyn Predictor>,
-    ) -> Result<(RunOutcome, SpecStats), SimError> {
+    pub fn run(mut self, fault_seq: Option<u64>) -> Result<RunOutcome, SimError> {
         self.fault_seq = fault_seq;
-        self.predictor = predictor;
         loop {
             self.broadcasts.clear();
             let occ = self.window.len() as u32;
             let stall = match self.step()? {
-                ControlFlow::Break(frame) => {
-                    return Ok((RunOutcome::Interrupted(frame), self.spec))
-                }
+                ControlFlow::Break(frame) => return Ok(RunOutcome::Interrupted(frame)),
                 ControlFlow::Continue(stall) => stall,
             };
 
@@ -1582,7 +1745,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             memory: self.mem,
             stats: self.stats,
         };
-        Ok((RunOutcome::Completed(result), self.spec))
+        Ok(RunOutcome::Completed(result))
     }
 }
 

@@ -67,11 +67,7 @@ pub trait IssueSimulator: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predict::TwoBit;
-    use crate::{
-        Bypass, InOrderPrecise, Mechanism, PreciseScheme, Ruu, SimpleIssue, SpecRuu, TaggedSim,
-        WindowKind,
-    };
+    use crate::{Bypass, Mechanism, PreciseScheme, PredictorConfig};
     use ruu_isa::{Asm, Reg};
 
     fn tiny_program() -> Program {
@@ -80,6 +76,28 @@ mod tests {
         a.a_add(Reg::a(2), Reg::a(1), Reg::a(1));
         a.halt();
         a.assemble().unwrap()
+    }
+
+    /// One mechanism of each face and kind: the in-order baseline, an
+    /// RSTU, an RUU, a §4 scheme and the speculative RUU.
+    fn one_of_each() -> [Mechanism; 5] {
+        [
+            Mechanism::Simple,
+            Mechanism::Rstu { entries: 8 },
+            Mechanism::Ruu {
+                entries: 8,
+                bypass: Bypass::Full,
+            },
+            Mechanism::InOrderPrecise {
+                scheme: PreciseScheme::ReorderBuffer,
+                entries: 8,
+            },
+            Mechanism::SpecRuu {
+                entries: 8,
+                bypass: Bypass::Full,
+                predictor: PredictorConfig::default(),
+            },
+        ]
     }
 
     #[test]
@@ -93,23 +111,11 @@ mod tests {
     fn boxed_simulators_run_uniformly() {
         let cfg = MachineConfig::paper();
         let p = tiny_program();
-        let sims: Vec<Box<dyn IssueSimulator>> = vec![
-            Box::new(SimpleIssue::new(cfg.clone())),
-            Box::new(TaggedSim::new(
-                cfg.clone(),
-                WindowKind::Merged { entries: 8 },
-            )),
-            Box::new(Ruu::new(cfg.clone(), 8, Bypass::Full)),
-            Box::new(InOrderPrecise::new(
-                cfg.clone(),
-                PreciseScheme::FutureFile,
-                8,
-            )),
-        ];
-        for sim in &sims {
-            assert_eq!(sim.config(), &cfg);
+        for m in one_of_each() {
+            let sim = m.build(&cfg);
+            assert_eq!(sim.config(), &cfg, "{m}");
             let r = sim.run(&p, Memory::new(1 << 10), 1_000).unwrap();
-            assert_eq!(r.state.reg(Reg::a(2)), 14);
+            assert_eq!(r.state.reg(Reg::a(2)), 14, "{m}");
         }
     }
 
@@ -118,23 +124,10 @@ mod tests {
         use ruu_sim_core::CycleAccountant;
         let cfg = MachineConfig::paper();
         let p = tiny_program();
-        let sims: Vec<Box<dyn IssueSimulator>> = vec![
-            Box::new(SimpleIssue::new(cfg.clone())),
-            Box::new(TaggedSim::new(
-                cfg.clone(),
-                WindowKind::Merged { entries: 8 },
-            )),
-            Box::new(Ruu::new(cfg.clone(), 8, Bypass::Full)),
-            Box::new(InOrderPrecise::new(
-                cfg.clone(),
-                PreciseScheme::FutureFile,
-                8,
-            )),
-            Box::new(SpecRuu::new(cfg.clone(), 8, Bypass::Full)),
-        ];
-        for sim in &sims {
+        for m in one_of_each() {
             let mut acct = CycleAccountant::default();
-            let r = sim
+            let r = m
+                .build(&cfg)
                 .run_observed(ArchState::new(), Memory::new(1 << 10), &p, 1_000, &mut acct)
                 .unwrap();
             acct.verify(r.cycles).unwrap();
@@ -142,34 +135,10 @@ mod tests {
     }
 
     #[test]
-    fn spec_ruu_trait_run_matches_inherent_run() {
-        let cfg = MachineConfig::paper();
-        let p = tiny_program();
-        let sim = SpecRuu::new(cfg, 8, Bypass::Full);
-        let mut pred = TwoBit::default();
-        let inherent = sim.run(&p, Memory::new(1 << 10), 1_000, &mut pred).unwrap();
-        let boxed: Box<dyn IssueSimulator> = Box::new(sim);
-        let via_trait = IssueSimulator::run(&*boxed, &p, Memory::new(1 << 10), 1_000).unwrap();
-        assert_eq!(inherent.run.cycles, via_trait.cycles);
-        assert_eq!(inherent.run.state, via_trait.state);
-    }
-
-    #[test]
     fn default_run_matches_explicit_run_from() {
         let cfg = MachineConfig::paper();
         let p = tiny_program();
-        for m in [
-            Mechanism::Simple,
-            Mechanism::Rstu { entries: 4 },
-            Mechanism::Ruu {
-                entries: 4,
-                bypass: Bypass::Full,
-            },
-            Mechanism::InOrderPrecise {
-                scheme: PreciseScheme::ReorderBuffer,
-                entries: 4,
-            },
-        ] {
+        for m in one_of_each() {
             let sim = m.build(&cfg);
             let a = sim.run(&p, Memory::new(1 << 10), 1_000).unwrap();
             let b = sim

@@ -9,10 +9,10 @@
 //! | Tag number | Register number | Tag free | Latest copy |
 //! |---|---|---|---|
 //!
-//! This model is didactic — the timing simulators in
-//! [`crate::tagged`] implement the same bookkeeping inline — and exists to
-//! reproduce the paper's Figure 3 walkthrough exactly (see the
-//! `figure3` bench target and `examples/tag_unit_walkthrough.rs`).
+//! This model is didactic — the tagged machines of
+//! [`crate::OutOfOrder::tagged`] implement the same bookkeeping inline —
+//! and exists to reproduce the paper's Figure 3 walkthrough exactly (see
+//! the `figure3` bench target and `examples/tag_unit_walkthrough.rs`).
 
 use std::fmt;
 

@@ -2,7 +2,7 @@
 
 use ruu_exec::{golden_state_at, Memory, Trace};
 use ruu_isa::Program;
-use ruu_issue::{Bypass, IssueSimulator, RunOutcome, Ruu, SimError};
+use ruu_issue::{Bypass, IssueSimulator, OutOfOrder, RunOutcome, SimError};
 use ruu_sim_core::MachineConfig;
 
 /// Outcome of one injected-exception experiment.
@@ -98,7 +98,7 @@ impl PrecisionCheck {
         mem: &Memory,
         fault_seq: u64,
     ) -> Result<PrecisionReport, CheckError> {
-        let sim = Ruu::new(self.config.clone(), self.entries, self.bypass);
+        let sim = OutOfOrder::ruu(self.config.clone(), self.entries, self.bypass);
         let outcome = sim
             .run_with_exception(program, mem.clone(), self.inst_limit, fault_seq)
             .map_err(CheckError::Sim)?;

@@ -10,7 +10,7 @@
 
 use ruu_exec::{golden_state_at, ArchState, Memory};
 use ruu_isa::{Asm, Program, Reg};
-use ruu_issue::{InterruptFrame, RunOutcome, SimError, TaggedSim, WindowKind};
+use ruu_issue::{InterruptFrame, OutOfOrder, RunOutcome, SimError, WindowKind};
 use ruu_sim_core::MachineConfig;
 
 /// Evidence that a mechanism reached a state matching no program-order
@@ -62,7 +62,7 @@ pub fn demonstrate(
     kind: WindowKind,
 ) -> Result<ImprecisionEvidence, SimError> {
     let (program, mem, probe_seq) = witness_program();
-    let outcome = TaggedSim::new(config.clone(), kind).run_with_exception(
+    let outcome = OutOfOrder::tagged(config.clone(), kind).run_with_exception(
         &program,
         mem.clone(),
         100_000,

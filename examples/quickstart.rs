@@ -7,7 +7,7 @@
 
 use ruu::exec::{Memory, Trace};
 use ruu::isa::{Asm, Reg};
-use ruu::issue::{Bypass, IssueSimulator, Ruu};
+use ruu::issue::{Bypass, IssueSimulator, OutOfOrder};
 use ruu::sim::MachineConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("instruction mix:\n{}", trace.mix());
 
     // Timing run on the paper's machine with a 15-entry RUU.
-    let ruu = Ruu::new(MachineConfig::paper(), 15, Bypass::Full);
+    let ruu = OutOfOrder::ruu(MachineConfig::paper(), 15, Bypass::Full);
     let r = ruu.run(&program, mem, 100_000)?;
     assert_eq!(&r.state.regs, &trace.final_state().regs);
     println!(

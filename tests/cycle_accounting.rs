@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use ruu::exec::ArchState;
-use ruu::issue::{Bypass, IssueSimulator, Mechanism, PreciseScheme, PredictorConfig, SpecRuu};
+use ruu::issue::{Bypass, IssueSimulator, Mechanism, PreciseScheme, PredictorConfig};
 use ruu::sim::{
     ChromeTraceObserver, CycleAccountant, DCacheConfig, FlushAccountant, MachineConfig,
     PipelineObserver, StallReason, Tee,
@@ -51,14 +51,12 @@ fn all_simulators(cfg: &MachineConfig, entries: usize) -> Vec<(String, Box<dyn I
         .into_iter()
         .map(|m| (m.to_string(), m.build(cfg)))
         .collect();
-    sims.push((
-        "spec-ruu".to_string(),
-        Box::new(SpecRuu::new(cfg.clone(), entries, Bypass::Full)),
-    ));
-    // The speculative machine again, under history-based predictors: the
-    // accounting identity must hold for every predictor choice, since
-    // mispredict-repair stalls are just relabelled dead cycles.
+    // The speculative machine under its default predictor and again under
+    // history-based ones: the accounting identity must hold for every
+    // predictor choice, since mispredict-repair stalls are just relabelled
+    // dead cycles.
     for predictor in [
+        PredictorConfig::default(),
         PredictorConfig::Btfn,
         PredictorConfig::Gshare { entries: 1024 },
         PredictorConfig::Tage { entries: 512 },
@@ -332,7 +330,12 @@ fn spec_trace_records_flushes() {
     // instants on its dedicated track.
     let cfg = MachineConfig::paper();
     let w = livermore::by_name("LLL5").expect("LLL5 exists");
-    let sim: Box<dyn IssueSimulator> = Box::new(SpecRuu::new(cfg, 15, Bypass::Full));
+    let sim = Mechanism::SpecRuu {
+        entries: 15,
+        bypass: Bypass::Full,
+        predictor: PredictorConfig::default(),
+    }
+    .build(&cfg);
     let mut trace = ChromeTraceObserver::default();
     let r = sim
         .run_observed(

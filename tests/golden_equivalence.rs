@@ -6,7 +6,7 @@
 //! Timing may differ wildly between mechanisms; architecture must not.
 
 use ruu::exec::Memory;
-use ruu::issue::{Bypass, Mechanism, SpecRuu, TwoBit};
+use ruu::issue::{Bypass, Mechanism, PredictorConfig};
 use ruu::sim::MachineConfig;
 use ruu::workloads::livermore;
 
@@ -66,18 +66,23 @@ fn every_mechanism_matches_golden_on_every_loop() {
 #[test]
 fn speculative_ruu_matches_golden_on_every_loop() {
     let cfg = MachineConfig::paper();
+    let spec = Mechanism::SpecRuu {
+        entries: 15,
+        bypass: Bypass::Full,
+        predictor: PredictorConfig::default(),
+    };
     for w in livermore::all() {
         let golden = w.golden_trace().expect("golden run succeeds");
-        let mut pred = TwoBit::default();
-        let r = SpecRuu::new(cfg.clone(), 15, Bypass::Full)
-            .run(&w.program, w.memory.clone(), w.inst_limit, &mut pred)
+        let r = spec
+            .build(&cfg)
+            .run(&w.program, w.memory.clone(), w.inst_limit)
             .unwrap_or_else(|e| panic!("spec RUU failed on {}: {e}", w.name));
-        assert_eq!(r.run.instructions, golden.len() as u64, "{}", w.name);
-        assert_eq!(&r.run.state.regs, &golden.final_state().regs, "{}", w.name);
-        assert_eq!(&r.run.memory, golden.final_memory(), "{}", w.name);
-        w.verify(&r.run.memory).unwrap();
+        assert_eq!(r.instructions, golden.len() as u64, "{}", w.name);
+        assert_eq!(&r.state.regs, &golden.final_state().regs, "{}", w.name);
+        assert_eq!(&r.memory, golden.final_memory(), "{}", w.name);
+        w.verify(&r.memory).unwrap();
         assert_eq!(
-            r.run.stats.branches,
+            r.stats.branches,
             golden.mix().branches,
             "{}: resolved branch count",
             w.name

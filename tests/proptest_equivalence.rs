@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use ruu::exec::Trace;
-use ruu::issue::{Bypass, Mechanism, SpecRuu, TwoBit};
+use ruu::issue::{Bypass, Mechanism, PredictorConfig};
 use ruu::sim::MachineConfig;
 use ruu::workloads::synth::{random_program, SynthConfig};
 
@@ -86,15 +86,20 @@ proptest! {
         let golden = Trace::capture(&program, mem.clone(), LIMIT).expect("golden runs");
         let cfg = MachineConfig::paper().with_counter_bits(counter_bits);
         for bypass in [Bypass::Full, Bypass::None, Bypass::LimitedA] {
-            let mut pred = TwoBit::default();
-            let r = SpecRuu::new(cfg.clone(), entries, bypass)
-                .run(&program, mem.clone(), LIMIT, &mut pred)
+            let spec = Mechanism::SpecRuu {
+                entries,
+                bypass,
+                predictor: PredictorConfig::default(),
+            };
+            let r = spec
+                .build(&cfg)
+                .run(&program, mem.clone(), LIMIT)
                 .unwrap_or_else(|e| {
                     panic!("spec {bypass:?} failed on seed {seed}, {counter_bits}-bit LI: {e}")
                 });
-            prop_assert_eq!(&r.run.state.regs, &golden.final_state().regs);
-            prop_assert_eq!(&r.run.memory, golden.final_memory());
-            prop_assert_eq!(r.run.instructions, golden.len() as u64);
+            prop_assert_eq!(&r.state.regs, &golden.final_state().regs);
+            prop_assert_eq!(&r.memory, golden.final_memory());
+            prop_assert_eq!(r.instructions, golden.len() as u64);
         }
     }
 
