@@ -13,8 +13,8 @@
 //!   program text would over-count unexecuted paths and *not* be a
 //!   bound);
 //! * each edge uses the **minimum achievable** producer latency under the
-//!   given [`MachineConfig`]: loads take
-//!   `min(memory latency, forward latency)` because load-register
+//!   given [`MachineConfig`]: loads take the lesser of the memory latency
+//!   and the constant [`FORWARD_LATENCY`] because load-register
 //!   forwarding can satisfy a load without a memory trip, and branches /
 //!   `Nop` / `Halt` (which resolve in the issue stage) contribute zero —
 //!   so no simulator can complete a value earlier than the graph does;
@@ -32,7 +32,7 @@
 
 use ruu_exec::Trace;
 use ruu_isa::{FuClass, Inst, NUM_REGS};
-use ruu_sim_core::MachineConfig;
+use ruu_sim_core::{MachineConfig, FORWARD_LATENCY};
 
 /// The dataflow limit of one dynamic run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,9 +68,9 @@ fn min_latency(inst: &Inst, config: &MachineConfig) -> u64 {
         None => 0,
         // A load may be satisfied from the load registers (forwarding)
         // instead of memory; take whichever path is faster.
-        Some(FuClass::Memory) if inst.is_load() => config
-            .fu_latency(FuClass::Memory)
-            .min(config.forward_latency),
+        Some(FuClass::Memory) if inst.is_load() => {
+            config.fu_latency(FuClass::Memory).min(FORWARD_LATENCY)
+        }
         Some(fu) => config.fu_latency(fu),
     }
 }
@@ -152,10 +152,10 @@ mod tests {
         a.halt();
         let b = bound_of(a);
         let cfg = MachineConfig::paper();
-        // forward_latency (1) < memory latency (11): chain is 1 + 6.
+        // FORWARD_LATENCY (1) < memory latency (11): chain is 1 + 6.
         assert_eq!(
             b.critical_path,
-            cfg.forward_latency + cfg.fu_latency(FuClass::FloatAdd)
+            FORWARD_LATENCY + cfg.fu_latency(FuClass::FloatAdd)
         );
     }
 

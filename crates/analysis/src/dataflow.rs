@@ -1,6 +1,6 @@
 //! Classic forward/backward dataflow over the 144-register file.
 //!
-//! Three analyses power the lints in [`crate::lint`]:
+//! Three analyses power the lints in [`crate::lint`](mod@crate::lint):
 //!
 //! * **may-be-uninitialized** (forward, union join): which registers can
 //!   reach a read without an intervening write — flags reads of

@@ -5,16 +5,17 @@
 //! golden interpreter's dynamic trace — still without touching a timing
 //! simulator). Five layers:
 //!
-//! * [`cfg`] — basic blocks, branch edges, reachability;
+//! * [`cfg`](mod@cfg) — basic blocks, branch edges, reachability;
 //! * [`branches`] — the static branch-site census ([`branch_sites`]):
 //!   every branch pc classified by kind/direction with reachability,
 //!   bounding the per-site tables of the dynamic CBP harness;
 //! * [`dataflow`] — register bitsets ([`RegSet`]), liveness,
 //!   may-uninitialized reads, reaching-definition def→use chains;
-//! * [`footprint`] — interval abstract interpretation of the A registers
-//!   checking load/store address ranges against the data-memory size;
-//! * [`lint`] — the typed diagnostic driver ([`lint()`]) over all of the
-//!   above, with inline [`Waiver`]s for intentional findings;
+//! * [`footprint`](mod@footprint) — interval abstract interpretation of
+//!   the A registers checking load/store address ranges against the
+//!   data-memory size;
+//! * [`lint`](mod@lint) — the typed diagnostic driver ([`lint()`]) over
+//!   all of the above, with inline [`Waiver`]s for intentional findings;
 //! * [`bound`] — the **dataflow-limit lower bound on cycles**
 //!   ([`dataflow_bound`]): the latency-weighted RAW critical path of a
 //!   dynamic trace under a [`ruu_sim_core::MachineConfig`]. Every timing

@@ -49,5 +49,5 @@ fn main() {
         "Note: speedups are relative to the 1-bus simple baseline within each bus count's \
          own sweep; compare issue rates across rows."
     );
-    println!("{}", report::format_engine_stats(&grid.stats));
+    println!("{}", grid.stats);
 }

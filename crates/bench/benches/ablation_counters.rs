@@ -51,5 +51,5 @@ fn main() {
     println!(
         "Expectation (paper §5.1): 3 bits never block; 1 bit serialises same-register writes."
     );
-    println!("{}", report::format_engine_stats(&grid.stats));
+    println!("{}", grid.stats);
 }

@@ -45,5 +45,5 @@ fn main() {
     );
     println!();
     println!("Expectation (paper §5.1): ~4 registers suffice; 6 never block issue.");
-    println!("{}", report::format_engine_stats(&grid.stats));
+    println!("{}", grid.stats);
 }

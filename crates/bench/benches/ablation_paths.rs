@@ -56,5 +56,5 @@ fn main() {
         "Expectation (paper §3.2.3.1): the decode stage fills the window at ≤1 \
          instruction/cycle, so extra drain paths help only marginally."
     );
-    println!("{}", report::format_engine_stats(&grid.stats));
+    println!("{}", grid.stats);
 }

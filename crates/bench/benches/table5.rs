@@ -24,5 +24,5 @@ fn main() {
         report::format_sweep("Table 5 — RUU without bypass logic", &pts, &paper::TABLE5)
     );
     println!();
-    println!("{}", report::format_engine_stats(&stats));
+    println!("{}", stats);
 }

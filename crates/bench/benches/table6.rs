@@ -27,5 +27,5 @@ fn main() {
         )
     );
     println!();
-    println!("{}", report::format_engine_stats(&stats));
+    println!("{}", stats);
 }

@@ -192,15 +192,6 @@ pub fn format_stall_table(title: &str, rows: &[WorkloadRow]) -> String {
     out
 }
 
-/// Formats the engine's execution statistics for a sweep footer.
-#[must_use]
-pub fn format_engine_stats(stats: &ruu_engine::EngineStats) -> String {
-    format!(
-        "engine: {} jobs ({} units) on {} workers in {:.1?} ({:.1} jobs/s, {:.1} units/s)",
-        stats.jobs, stats.units, stats.workers, stats.wall, stats.jobs_per_sec, stats.units_per_sec,
-    )
-}
-
 /// Formats a plain sweep table with no paper reference (ablations).
 #[must_use]
 pub fn format_plain_sweep(title: &str, header: &str, rows: &[(String, f64, f64)]) -> String {

@@ -214,6 +214,17 @@ pub struct EngineStats {
     pub units_per_sec: f64,
 }
 
+/// The sweep footer: `engine: J jobs (U units) on W workers in …`.
+impl fmt::Display for EngineStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "engine: {} jobs ({} units) on {} workers in {:.1?} ({:.1} jobs/s, {:.1} units/s)",
+            self.jobs, self.units, self.workers, self.wall, self.jobs_per_sec, self.units_per_sec
+        )
+    }
+}
+
 /// Everything a grid run produced: per-job results plus engine stats.
 #[derive(Debug, Clone)]
 pub struct SweepReport {

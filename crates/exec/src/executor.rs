@@ -84,18 +84,6 @@ impl Executor {
         }
     }
 
-    /// Creates an interpreter resuming from an explicit state (used by the
-    /// precise-interrupt restart tests).
-    #[must_use]
-    pub fn from_state(state: ArchState, mem: Memory) -> Self {
-        Executor {
-            state,
-            mem,
-            executed: 0,
-            halted: false,
-        }
-    }
-
     /// Current architectural state.
     #[must_use]
     pub fn state(&self) -> &ArchState {

@@ -6,13 +6,12 @@
 //! created with [`Asm::new_label`] (auto-named `L0`, `L1`, …) or
 //! [`Asm::named_label`], placed with [`Asm::bind`], and resolved at
 //! [`Asm::assemble`] time. All diagnostics — undefined labels, duplicate
-//! bindings, constants that overflow their encoding field — are reported
+//! bindings, constants that overflow their field — are reported
 //! from `assemble` as typed [`AsmError`]s carrying the label name and the
 //! offending instruction index.
 
 use std::fmt;
 
-use crate::encoding;
 use crate::inst::Inst;
 use crate::op::Opcode;
 use crate::program::Program;
@@ -42,8 +41,9 @@ pub enum AsmError {
         /// Program counter of the offending second binding.
         second: u32,
     },
-    /// An immediate, displacement or branch target does not fit in its
-    /// binary encoding field (see [`crate::encoding`]).
+    /// An immediate, displacement or branch target does not fit its
+    /// signed field: 22 bits for `AImm`/`SImm` and branch targets, 16 for
+    /// the register+constant forms (see [`Asm::assemble`]).
     ImmOutOfRange {
         /// Instruction index of the offending instruction.
         pc: usize,
@@ -504,8 +504,14 @@ impl Asm {
         self.push(Inst::new(Opcode::Halt, None, None, None, 0, None))
     }
 
-    /// Resolves labels, validates every constant against its binary
-    /// encoding field, and produces the [`Program`].
+    /// Resolves labels, validates every constant against its field, and
+    /// produces the [`Program`].
+    ///
+    /// The fields are those of the paper's two-parcel instructions (§2):
+    /// a pure immediate or a branch target gets 22 signed bits (the CRAY
+    /// `jkm` field); the register+constant forms (`AAddImm`, `ASubImm`,
+    /// `SShl`, `SShr`, loads and stores) name two registers in the first
+    /// parcel, which leaves 16.
     ///
     /// # Errors
     /// * [`AsmError::ReboundLabel`] if a label was [`Asm::bind`]-ed at
@@ -514,7 +520,7 @@ impl Asm {
     ///   was never bound — the message names the label and the branch's
     ///   instruction index;
     /// * [`AsmError::ImmOutOfRange`] if an immediate, displacement or
-    ///   branch target overflows its [`crate::encoding`] field.
+    ///   branch target overflows its field.
     pub fn assemble(mut self) -> Result<Program, AsmError> {
         if let Some(&(label, second)) = self.rebinds.first() {
             return Err(AsmError::ReboundLabel {
@@ -534,16 +540,28 @@ impl Asm {
                 }
             }
         }
-        // Reuse the binary encoder as the authority on field widths, so
-        // an oversized displacement fails here (with its instruction
-        // index) instead of surfacing later as an encode error.
         for (pc, inst) in self.insts.iter().enumerate() {
-            if let Err(encoding::EncodeError::ImmOutOfRange { value }) = encoding::encode_inst(inst)
-            {
-                return Err(AsmError::ImmOutOfRange { pc, value });
-            }
+            check_constant(pc, inst)?;
         }
         Ok(Program::from_parts(self.name, self.insts))
+    }
+}
+
+/// Checks the constant `inst` (at `pc`) carries, if any, against the
+/// signed width of its field (see [`Asm::assemble`]).
+fn check_constant(pc: usize, inst: &Inst) -> Result<(), AsmError> {
+    use Opcode::*;
+    let (value, bits) = match inst.opcode {
+        AImm | SImm => (inst.imm, 22),
+        AAddImm | ASubImm | SShl | SShr | LoadA | LoadS | StoreA | StoreS => (inst.imm, 16),
+        op if op.is_branch() => (i64::from(inst.target.expect("branch has a target")), 22),
+        _ => return Ok(()),
+    };
+    let half = 1i64 << (bits - 1);
+    if (-half..half).contains(&value) {
+        Ok(())
+    } else {
+        Err(AsmError::ImmOutOfRange { pc, value })
     }
 }
 
@@ -646,6 +664,40 @@ mod tests {
         a.halt();
         let err = a.assemble().unwrap_err();
         assert!(matches!(err, AsmError::ImmOutOfRange { pc: 0, .. }));
+    }
+
+    #[test]
+    fn constant_fields_accept_exactly_their_signed_width() {
+        // Each instruction is checked as built, so a branch target of
+        // 2^21 needs no program that long.
+        let check = |inst: Inst, value: i64, fits: bool| {
+            let want = if fits {
+                Ok(())
+            } else {
+                Err(AsmError::ImmOutOfRange { pc: 7, value })
+            };
+            assert_eq!(check_constant(7, &inst), want, "{inst:?}");
+        };
+        let s1 = Some(Reg::s(1));
+        let a1 = Some(Reg::a(1));
+        for bits in [22, 16] {
+            let (max, min) = ((1i64 << (bits - 1)) - 1, -(1i64 << (bits - 1)));
+            for (v, fits) in [(max, true), (max + 1, false), (min, true), (min - 1, false)] {
+                if bits == 22 {
+                    check(Inst::new(Opcode::SImm, s1, None, None, v, None), v, fits);
+                } else {
+                    check(Inst::new(Opcode::LoadS, s1, a1, None, v, None), v, fits);
+                    check(Inst::new(Opcode::StoreS, None, a1, s1, v, None), v, fits);
+                    check(Inst::new(Opcode::AAddImm, a1, a1, None, v, None), v, fits);
+                }
+            }
+        }
+        // A target is an unsigned instruction index: its least value is 0.
+        let max = (1u32 << 21) - 1;
+        for (t, fits) in [(max, true), (max + 1, false), (0, true), (u32::MAX, false)] {
+            let jump = Inst::new(Opcode::Jump, None, None, None, 0, Some(t));
+            check(jump, i64::from(t), fits);
+        }
     }
 
     #[test]

@@ -40,7 +40,6 @@
 //! ```
 
 pub mod asm;
-pub mod encoding;
 pub mod inst;
 pub mod op;
 pub mod program;

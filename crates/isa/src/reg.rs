@@ -183,12 +183,6 @@ impl Reg {
     pub fn is_a(self) -> bool {
         self.file == RegFile::A
     }
-
-    /// `true` for registers in the S file.
-    #[must_use]
-    pub fn is_s(self) -> bool {
-        self.file == RegFile::S
-    }
 }
 
 impl fmt::Display for Reg {

@@ -7,21 +7,22 @@
 //! managed as a queue (§5), and §7 speculation is that same RUU plus
 //! nullification. The core therefore has one window-entry type, one event
 //! wheel, one memory pipeline (address generation → load registers → data
-//! cache → forwarding), one dispatch select and one run loop, and a
-//! [`Policy`] with three axes picks the mechanism:
+//! cache → forwarding), one dispatch select and one run loop, and one
+//! [`Stations`] value picks the mechanism:
 //!
-//! * [`Stations`] — where stations and tags live. The tagged kinds size
-//!   their stations and tags by [`WindowKind`], name a result by its
-//!   producer's sequence number, and let the register file capture the
-//!   latest instance as it completes. The RUU is a FIFO of `entries`
-//!   slots whose tags are the register number plus an LI counter, bounded
-//!   by NI counters (§5.1), with one of three [`Bypass`] read policies.
-//! * [`Update`] — when results update state: as they complete (stores
-//!   write memory at execute, behind [`Machine::oldest_memory_op`]) or in
-//!   program order at commit, which makes interrupts precise (§4–5).
-//! * [`Branches`] — what happens to an unresolved branch: it parks in
-//!   decode until its condition arrives (§6.3), or a predictor picks a
-//!   path and wrong-path work is nullified (§7).
+//! * [`Stations::Tagged`] sizes stations and tags by [`WindowKind`], names
+//!   a result by its producer's sequence number, and lets the register
+//!   file capture the latest instance as it completes. Results update
+//!   state as they complete, out of program order (stores write memory at
+//!   execute, behind [`Machine::oldest_memory_op`]), and an unresolved
+//!   branch parks in decode until its condition arrives.
+//! * [`Stations::Queue`] is the RUU: a FIFO of `entries` slots whose tags
+//!   are the register number plus an LI counter, bounded by NI counters
+//!   (§5.1), with one of three [`Bypass`] read policies. Results update
+//!   state in program order at commit, which makes interrupts precise
+//!   (§4–5). An unresolved branch parks in decode (§6.3), or, given a
+//!   predictor, the predictor picks a path and wrong-path work is
+//!   nullified (§7).
 //!
 //! Each cycle runs, in order: completions, address generation, forwarded
 //! loads, dispatch (memory first, then by age — §5.1), commit, branch
@@ -42,7 +43,8 @@ use ruu_isa::{semantics, FuClass, Inst, Program, Reg, NUM_REGS};
 use ruu_predict::{Predictor, PredictorConfig};
 use ruu_sim_core::{
     DCache, FuPool, LoadRegUnit, LrOutcome, MachineConfig, MemOpKind, NullObserver,
-    PipelineObserver, RunResult, RunStats, SlotReservation, StallReason,
+    PipelineObserver, RunResult, RunStats, SlotReservation, StallReason, COMMIT_WIDTH,
+    FORWARD_LATENCY, STORE_EXEC_LATENCY,
 };
 
 use crate::common::{end_cycle, idle_cycles, Broadcasts, FetchSlot, Frontend, Operand, Tag};
@@ -159,60 +161,37 @@ pub enum RunOutcome {
     Interrupted(InterruptFrame),
 }
 
-/// Where reservation stations and tags live.
+/// The mechanism the core simulates: where reservation stations and tags
+/// live, which also fixes when results update state and what happens to
+/// a branch whose condition is not yet available.
 #[derive(Debug, Clone, Copy)]
 pub enum Stations {
-    /// Associative stations and tags sized by the [`WindowKind`].
+    /// Associative stations and tags sized by the [`WindowKind`]. Results
+    /// update state as they complete, out of program order (imprecise);
+    /// unresolved branches park in decode.
     Tagged(WindowKind),
     /// The RUU: a FIFO queue of `entries` slots with NI/LI counters.
+    /// Results update state in program order from its head (precise).
     Queue {
         /// Queue entries.
         entries: usize,
         /// Operand read policy for results still in the queue.
         bypass: Bypass,
+        /// With a predictor built from this configuration, unresolved
+        /// branches follow its guess (see [`Machine::squash`] for the
+        /// repair); without one they park in decode.
+        predictor: Option<PredictorConfig>,
     },
-}
-
-/// When a result updates architectural state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Update {
-    /// As it completes, out of program order (imprecise).
-    AtCompletion,
-    /// In program order from the head of the queue (precise).
-    AtCommit,
-}
-
-/// What happens to a branch whose condition is not yet available.
-#[derive(Debug, Clone, Copy)]
-pub enum Branches {
-    /// It parks in decode; fetch waits for the condition.
-    Park,
-    /// A predictor built from this configuration picks the path; see
-    /// [`Machine::squash`] for the repair.
-    Predict(PredictorConfig),
-}
-
-/// The mechanism the core simulates. The tagged stations update state at
-/// completion and the queue at commit; those are the two pairings the
-/// paper's mechanisms use.
-#[derive(Debug, Clone, Copy)]
-pub struct Policy {
-    /// Where stations and tags live.
-    pub stations: Stations,
-    /// When results update state.
-    pub update: Update,
-    /// What happens to unresolved branches.
-    pub branches: Branches,
 }
 
 /// Cycle-level simulator of the out-of-order mechanisms: a machine
 /// configuration and the mechanism one of the three constructors picks
-/// (where stations and tags live, when results update state, and what
-/// happens to unresolved branches).
+/// (where stations and tags live, which fixes when results update state
+/// and what happens to unresolved branches).
 #[derive(Debug, Clone)]
 pub struct OutOfOrder {
     config: MachineConfig,
-    policy: Policy,
+    stations: Stations,
 }
 
 impl OutOfOrder {
@@ -234,11 +213,7 @@ impl OutOfOrder {
         assert!(!empty, "{kind:?} needs at least one station and one tag");
         OutOfOrder {
             config,
-            policy: Policy {
-                stations: Stations::Tagged(kind),
-                update: Update::AtCompletion,
-                branches: Branches::Park,
-            },
+            stations: Stations::Tagged(kind),
         }
     }
 
@@ -250,15 +225,7 @@ impl OutOfOrder {
     /// Panics if `entries` is zero.
     #[must_use]
     pub fn ruu(config: MachineConfig, entries: usize, bypass: Bypass) -> Self {
-        assert!(entries > 0, "the RUU needs at least one entry");
-        OutOfOrder {
-            config,
-            policy: Policy {
-                stations: Stations::Queue { entries, bypass },
-                update: Update::AtCommit,
-                branches: Branches::Park,
-            },
-        }
+        OutOfOrder::queue(config, entries, bypass, None)
     }
 
     /// The speculative RUU (paper §7): the RUU, with unresolved branches
@@ -278,9 +245,25 @@ impl OutOfOrder {
         if let Err(e) = predictor.validate() {
             panic!("invalid predictor configuration: {e}");
         }
-        let mut sim = OutOfOrder::ruu(config, entries, bypass);
-        sim.policy.branches = Branches::Predict(predictor);
-        sim
+        OutOfOrder::queue(config, entries, bypass, Some(predictor))
+    }
+
+    /// The RUU, predicting unresolved branches if given a `predictor`.
+    fn queue(
+        config: MachineConfig,
+        entries: usize,
+        bypass: Bypass,
+        predictor: Option<PredictorConfig>,
+    ) -> Self {
+        assert!(entries > 0, "the RUU needs at least one entry");
+        OutOfOrder {
+            config,
+            stations: Stations::Queue {
+                entries,
+                bypass,
+                predictor,
+            },
+        }
     }
 
     /// Runs `program` from zeroed registers, injecting an exception on the
@@ -303,7 +286,7 @@ impl OutOfOrder {
         fault_seq: u64,
     ) -> Result<RunOutcome, SimError> {
         let (state, obs) = (ArchState::new(), &mut NullObserver);
-        Machine::new(&self.config, self.policy, state, mem, program, limit, obs)
+        Machine::new(&self.config, self.stations, state, mem, program, limit, obs)
             .run(Some(fault_seq))
     }
 }
@@ -331,7 +314,7 @@ impl IssueSimulator for OutOfOrder {
         limit: u64,
         obs: &mut dyn PipelineObserver,
     ) -> Result<RunResult, SimError> {
-        Machine::new(&self.config, self.policy, state, mem, program, limit, obs)
+        Machine::new(&self.config, self.stations, state, mem, program, limit, obs)
             .run(None)
             .map(expect_completed)
     }
@@ -344,7 +327,7 @@ impl IssueSimulator for OutOfOrder {
         limit: u64,
     ) -> Result<RunResult, SimError> {
         let obs = &mut NullObserver;
-        Machine::new(&self.config, self.policy, state, mem, program, limit, obs)
+        Machine::new(&self.config, self.stations, state, mem, program, limit, obs)
             .run(None)
             .map(expect_completed)
     }
@@ -680,7 +663,7 @@ fn insert_by_age(list: &mut Vec<u64>, seq: u64) {
     list.insert(i, seq);
 }
 
-/// A branch fetched under [`Branches::Predict`], kept for resolution and
+/// A branch fetched by a predicting core, kept for resolution and
 /// misprediction repair. Branches whose condition was known at decode get
 /// a record too (`assumed_taken` = the actual outcome, so only predicted
 /// ones can mispredict): a branch only counts architecturally when it reaches the
@@ -708,11 +691,12 @@ struct BranchRecord {
 pub struct Machine<'a, O: PipelineObserver + ?Sized> {
     cfg: &'a MachineConfig,
     program: &'a Program,
-    policy: Policy,
+    stations: Stations,
     limit: u64,
     fault_seq: Option<u64>,
-    /// Built from [`Branches::Predict`], fresh for each run, so the runs
-    /// of one simulator stay independent and repeatable.
+    /// Built from the queue's predictor configuration, fresh for each
+    /// run, so the runs of one simulator stay independent and repeatable.
+    /// `Some` exactly on a predicting core.
     predictor: Option<Box<dyn Predictor>>,
     obs: &'a mut O,
 
@@ -734,13 +718,13 @@ pub struct Machine<'a, O: PipelineObserver + ?Sized> {
     /// In-flight instructions.
     window: Window<'a>,
     /// Undispatched entries per unit (the tagged kinds' stations in use).
-    stations: [usize; FuClass::ALL.len()],
+    busy_stations: [usize; FuClass::ALL.len()],
     /// Entries ready to leave for a unit, oldest first: loads with an
     /// address, stores with address and data, and everything else with
     /// both operands. Memory operations dispatch first (§5.1).
     mem_ready: Vec<u64>,
     alu_ready: Vec<u64>,
-    /// Under [`Update::AtCompletion`], the loads and stores that will read
+    /// On a tagged core, the loads and stores that will read
     /// or write architectural memory, in program order; an entry leaves
     /// when it reaches the front dispatched (see
     /// [`Machine::oldest_memory_op`]).
@@ -774,7 +758,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     /// A machine about to run `program` from `state`.
     pub fn new(
         cfg: &'a MachineConfig,
-        policy: Policy,
+        stations: Stations,
         state: ArchState,
         mem: Memory,
         program: &'a Program,
@@ -789,12 +773,14 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         Machine {
             cfg,
             program,
-            policy,
+            stations,
             limit,
             fault_seq: None,
-            predictor: match policy.branches {
-                Branches::Predict(p) => Some(p.build()),
-                Branches::Park => None,
+            predictor: match stations {
+                Stations::Queue {
+                    predictor: Some(p), ..
+                } => Some(p.build()),
+                _ => None,
             },
             obs,
             cycle: 0,
@@ -807,7 +793,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             ff: [None; 8],
             producer: [0; NUM_REGS],
             window: Window::new(),
-            stations: [0; FuClass::ALL.len()],
+            busy_stations: [0; FuClass::ALL.len()],
             mem_ready: Vec::new(),
             alu_ready: Vec::new(),
             mem_order: VecDeque::new(),
@@ -828,6 +814,12 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             last_progress: (0, 0, 0),
             last_progress_cycle: 0,
         }
+    }
+
+    /// Results update state at commit, in program order (the queue), not
+    /// as they complete (the tagged kinds).
+    fn commits(&self) -> bool {
+        matches!(self.stations, Stations::Queue { .. })
     }
 
     fn tag_mask(&self) -> u64 {
@@ -856,7 +848,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         let e = self.window.entry_mut(seq);
         e.dispatched = true;
         let fu = e.inst.fu_class().expect("a dispatched entry has a unit");
-        self.stations[fu.index()] -= 1;
+        self.busy_stations[fu.index()] -= 1;
     }
 
     // ---- broadcast & wake ---------------------------------------------
@@ -864,7 +856,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     /// The entry that produces `tag`, the latest instance of its register
     /// (the only kind of tag a consumer is handed at issue).
     fn producer_of(&self, tag: Tag) -> u64 {
-        match self.policy.stations {
+        match self.stations {
             Stations::Tagged(_) => tag.instance,
             Stations::Queue { .. } => self.producer[tag.reg.index()],
         }
@@ -924,7 +916,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     fn broadcast_result(&mut self, producer: u64, tag: Tag, value: u64) {
         self.gate(producer, tag, value);
         let r = tag.reg;
-        match self.policy.stations {
+        match self.stations {
             Stations::Tagged(_) => {
                 if self.reg_latest[r.index()] == Some(tag) {
                     self.arch.set_reg(r, value);
@@ -979,7 +971,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             self.mem.write(e.ea, e.ops[1].value());
             self.lr.retire(e.seq);
         }
-        if self.policy.update == Update::AtCommit {
+        if self.commits() {
             if let Some(tag) = e.dst_tag {
                 // The RUU→register-file bus: stations listen, the future
                 // file does not.
@@ -1001,7 +993,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             return None;
         }
         let evs = self.events.take_due(self.cycle);
-        let at_completion = self.policy.update == Update::AtCompletion;
+        let at_completion = !self.commits();
         for &ev in &evs {
             let seq = ev.seq();
             if at_completion {
@@ -1085,9 +1077,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 self.wake(seq);
             }
         }
-        if matches!(outcome, LrOutcome::ToMemory | LrOutcome::StoreRecorded)
-            && self.policy.update == Update::AtCompletion
-        {
+        if matches!(outcome, LrOutcome::ToMemory | LrOutcome::StoreRecorded) && !self.commits() {
             self.mem_order.push_back(seq);
         }
     }
@@ -1098,7 +1088,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         if self.forward_queue.is_empty() {
             return;
         }
-        let done = self.cycle + self.cfg.forward_latency;
+        let done = self.cycle + FORWARD_LATENCY;
         let mut queue = std::mem::take(&mut self.forward_queue);
         queue.retain(|&seq| {
             if !self.bus.try_reserve(self.cycle, done) {
@@ -1142,16 +1132,17 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         }
         // Distributed organisations have a private path from each unit's
         // stations; the others share `dispatch_paths` ports.
-        let mut paths = match self.policy.stations {
+        let mut paths = match self.stations {
             Stations::Tagged(
                 WindowKind::Distributed { .. } | WindowKind::TagUnitDistributed { .. },
             ) => u32::MAX,
             _ => self.cfg.dispatch_paths,
         };
         // Decided once, before anything dispatches this cycle.
-        let oldest = match self.policy.update {
-            Update::AtCompletion => self.oldest_memory_op(),
-            Update::AtCommit => None,
+        let oldest = if self.commits() {
+            None
+        } else {
+            self.oldest_memory_op()
         };
         // Load/store priority first, then age (paper §5.1).
         let mut mem = std::mem::take(&mut self.mem_ready);
@@ -1178,7 +1169,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         debug_assert_ne!(e.mem_phase, MemPhase::AwaitingLr, "address generated");
         let (ea, is_load) = (e.ea, e.mem_phase == MemPhase::ToMemory);
         if !is_load {
-            let stores_wait = self.policy.update == Update::AtCompletion;
+            let stores_wait = !self.commits();
             if (stores_wait && oldest != Some(seq))
                 || !self.fus.can_accept(FuClass::Memory, self.cycle)
             {
@@ -1186,7 +1177,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             }
             self.fus.accept(FuClass::Memory, self.cycle);
             self.mark_dispatched(seq);
-            let done = self.cycle + self.cfg.store_exec_latency;
+            let done = self.cycle + STORE_EXEC_LATENCY;
             self.obs.dispatch(self.cycle, seq, FuClass::Memory, done);
             self.schedule(done, Event::StoreExec(seq));
             return true;
@@ -1243,7 +1234,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     /// update architectural state.
     fn phase_commit(&mut self) -> Option<InterruptFrame> {
         let spec_boundary = self.branches.front().map(|b| b.seq);
-        for _ in 0..self.cfg.commit_width {
+        for _ in 0..COMMIT_WIDTH {
             let Some(head) = self.window.front() else {
                 break;
             };
@@ -1316,7 +1307,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             }
             if !e.dispatched {
                 let fu = e.inst.fu_class().expect("an undispatched entry has a unit");
-                self.stations[fu.index()] -= 1;
+                self.busy_stations[fu.index()] -= 1;
             }
         }
         self.obs.flush(self.cycle, squashed);
@@ -1350,7 +1341,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
 
     /// A source operand: a value, or the tag of its in-flight producer.
     fn read_operand(&self, r: Reg) -> Operand {
-        let tag = match self.policy.stations {
+        let tag = match self.stations {
             Stations::Tagged(_) => match self.reg_latest[r.index()] {
                 None => return Operand::Ready(self.arch.reg(r)),
                 Some(tag) => tag,
@@ -1368,7 +1359,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         if let Some(v) = self.broadcasts.lookup(tag) {
             return Operand::Ready(v);
         }
-        let Stations::Queue { bypass, .. } = self.policy.stations else {
+        let Stations::Queue { bypass, .. } = self.stations else {
             return Operand::Waiting(tag);
         };
         let bypassed = match bypass {
@@ -1388,7 +1379,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
 
     /// The stall that keeps `inst` out of the window this cycle, if any.
     fn issue_blocked(&self, inst: &Inst) -> Option<StallReason> {
-        let full = match self.policy.stations {
+        let full = match self.stations {
             Stations::Queue { entries, .. } => self.window.len() >= entries,
             Stations::Tagged(kind) => {
                 // A Nop occupies no station.
@@ -1396,9 +1387,11 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                     || inst.fu_class().is_some_and(|fu| match kind {
                         WindowKind::Distributed { rs_per_fu }
                         | WindowKind::TagUnitDistributed { rs_per_fu, .. } => {
-                            self.stations[fu.index()] >= rs_per_fu
+                            self.busy_stations[fu.index()] >= rs_per_fu
                         }
-                        WindowKind::Pooled { rs, .. } => self.stations.iter().sum::<usize>() >= rs,
+                        WindowKind::Pooled { rs, .. } => {
+                            self.busy_stations.iter().sum::<usize>() >= rs
+                        }
                         WindowKind::Merged { .. } => false, // covered by the tags
                     })
             }
@@ -1406,7 +1399,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         if full {
             return Some(StallReason::WindowFull);
         }
-        if let (Stations::Queue { .. }, Some(d)) = (self.policy.stations, inst.dst) {
+        if let (Stations::Queue { .. }, Some(d)) = (self.stations, inst.dst) {
             if self.ni[d.index()] >= self.cfg.max_instances() {
                 return Some(StallReason::RegInstanceLimit);
             }
@@ -1419,7 +1412,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
 
     /// Acquires a fresh instance of destination register `d`.
     fn rename(&mut self, d: Reg, seq: u64) -> Tag {
-        match self.policy.stations {
+        match self.stations {
             Stations::Tagged(_) => {
                 let tag = Tag {
                     reg: d,
@@ -1457,7 +1450,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         self.count_issue();
     }
 
-    /// Decodes a branch under [`Branches::Predict`]: fetch follows the
+    /// Decodes a branch on a predicting core: fetch follows the
     /// actual outcome if the condition is already known, the predictor's
     /// guess otherwise. Either way the branch is *counted* only when it
     /// reaches the front of the record queue — it may itself be sitting
@@ -1522,9 +1515,10 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             FetchSlot::Inst(pc, inst) => {
                 // A predicting machine counts architectural completions;
                 // the others count what decode has let through.
-                let counted = match self.policy.branches {
-                    Branches::Park => self.seq,
-                    Branches::Predict(_) => self.completed(),
+                let counted = if self.predictor.is_some() {
+                    self.completed()
+                } else {
+                    self.seq
                 };
                 if counted >= self.limit {
                     return Err(SimError::InstLimit { limit: self.limit });
@@ -1534,16 +1528,16 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                     let cond = inst
                         .src1
                         .map_or(Operand::Ready(0), |r| self.read_operand(r));
-                    match (self.policy.branches, cond) {
-                        (Branches::Predict(_), _) => {
+                    match cond {
+                        _ if self.predictor.is_some() => {
                             self.predict_branch(pc, *inst, cond);
                             None
                         }
-                        (Branches::Park, Operand::Ready(v)) => {
+                        Operand::Ready(v) => {
                             self.resolve_in_decode(inst, v);
                             None
                         }
-                        (Branches::Park, Operand::Waiting(_)) => {
+                        Operand::Waiting(_) => {
                             self.frontend.park_branch(pc, *inst, cond);
                             Some(StallReason::BranchWait)
                         }
@@ -1580,7 +1574,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         let dst_tag = inst.dst.map(|d| self.rename(d, seq));
         let is_mem = inst.is_mem();
         let fu = inst.fu_class();
-        if fu.is_none() && matches!(self.policy.stations, Stations::Tagged(_)) {
+        if fu.is_none() && matches!(self.stations, Stations::Tagged(_)) {
             // A tagged Nop takes no station and has nothing to update.
             self.committed += 1;
         } else {
@@ -1608,7 +1602,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 }
             }
             if let Some(fu) = fu {
-                self.stations[fu.index()] += 1;
+                self.busy_stations[fu.index()] += 1;
                 if is_mem {
                     self.mem_queue.push_back(seq);
                 } else if ops.iter().all(Operand::is_ready) {
@@ -1641,7 +1635,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         self.phase_addr_gen();
         self.phase_forwards();
         self.phase_dispatch();
-        if self.policy.update == Update::AtCommit {
+        if self.commits() {
             if let Some(frame) = self.phase_commit() {
                 return Ok(ControlFlow::Break(frame));
             }
@@ -1668,7 +1662,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             _ => return None,
         };
         let addr_ready = |&seq: &u64| self.window.entry(seq).ops[0].is_ready();
-        let can_commit = self.policy.update == Update::AtCommit
+        let can_commit = self.commits()
             && self.window.front().is_some_and(|head| {
                 head.executed && self.branches.front().is_none_or(|b| head.seq <= b.seq)
             });

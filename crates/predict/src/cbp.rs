@@ -95,18 +95,6 @@ pub struct SiteStats {
     pub mispredicted: u64,
 }
 
-impl SiteStats {
-    /// Misprediction rate at this site (0 for a never-executed site).
-    #[must_use]
-    pub fn miss_rate(&self) -> f64 {
-        if self.executed == 0 {
-            0.0
-        } else {
-            self.mispredicted as f64 / self.executed as f64
-        }
-    }
-}
-
 /// BTB target-lookup statistics (taken branches only: a not-taken branch
 /// never needs the target).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use crate::zoo::{Bimodal, Gshare, LocalPag, TageLite};
+use crate::zoo::{Gshare, LocalPag, TageLite};
 use crate::{AlwaysTaken, Btfn, Predictor, TwoBit};
 
 /// A predictor choice plus its sizing, as a plain value.
@@ -26,7 +26,9 @@ pub enum PredictorConfig {
         /// Counter-table entries (power of two).
         entries: usize,
     },
-    /// Bimodal 2-bit counter table.
+    /// Bimodal 2-bit counter table: Smith's [`TwoBit`] under its own
+    /// name, so ablations can tell a generously sized table from the
+    /// paper-default 64 entries.
     Bimodal {
         /// Counter-table entries (power of two).
         entries: usize,
@@ -168,8 +170,9 @@ impl PredictorConfig {
         match *self {
             PredictorConfig::AlwaysTaken => Box::new(AlwaysTaken),
             PredictorConfig::Btfn => Box::new(Btfn),
-            PredictorConfig::TwoBit { entries } => Box::new(TwoBit::new(entries)),
-            PredictorConfig::Bimodal { entries } => Box::new(Bimodal::new(entries)),
+            PredictorConfig::TwoBit { entries } | PredictorConfig::Bimodal { entries } => {
+                Box::new(TwoBit::new(entries))
+            }
             PredictorConfig::Gshare { entries } => Box::new(Gshare::new(entries)),
             PredictorConfig::Local { entries } => Box::new(LocalPag::new(entries)),
             PredictorConfig::Tage { entries } => Box::new(TageLite::new(entries)),

@@ -12,7 +12,7 @@
 //! * the [`Predictor`] trait and the classic static/counter predictors
 //!   ([`AlwaysTaken`], [`Btfn`], [`TwoBit`]) that previously lived in
 //!   `ruu-issue` (re-exported there for compatibility);
-//! * a predictor zoo ([`zoo`]): [`Bimodal`], [`Gshare`], the two-level
+//! * a predictor zoo ([`zoo`]): [`Gshare`], the two-level
 //!   local-history [`LocalPag`], and the tagged [`TageLite`];
 //! * a set-associative branch target buffer ([`Btb`]);
 //! * [`PredictorConfig`], the `Copy` configuration value the issue layer
@@ -33,7 +33,7 @@ pub mod zoo;
 pub use btb::Btb;
 pub use cbp::{BranchEvent, BranchStream, BtbStats, CbpResult, SiteStats};
 pub use config::{PredictError, PredictorConfig};
-pub use zoo::{Bimodal, Gshare, LocalPag, TageLite};
+pub use zoo::{Gshare, LocalPag, TageLite};
 
 /// A direction predictor for conditional branches.
 pub trait Predictor {

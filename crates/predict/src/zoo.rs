@@ -10,55 +10,6 @@
 
 use crate::Predictor;
 
-/// A bimodal table of 2-bit saturating counters, indexed by low pc bits.
-///
-/// Dynamics are identical to [`crate::TwoBit`]; it exists as a separately
-/// named, separately sized zoo member so ablations can distinguish the
-/// paper-default 64-entry table from a generously sized bimodal.
-#[derive(Debug, Clone)]
-pub struct Bimodal {
-    table: Vec<u8>,
-    mask: u32,
-}
-
-impl Bimodal {
-    /// A table of `entries` counters (power of two), initialised weakly
-    /// taken.
-    ///
-    /// # Panics
-    /// Panics if `entries` is not a power of two.
-    #[must_use]
-    pub fn new(entries: usize) -> Self {
-        assert!(
-            entries.is_power_of_two(),
-            "predictor table size must be a power of two"
-        );
-        Bimodal {
-            table: vec![2; entries],
-            mask: (entries - 1) as u32,
-        }
-    }
-}
-
-impl Predictor for Bimodal {
-    fn predict(&mut self, pc: u32, _target: u32) -> bool {
-        self.table[(pc & self.mask) as usize] >= 2
-    }
-
-    fn update(&mut self, pc: u32, taken: bool) {
-        let c = &mut self.table[(pc & self.mask) as usize];
-        if taken {
-            *c = (*c + 1).min(3);
-        } else {
-            *c = c.saturating_sub(1);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "bimodal"
-    }
-}
-
 /// McFarling's gshare: a counter table indexed by pc XOR global branch
 /// history.
 ///
@@ -484,17 +435,6 @@ mod tests {
             }
         }
         miss
-    }
-
-    #[test]
-    fn bimodal_matches_two_bit_dynamics() {
-        let mut b = Bimodal::new(1024);
-        let mut t = TwoBit::new(1024);
-        let pattern = [true, true, false, true, false, false, true];
-        assert_eq!(
-            run_pattern(&mut b, 17, &pattern, 5),
-            run_pattern(&mut t, 17, &pattern, 5)
-        );
     }
 
     #[test]

@@ -4,6 +4,19 @@ use ruu_isa::FuClass;
 
 use crate::cache::DCacheConfig;
 
+/// Instructions the RUU may commit (retire to the register file) per
+/// cycle over the RUU→register-file bus.
+pub const COMMIT_WIDTH: u32 = 1;
+
+/// Cycles from "forwarding data known" to its result-bus broadcast for
+/// loads satisfied from the load registers rather than memory.
+pub const FORWARD_LATENCY: u64 = 1;
+
+/// Cycles for a store to be considered executed (address/data handed to
+/// the memory port) once dispatched; the architectural memory write
+/// itself happens at completion (RSTU) or commit (RUU).
+pub const STORE_EXEC_LATENCY: u64 = 1;
+
 /// Parameters of the model architecture (paper §2, DESIGN.md §3).
 ///
 /// The defaults reproduce the paper's machine: CRAY-1 functional-unit
@@ -13,10 +26,13 @@ use crate::cache::DCacheConfig;
 ///
 /// `MachineConfig` is a plain, public-field record: it is the experiment
 /// knob surface, and the sweep harnesses construct many variants of it.
-/// Every field also has a chainable `with_*` builder, which is the
-/// preferred way to derive variants
+/// Chainable `with_*` builders are the preferred way to derive variants
 /// (`MachineConfig::paper().with_result_buses(2).with_load_registers(4)`);
-/// the builders validate their arguments where direct mutation cannot.
+/// they validate their arguments where direct mutation cannot. The
+/// `spec_taken_bubble` and `mispredict_penalty` fields have no builder.
+/// What the paper's machine fixes and no experiment varies is a constant
+/// instead: [`COMMIT_WIDTH`], [`FORWARD_LATENCY`] and
+/// [`STORE_EXEC_LATENCY`].
 ///
 /// `Hash`/`Eq` let sweep engines key memoization caches (e.g. the
 /// per-config baseline-cycles cache in `ruu-engine`) by configuration.
@@ -37,21 +53,11 @@ pub struct MachineConfig {
     /// Instructions the window (RSTU/RUU) may send to the functional units
     /// per cycle — the "data paths" of paper Table 3.
     pub dispatch_paths: u32,
-    /// Instructions the RUU may commit (retire to the register file) per
-    /// cycle over the RUU→register-file bus.
-    pub commit_width: u32,
     /// Number of load registers (paper §5.1 uses 6; 4 sufficed).
     pub load_registers: usize,
     /// Width in bits of the per-register NI/LI instance counters
     /// (paper §5.1 uses 3: up to 7 simultaneous instances).
     pub counter_bits: u32,
-    /// Cycles from "forwarding data known" to its result-bus broadcast for
-    /// loads satisfied from the load registers rather than memory.
-    pub forward_latency: u64,
-    /// Cycles for a store to be considered executed (address/data handed
-    /// to the memory port) once dispatched; the architectural memory write
-    /// itself happens at completion (RSTU) or commit (RUU).
-    pub store_exec_latency: u64,
     /// Fetch bubble after a predicted-taken branch in the speculative
     /// machine (§7 extension): the cost of redirecting fetch to a
     /// predicted target.
@@ -59,8 +65,6 @@ pub struct MachineConfig {
     /// Dead cycles charged when a misprediction is repaired (§7
     /// extension).
     pub mispredict_penalty: u64,
-    /// Data-memory size in 64-bit words (must be a power of two).
-    pub memory_words: usize,
     /// Data-cache timing model. [`DCacheConfig::Perfect`] (the default)
     /// reproduces the paper's §2.2 idealization — a fixed memory latency,
     /// no conflicts — bit-identically; a finite cache makes load latency
@@ -83,14 +87,10 @@ impl MachineConfig {
             branch_untaken_penalty: 1,
             result_buses: 1,
             dispatch_paths: 1,
-            commit_width: 1,
             load_registers: 6,
             counter_bits: 3,
-            forward_latency: 1,
-            store_exec_latency: 1,
             spec_taken_bubble: 1,
             mispredict_penalty: 3,
-            memory_words: 1 << 16,
             dcache: DCacheConfig::Perfect,
         }
     }
@@ -145,15 +145,6 @@ impl MachineConfig {
         self
     }
 
-    /// Returns a copy with a different commit width (RUU→register-file
-    /// bus capacity).
-    #[must_use]
-    pub fn with_commit_width(mut self, n: u32) -> Self {
-        assert!(n >= 1, "at least one commit slot is required");
-        self.commit_width = n;
-        self
-    }
-
     /// Returns a copy with different taken/not-taken branch penalties.
     #[must_use]
     pub fn with_branch_penalties(mut self, taken: u64, untaken: u64) -> Self {
@@ -167,29 +158,6 @@ impl MachineConfig {
     pub fn with_fu_latency(mut self, fu: FuClass, cycles: u64) -> Self {
         assert!(cycles >= 1, "a functional unit needs at least one cycle");
         self.latency[fu.index()] = cycles;
-        self
-    }
-
-    /// Returns a copy with a different load-register forward latency.
-    ///
-    /// # Panics
-    /// Panics if `cycles` is zero: a forwarded load is broadcast in a
-    /// later cycle than the one its data became known in.
-    #[must_use]
-    pub fn with_forward_latency(mut self, cycles: u64) -> Self {
-        assert!(cycles >= 1, "forwarding takes at least one cycle");
-        self.forward_latency = cycles;
-        self
-    }
-
-    /// Returns a copy with a different data-memory size in words.
-    #[must_use]
-    pub fn with_memory_words(mut self, words: usize) -> Self {
-        assert!(
-            words.is_power_of_two(),
-            "memory size must be a power of two words, got {words}"
-        );
-        self.memory_words = words;
         self
     }
 
@@ -244,12 +212,6 @@ mod tests {
     #[should_panic(expected = "counter width")]
     fn counter_bits_validated() {
         let _ = MachineConfig::paper().with_counter_bits(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cycle")]
-    fn zero_forward_latency_rejected() {
-        let _ = MachineConfig::paper().with_forward_latency(0);
     }
 
     #[test]

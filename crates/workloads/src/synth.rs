@@ -414,8 +414,9 @@ fn drain(a: &mut Asm, rng: &mut Lcg, cfg: &SynthConfig, p: &mut Pending) {
 /// Structure: a sequence of segments, each either a straight-line block
 /// or a counted loop (`A0` counter, body free of writes to `A0` and of
 /// inner branches), so every generated program halts. Generation tracks
-/// pending register values (see [`Pending`]) and drains them before
-/// `halt`, so the output is `ruu_analysis::lint`-clean by construction.
+/// pending register values (written but not yet read) and drains them
+/// before `halt`, so the output is `ruu_analysis::lint`-clean by
+/// construction.
 #[must_use]
 pub fn random_program(seed: u64, cfg: &SynthConfig) -> (Program, Memory) {
     let mut rng = Lcg::new(seed);
@@ -464,35 +465,6 @@ pub fn random_program(seed: u64, cfg: &SynthConfig) -> (Program, Memory) {
     drain(&mut a, &mut rng, cfg, &mut p);
     a.halt();
     (a.assemble().expect("synthetic programs assemble"), mem)
-}
-
-/// A serial dependency chain of `n` operations on one functional unit —
-/// the ILP-free worst case for any issue mechanism.
-#[must_use]
-pub fn dependency_chain(n: usize) -> (Program, Memory) {
-    let mut a = Asm::new("chain");
-    a.s_imm(Reg::s(1), 3);
-    for _ in 0..n {
-        a.s_add(Reg::s(1), Reg::s(1), Reg::s(1));
-    }
-    a.halt();
-    (a.assemble().expect("chain assembles"), Memory::new(1 << 8))
-}
-
-/// `n` fully independent operations spread across registers — the
-/// maximal-ILP best case.
-#[must_use]
-pub fn independent_ops(n: usize) -> (Program, Memory) {
-    let mut a = Asm::new("independent");
-    for i in 0..n {
-        let d = Reg::s(1 + (i % 7) as u8);
-        a.s_imm(d, i as i64);
-    }
-    a.halt();
-    (
-        a.assemble().expect("independent ops assemble"),
-        Memory::new(1 << 8),
-    )
 }
 
 #[cfg(test)]
@@ -571,15 +543,5 @@ mod tests {
                 "seed {seed} (hot={hot}, mem_ops={mem_ops}): {findings:?}"
             );
         }
-    }
-
-    #[test]
-    fn chain_and_independent_shapes() {
-        let (chain, m1) = dependency_chain(10);
-        let (ind, m2) = independent_ops(10);
-        let tc = Trace::capture(&chain, m1, 10_000).unwrap();
-        let ti = Trace::capture(&ind, m2, 10_000).unwrap();
-        assert_eq!(tc.len(), 11);
-        assert_eq!(ti.len(), 10);
     }
 }

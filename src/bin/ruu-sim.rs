@@ -362,11 +362,7 @@ fn run_sweep(mut args: std::env::Args) -> Result<(), String> {
             );
         }
     }
-    let s = &report.stats;
-    println!(
-        "engine: {} jobs ({} units) on {} workers in {:.1?} ({:.1} jobs/s, {:.1} units/s)",
-        s.jobs, s.units, s.workers, s.wall, s.jobs_per_sec, s.units_per_sec
-    );
+    println!("{}", report.stats);
     Ok(())
 }
 
