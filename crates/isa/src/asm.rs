@@ -678,18 +678,17 @@ mod tests {
             };
             assert_eq!(check_constant(7, &inst), want, "{inst:?}");
         };
-        let s1 = Some(Reg::s(1));
-        let a1 = Some(Reg::a(1));
-        for bits in [22, 16] {
+        let (s1, a1) = (Some(Reg::s(1)), Some(Reg::a(1)));
+        let forms = [
+            (22, Inst::new(Opcode::SImm, s1, None, None, 0, None)),
+            (16, Inst::new(Opcode::LoadS, s1, a1, None, 0, None)),
+            (16, Inst::new(Opcode::StoreS, None, a1, s1, 0, None)),
+            (16, Inst::new(Opcode::AAddImm, a1, a1, None, 0, None)),
+        ];
+        for (bits, inst) in forms {
             let (max, min) = ((1i64 << (bits - 1)) - 1, -(1i64 << (bits - 1)));
-            for (v, fits) in [(max, true), (max + 1, false), (min, true), (min - 1, false)] {
-                if bits == 22 {
-                    check(Inst::new(Opcode::SImm, s1, None, None, v, None), v, fits);
-                } else {
-                    check(Inst::new(Opcode::LoadS, s1, a1, None, v, None), v, fits);
-                    check(Inst::new(Opcode::StoreS, None, a1, s1, v, None), v, fits);
-                    check(Inst::new(Opcode::AAddImm, a1, a1, None, v, None), v, fits);
-                }
+            for (imm, fits) in [(max, true), (max + 1, false), (min, true), (min - 1, false)] {
+                check(Inst { imm, ..inst }, imm, fits);
             }
         }
         // A target is an unsigned instruction index: its least value is 0.
