@@ -1,8 +1,10 @@
 //! A small typed assembler with labels and forward references.
 //!
-//! [`Asm`] exposes one method per opcode; each method validates the operand
-//! register files (e.g. `a_add` insists on A registers) so that every
-//! assembled [`Program`] satisfies the [`Inst`] invariants. Labels are
+//! [`Asm`] exposes one method per opcode. Each builds its instruction
+//! through one checked path that matches the operands against
+//! [`Opcode::shape`] (e.g. `a_add` insists on A registers), so every
+//! assembled [`Program`] satisfies the [`Inst`] invariants; the text
+//! parser ([`crate::text`]) builds through the same path. Labels are
 //! created with [`Asm::new_label`] (auto-named `L0`, `L1`, …) or
 //! [`Asm::named_label`], placed with [`Asm::bind`], and resolved at
 //! [`Asm::assemble`] time. All diagnostics — undefined labels, duplicate
@@ -13,14 +15,22 @@
 use std::fmt;
 
 use crate::inst::Inst;
-use crate::op::Opcode;
+use crate::op::{Opcode, Operand};
 use crate::program::Program;
-use crate::reg::{Reg, RegFile};
+use crate::reg::Reg;
 
 /// A branch-target label, created by [`Asm::new_label`] or
 /// [`Asm::named_label`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label(usize);
+
+/// One written operand given to [`Asm::try_push`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Arg {
+    Reg(Reg),
+    Imm(i64),
+    Label(Label),
+}
 
 /// Errors reported by [`Asm::assemble`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +53,7 @@ pub enum AsmError {
     },
     /// An immediate, displacement or branch target does not fit its
     /// signed field: 22 bits for `AImm`/`SImm` and branch targets, 16 for
-    /// the register+constant forms (see [`Asm::assemble`]).
+    /// the register+constant forms (see [`Opcode::shape`]).
     ImmOutOfRange {
         /// Instruction index of the offending instruction.
         pc: usize,
@@ -158,360 +168,290 @@ impl Asm {
         }
     }
 
-    fn push(&mut self, inst: Inst) -> &mut Self {
-        self.insts.push(inst);
+    /// Appends `opcode` with its written operands `args`, matched against
+    /// [`Opcode::shape`]; panics with the shape error (see
+    /// [`Asm::try_push`]).
+    fn inst(&mut self, opcode: Opcode, args: &[Arg]) -> &mut Self {
+        if let Err(e) = self.try_push(opcode, args) {
+            panic!("{e}");
+        }
         self
     }
 
-    fn push_branch(&mut self, opcode: Opcode, cond: Option<Reg>, label: Label) -> &mut Self {
-        self.fixups.push((self.insts.len(), label.0));
-        // Target 0 is a placeholder patched in `assemble`.
-        self.push(Inst::new(opcode, None, cond, None, 0, Some(0)))
-    }
-
-    fn check(file: RegFile, r: Reg, what: &str) {
-        assert!(
-            r.file() == file,
-            "{what} operand must be an {file} register, got {r}"
-        );
+    /// The one checked path every instruction is built through: matches
+    /// `args` against `opcode`'s written operands, one for one and of the
+    /// same kinds (callers build them from the shape; [`crate::text`]
+    /// checks the count), checks each register's file, and appends the
+    /// instruction. A conditional branch gets its condition register in
+    /// `src1`; a target is a label, resolved by [`Asm::assemble`]. On a
+    /// register in the wrong file nothing is appended.
+    pub(crate) fn try_push(&mut self, opcode: Opcode, args: &[Arg]) -> Result<(), String> {
+        let shape = opcode.shape();
+        debug_assert_eq!(args.len(), shape.operands.len(), "{opcode} operand count");
+        let cond = shape.cond.map(|file| Reg::new(file, 0));
+        let mut inst = Inst::new(opcode, None, cond, None, 0, None);
+        let mut label = None;
+        for (&operand, &arg) in shape.operands.iter().zip(args) {
+            match (operand, arg) {
+                (Operand::Imm(_), Arg::Imm(v)) => inst.imm = v,
+                // Target 0 is a placeholder patched in `assemble`.
+                (Operand::Target(_), Arg::Label(l)) => (label, inst.target) = (Some(l), Some(0)),
+                (Operand::Dst(file) | Operand::Src1(file) | Operand::Src2(file), Arg::Reg(r)) => {
+                    let (slot, what) = match operand {
+                        Operand::Dst(_) => (&mut inst.dst, "dst"),
+                        Operand::Src1(_) if opcode.is_mem() => (&mut inst.src1, "base"),
+                        Operand::Src1(_) => (&mut inst.src1, "src1"),
+                        _ if opcode.is_store() => (&mut inst.src2, "data"),
+                        _ => (&mut inst.src2, "src2"),
+                    };
+                    if r.file() != file {
+                        return Err(format!(
+                            "{what} operand must be an {file} register, got {r}"
+                        ));
+                    }
+                    *slot = Some(r);
+                }
+                _ => unreachable!("{opcode}: {arg:?} given for its {operand:?} operand"),
+            }
+        }
+        if let Some(l) = label {
+            self.fixups.push((self.insts.len(), l.0));
+        }
+        self.insts.push(inst);
+        Ok(())
     }
 
     // ----- address (A) operations ------------------------------------
 
     /// `Ai = Aj + Ak`
     pub fn a_add(&mut self, d: Reg, j: Reg, k: Reg) -> &mut Self {
-        Self::check(RegFile::A, d, "dst");
-        Self::check(RegFile::A, j, "src1");
-        Self::check(RegFile::A, k, "src2");
-        self.push(Inst::new(Opcode::AAdd, Some(d), Some(j), Some(k), 0, None))
+        self.inst(Opcode::AAdd, &[Arg::Reg(d), Arg::Reg(j), Arg::Reg(k)])
     }
 
     /// `Ai = Aj - Ak`
     pub fn a_sub(&mut self, d: Reg, j: Reg, k: Reg) -> &mut Self {
-        Self::check(RegFile::A, d, "dst");
-        Self::check(RegFile::A, j, "src1");
-        Self::check(RegFile::A, k, "src2");
-        self.push(Inst::new(Opcode::ASub, Some(d), Some(j), Some(k), 0, None))
+        self.inst(Opcode::ASub, &[Arg::Reg(d), Arg::Reg(j), Arg::Reg(k)])
     }
 
     /// `Ai = Aj + imm`
     pub fn a_add_imm(&mut self, d: Reg, j: Reg, imm: i64) -> &mut Self {
-        Self::check(RegFile::A, d, "dst");
-        Self::check(RegFile::A, j, "src1");
-        self.push(Inst::new(
-            Opcode::AAddImm,
-            Some(d),
-            Some(j),
-            None,
-            imm,
-            None,
-        ))
+        self.inst(Opcode::AAddImm, &[Arg::Reg(d), Arg::Reg(j), Arg::Imm(imm)])
     }
 
     /// `Ai = Aj - imm`
     pub fn a_sub_imm(&mut self, d: Reg, j: Reg, imm: i64) -> &mut Self {
-        Self::check(RegFile::A, d, "dst");
-        Self::check(RegFile::A, j, "src1");
-        self.push(Inst::new(
-            Opcode::ASubImm,
-            Some(d),
-            Some(j),
-            None,
-            imm,
-            None,
-        ))
+        self.inst(Opcode::ASubImm, &[Arg::Reg(d), Arg::Reg(j), Arg::Imm(imm)])
     }
 
     /// `Ai = Aj * Ak` (address multiply)
     pub fn a_mul(&mut self, d: Reg, j: Reg, k: Reg) -> &mut Self {
-        Self::check(RegFile::A, d, "dst");
-        Self::check(RegFile::A, j, "src1");
-        Self::check(RegFile::A, k, "src2");
-        self.push(Inst::new(Opcode::AMul, Some(d), Some(j), Some(k), 0, None))
+        self.inst(Opcode::AMul, &[Arg::Reg(d), Arg::Reg(j), Arg::Reg(k)])
     }
 
     /// `Ai = imm`
     pub fn a_imm(&mut self, d: Reg, imm: i64) -> &mut Self {
-        Self::check(RegFile::A, d, "dst");
-        self.push(Inst::new(Opcode::AImm, Some(d), None, None, imm, None))
+        self.inst(Opcode::AImm, &[Arg::Reg(d), Arg::Imm(imm)])
     }
 
     // ----- scalar (S) integer/logical operations ---------------------
 
     /// `Si = Sj + Sk` (integer)
     pub fn s_add(&mut self, d: Reg, j: Reg, k: Reg) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::S, j, "src1");
-        Self::check(RegFile::S, k, "src2");
-        self.push(Inst::new(Opcode::SAdd, Some(d), Some(j), Some(k), 0, None))
+        self.inst(Opcode::SAdd, &[Arg::Reg(d), Arg::Reg(j), Arg::Reg(k)])
     }
 
     /// `Si = Sj - Sk` (integer)
     pub fn s_sub(&mut self, d: Reg, j: Reg, k: Reg) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::S, j, "src1");
-        Self::check(RegFile::S, k, "src2");
-        self.push(Inst::new(Opcode::SSub, Some(d), Some(j), Some(k), 0, None))
+        self.inst(Opcode::SSub, &[Arg::Reg(d), Arg::Reg(j), Arg::Reg(k)])
     }
 
     /// `Si = imm`
     pub fn s_imm(&mut self, d: Reg, imm: i64) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        self.push(Inst::new(Opcode::SImm, Some(d), None, None, imm, None))
+        self.inst(Opcode::SImm, &[Arg::Reg(d), Arg::Imm(imm)])
     }
 
     /// `Si = Sj & Sk`
     pub fn s_and(&mut self, d: Reg, j: Reg, k: Reg) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::S, j, "src1");
-        Self::check(RegFile::S, k, "src2");
-        self.push(Inst::new(Opcode::SAnd, Some(d), Some(j), Some(k), 0, None))
+        self.inst(Opcode::SAnd, &[Arg::Reg(d), Arg::Reg(j), Arg::Reg(k)])
     }
 
     /// `Si = Sj | Sk`
     pub fn s_or(&mut self, d: Reg, j: Reg, k: Reg) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::S, j, "src1");
-        Self::check(RegFile::S, k, "src2");
-        self.push(Inst::new(Opcode::SOr, Some(d), Some(j), Some(k), 0, None))
+        self.inst(Opcode::SOr, &[Arg::Reg(d), Arg::Reg(j), Arg::Reg(k)])
     }
 
     /// `Si = Sj ^ Sk`
     pub fn s_xor(&mut self, d: Reg, j: Reg, k: Reg) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::S, j, "src1");
-        Self::check(RegFile::S, k, "src2");
-        self.push(Inst::new(Opcode::SXor, Some(d), Some(j), Some(k), 0, None))
+        self.inst(Opcode::SXor, &[Arg::Reg(d), Arg::Reg(j), Arg::Reg(k)])
     }
 
     /// `Si = Sj << imm`
     pub fn s_shl(&mut self, d: Reg, j: Reg, imm: i64) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::S, j, "src1");
-        self.push(Inst::new(Opcode::SShl, Some(d), Some(j), None, imm, None))
+        self.inst(Opcode::SShl, &[Arg::Reg(d), Arg::Reg(j), Arg::Imm(imm)])
     }
 
     /// `Si = Sj >> imm` (logical)
     pub fn s_shr(&mut self, d: Reg, j: Reg, imm: i64) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::S, j, "src1");
-        self.push(Inst::new(Opcode::SShr, Some(d), Some(j), None, imm, None))
+        self.inst(Opcode::SShr, &[Arg::Reg(d), Arg::Reg(j), Arg::Imm(imm)])
     }
 
     /// `Ai = popcount(Sj)`
     pub fn s_pop(&mut self, d: Reg, j: Reg) -> &mut Self {
-        Self::check(RegFile::A, d, "dst");
-        Self::check(RegFile::S, j, "src1");
-        self.push(Inst::new(Opcode::SPop, Some(d), Some(j), None, 0, None))
+        self.inst(Opcode::SPop, &[Arg::Reg(d), Arg::Reg(j)])
     }
 
     /// `Ai = leading_zeros(Sj)`
     pub fn s_lz(&mut self, d: Reg, j: Reg) -> &mut Self {
-        Self::check(RegFile::A, d, "dst");
-        Self::check(RegFile::S, j, "src1");
-        self.push(Inst::new(Opcode::SLz, Some(d), Some(j), None, 0, None))
+        self.inst(Opcode::SLz, &[Arg::Reg(d), Arg::Reg(j)])
     }
 
     // ----- floating point ---------------------------------------------
 
     /// `Si = Sj +f Sk`
     pub fn f_add(&mut self, d: Reg, j: Reg, k: Reg) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::S, j, "src1");
-        Self::check(RegFile::S, k, "src2");
-        self.push(Inst::new(Opcode::FAdd, Some(d), Some(j), Some(k), 0, None))
+        self.inst(Opcode::FAdd, &[Arg::Reg(d), Arg::Reg(j), Arg::Reg(k)])
     }
 
     /// `Si = Sj -f Sk`
     pub fn f_sub(&mut self, d: Reg, j: Reg, k: Reg) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::S, j, "src1");
-        Self::check(RegFile::S, k, "src2");
-        self.push(Inst::new(Opcode::FSub, Some(d), Some(j), Some(k), 0, None))
+        self.inst(Opcode::FSub, &[Arg::Reg(d), Arg::Reg(j), Arg::Reg(k)])
     }
 
     /// `Si = Sj *f Sk`
     pub fn f_mul(&mut self, d: Reg, j: Reg, k: Reg) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::S, j, "src1");
-        Self::check(RegFile::S, k, "src2");
-        self.push(Inst::new(Opcode::FMul, Some(d), Some(j), Some(k), 0, None))
+        self.inst(Opcode::FMul, &[Arg::Reg(d), Arg::Reg(j), Arg::Reg(k)])
     }
 
     /// `Si = 1/Sj` (reciprocal approximation)
     pub fn f_recip(&mut self, d: Reg, j: Reg) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::S, j, "src1");
-        self.push(Inst::new(Opcode::FRecip, Some(d), Some(j), None, 0, None))
+        self.inst(Opcode::FRecip, &[Arg::Reg(d), Arg::Reg(j)])
     }
 
     // ----- register transfers -----------------------------------------
 
     /// `Bjk = Ai`
     pub fn a_to_b(&mut self, d: Reg, src: Reg) -> &mut Self {
-        Self::check(RegFile::B, d, "dst");
-        Self::check(RegFile::A, src, "src1");
-        self.push(Inst::new(Opcode::AtoB, Some(d), Some(src), None, 0, None))
+        self.inst(Opcode::AtoB, &[Arg::Reg(d), Arg::Reg(src)])
     }
 
     /// `Ai = Bjk`
     pub fn b_to_a(&mut self, d: Reg, src: Reg) -> &mut Self {
-        Self::check(RegFile::A, d, "dst");
-        Self::check(RegFile::B, src, "src1");
-        self.push(Inst::new(Opcode::BtoA, Some(d), Some(src), None, 0, None))
+        self.inst(Opcode::BtoA, &[Arg::Reg(d), Arg::Reg(src)])
     }
 
     /// `Tjk = Si`
     pub fn s_to_t(&mut self, d: Reg, src: Reg) -> &mut Self {
-        Self::check(RegFile::T, d, "dst");
-        Self::check(RegFile::S, src, "src1");
-        self.push(Inst::new(Opcode::StoT, Some(d), Some(src), None, 0, None))
+        self.inst(Opcode::StoT, &[Arg::Reg(d), Arg::Reg(src)])
     }
 
     /// `Si = Tjk`
     pub fn t_to_s(&mut self, d: Reg, src: Reg) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::T, src, "src1");
-        self.push(Inst::new(Opcode::TtoS, Some(d), Some(src), None, 0, None))
+        self.inst(Opcode::TtoS, &[Arg::Reg(d), Arg::Reg(src)])
     }
 
     /// `Si = Ai`
     pub fn a_to_s(&mut self, d: Reg, src: Reg) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::A, src, "src1");
-        self.push(Inst::new(Opcode::AtoS, Some(d), Some(src), None, 0, None))
+        self.inst(Opcode::AtoS, &[Arg::Reg(d), Arg::Reg(src)])
     }
 
     /// `Ai = Sj`
     pub fn s_to_a(&mut self, d: Reg, src: Reg) -> &mut Self {
-        Self::check(RegFile::A, d, "dst");
-        Self::check(RegFile::S, src, "src1");
-        self.push(Inst::new(Opcode::StoA, Some(d), Some(src), None, 0, None))
+        self.inst(Opcode::StoA, &[Arg::Reg(d), Arg::Reg(src)])
     }
 
     // ----- memory -------------------------------------------------------
 
     /// `Ai = mem[Ah + disp]`
     pub fn ld_a(&mut self, d: Reg, base: Reg, disp: i64) -> &mut Self {
-        Self::check(RegFile::A, d, "dst");
-        Self::check(RegFile::A, base, "base");
-        self.push(Inst::new(
+        self.inst(
             Opcode::LoadA,
-            Some(d),
-            Some(base),
-            None,
-            disp,
-            None,
-        ))
+            &[Arg::Reg(d), Arg::Reg(base), Arg::Imm(disp)],
+        )
     }
 
     /// `Si = mem[Ah + disp]`
     pub fn ld_s(&mut self, d: Reg, base: Reg, disp: i64) -> &mut Self {
-        Self::check(RegFile::S, d, "dst");
-        Self::check(RegFile::A, base, "base");
-        self.push(Inst::new(
+        self.inst(
             Opcode::LoadS,
-            Some(d),
-            Some(base),
-            None,
-            disp,
-            None,
-        ))
+            &[Arg::Reg(d), Arg::Reg(base), Arg::Imm(disp)],
+        )
     }
 
     /// `mem[Ah + disp] = Ai`
     pub fn st_a(&mut self, src: Reg, base: Reg, disp: i64) -> &mut Self {
-        Self::check(RegFile::A, src, "data");
-        Self::check(RegFile::A, base, "base");
-        self.push(Inst::new(
+        self.inst(
             Opcode::StoreA,
-            None,
-            Some(base),
-            Some(src),
-            disp,
-            None,
-        ))
+            &[Arg::Reg(src), Arg::Reg(base), Arg::Imm(disp)],
+        )
     }
 
     /// `mem[Ah + disp] = Si`
     pub fn st_s(&mut self, src: Reg, base: Reg, disp: i64) -> &mut Self {
-        Self::check(RegFile::S, src, "data");
-        Self::check(RegFile::A, base, "base");
-        self.push(Inst::new(
+        self.inst(
             Opcode::StoreS,
-            None,
-            Some(base),
-            Some(src),
-            disp,
-            None,
-        ))
+            &[Arg::Reg(src), Arg::Reg(base), Arg::Imm(disp)],
+        )
     }
 
     // ----- control flow ---------------------------------------------------
 
     /// Unconditional jump to `label`.
     pub fn jump(&mut self, label: Label) -> &mut Self {
-        self.push_branch(Opcode::Jump, None, label)
+        self.inst(Opcode::Jump, &[Arg::Label(label)])
     }
 
     /// Branch to `label` if `A0 == 0`.
     pub fn br_az(&mut self, label: Label) -> &mut Self {
-        self.push_branch(Opcode::BrAZ, Some(Reg::a(0)), label)
+        self.inst(Opcode::BrAZ, &[Arg::Label(label)])
     }
 
     /// Branch to `label` if `A0 != 0`.
     pub fn br_an(&mut self, label: Label) -> &mut Self {
-        self.push_branch(Opcode::BrAN, Some(Reg::a(0)), label)
+        self.inst(Opcode::BrAN, &[Arg::Label(label)])
     }
 
     /// Branch to `label` if `A0 >= 0` (signed).
     pub fn br_ap(&mut self, label: Label) -> &mut Self {
-        self.push_branch(Opcode::BrAP, Some(Reg::a(0)), label)
+        self.inst(Opcode::BrAP, &[Arg::Label(label)])
     }
 
     /// Branch to `label` if `A0 < 0` (signed).
     pub fn br_am(&mut self, label: Label) -> &mut Self {
-        self.push_branch(Opcode::BrAM, Some(Reg::a(0)), label)
+        self.inst(Opcode::BrAM, &[Arg::Label(label)])
     }
 
     /// Branch to `label` if `S0 == 0`.
     pub fn br_sz(&mut self, label: Label) -> &mut Self {
-        self.push_branch(Opcode::BrSZ, Some(Reg::s(0)), label)
+        self.inst(Opcode::BrSZ, &[Arg::Label(label)])
     }
 
     /// Branch to `label` if `S0 != 0`.
     pub fn br_sn(&mut self, label: Label) -> &mut Self {
-        self.push_branch(Opcode::BrSN, Some(Reg::s(0)), label)
+        self.inst(Opcode::BrSN, &[Arg::Label(label)])
     }
 
     /// Branch to `label` if `S0 >= 0` (signed).
     pub fn br_sp(&mut self, label: Label) -> &mut Self {
-        self.push_branch(Opcode::BrSP, Some(Reg::s(0)), label)
+        self.inst(Opcode::BrSP, &[Arg::Label(label)])
     }
 
     /// Branch to `label` if `S0 < 0` (signed).
     pub fn br_sm(&mut self, label: Label) -> &mut Self {
-        self.push_branch(Opcode::BrSM, Some(Reg::s(0)), label)
+        self.inst(Opcode::BrSM, &[Arg::Label(label)])
     }
 
     /// No operation.
     pub fn nop(&mut self) -> &mut Self {
-        self.push(Inst::new(Opcode::Nop, None, None, None, 0, None))
+        self.inst(Opcode::Nop, &[])
     }
 
     /// Terminate the program.
     pub fn halt(&mut self) -> &mut Self {
-        self.push(Inst::new(Opcode::Halt, None, None, None, 0, None))
+        self.inst(Opcode::Halt, &[])
     }
 
-    /// Resolves labels, validates every constant against its field, and
-    /// produces the [`Program`].
-    ///
-    /// The fields are those of the paper's two-parcel instructions (§2):
-    /// a pure immediate or a branch target gets 22 signed bits (the CRAY
-    /// `jkm` field); the register+constant forms (`AAddImm`, `ASubImm`,
-    /// `SShl`, `SShr`, loads and stores) name two registers in the first
-    /// parcel, which leaves 16.
+    /// Resolves labels, validates every constant against its field (the
+    /// widths of [`Opcode::shape`]), and produces the [`Program`].
     ///
     /// # Errors
     /// * [`AsmError::ReboundLabel`] if a label was [`Asm::bind`]-ed at
@@ -548,21 +488,20 @@ impl Asm {
 }
 
 /// Checks the constant `inst` (at `pc`) carries, if any, against the
-/// signed width of its field (see [`Asm::assemble`]).
+/// signed width of its field in [`Opcode::shape`].
 fn check_constant(pc: usize, inst: &Inst) -> Result<(), AsmError> {
-    use Opcode::*;
-    let (value, bits) = match inst.opcode {
-        AImm | SImm => (inst.imm, 22),
-        AAddImm | ASubImm | SShl | SShr | LoadA | LoadS | StoreA | StoreS => (inst.imm, 16),
-        op if op.is_branch() => (i64::from(inst.target.expect("branch has a target")), 22),
-        _ => return Ok(()),
-    };
-    let half = 1i64 << (bits - 1);
-    if (-half..half).contains(&value) {
-        Ok(())
-    } else {
-        Err(AsmError::ImmOutOfRange { pc, value })
+    for &operand in inst.opcode.shape().operands {
+        let (value, bits) = match operand {
+            Operand::Imm(bits) => (inst.imm, bits),
+            Operand::Target(bits) => (i64::from(inst.target.expect("branch has a target")), bits),
+            _ => continue,
+        };
+        let half = 1i64 << (bits - 1);
+        if !(-half..half).contains(&value) {
+            return Err(AsmError::ImmOutOfRange { pc, value });
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -727,6 +666,34 @@ mod tests {
     fn operand_file_checked() {
         let mut a = Asm::new("t");
         a.a_add(Reg::a(1), Reg::s(1), Reg::a(2));
+    }
+
+    #[test]
+    fn file_errors_name_the_operand() {
+        let mut a = Asm::new("t");
+        let mut err = |op, args: &[Arg]| a.try_push(op, args).unwrap_err();
+        let (a1, s1) = (Arg::Reg(Reg::a(1)), Arg::Reg(Reg::s(1)));
+        assert_eq!(
+            err(Opcode::SPop, &[s1, s1]),
+            "dst operand must be an A register, got S1"
+        );
+        assert_eq!(
+            err(Opcode::FRecip, &[s1, a1]),
+            "src1 operand must be an S register, got A1"
+        );
+        assert_eq!(
+            err(Opcode::SAdd, &[s1, s1, a1]),
+            "src2 operand must be an S register, got A1"
+        );
+        assert_eq!(
+            err(Opcode::LoadS, &[s1, s1, Arg::Imm(0)]),
+            "base operand must be an A register, got S1"
+        );
+        assert_eq!(
+            err(Opcode::StoreS, &[a1, a1, Arg::Imm(0)]),
+            "data operand must be an S register, got A1"
+        );
+        assert!(a.assemble().unwrap().is_empty(), "nothing is appended");
     }
 
     #[test]

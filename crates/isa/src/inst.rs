@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::op::{FuClass, Opcode};
+use crate::op::{FuClass, Opcode, Operand};
 use crate::reg::Reg;
 
 /// A decoded instruction.
@@ -14,9 +14,10 @@ use crate::reg::Reg;
 /// single pure function over `(opcode, source values, immediate)` (see
 /// [`crate::semantics`]).
 ///
-/// Invariants (upheld by the [`crate::Asm`] constructors):
-/// * `dst`/`src1`/`src2` register files match the opcode's conventions
-///   (e.g. `AAdd` has all-A operands);
+/// Invariants (upheld by the one checked path that the [`crate::Asm`]
+/// constructors and [`crate::text::parse`] build through):
+/// * `dst`/`src1`/`src2` are present, and in the register files, that
+///   [`Opcode::shape`] gives (e.g. `AAdd` has all-A operands);
 /// * conditional branches carry their implicit condition register
 ///   (`A0`/`S0`) in `src1`, so dependences on the condition are visible to
 ///   issue logic without special cases;
@@ -127,31 +128,35 @@ impl Inst {
     }
 }
 
+/// The text syntax of [`crate::text`], with a branch target written
+/// `L{pc}`: `st.s S2, A1, 3`, `br.an L7`.
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.opcode)?;
-        if let Some(d) = self.dst {
-            write!(f, " {d}")?;
-            if self.src1.is_some() || self.src2.is_some() || self.uses_imm() {
-                write!(f, ",")?;
+        f.write_str(self.opcode.mnemonic())?;
+        for (i, operand) in self.opcode.shape().operands.iter().enumerate() {
+            f.write_str(if i == 0 { " " } else { ", " })?;
+            let reg = match operand {
+                Operand::Dst(_) => self.dst,
+                Operand::Src1(_) => self.src1,
+                Operand::Src2(_) => self.src2,
+                Operand::Imm(_) => {
+                    write!(f, "{}", self.imm)?;
+                    continue;
+                }
+                Operand::Target(_) => {
+                    f.write_str("L")?;
+                    match self.target {
+                        Some(t) => write!(f, "{t}")?,
+                        None => f.write_str("?")?,
+                    }
+                    continue;
+                }
+            };
+            // A hand-built `Inst` may lack an operand its shape names.
+            match reg {
+                Some(r) => write!(f, "{r}")?,
+                None => f.write_str("?")?,
             }
-        }
-        let mut first = self.dst.is_none();
-        for s in self.sources() {
-            if first {
-                write!(f, " {s}")?;
-                first = false;
-            } else {
-                write!(f, " {s},")?;
-            }
-        }
-        // Trailing comma cleanup is cosmetic; keep the format simple and
-        // unambiguous instead: print imm/target with explicit markers.
-        if self.uses_imm() {
-            write!(f, " #{}", self.imm)?;
-        }
-        if let Some(t) = self.target {
-            write!(f, " ->{t}")?;
         }
         Ok(())
     }
@@ -161,11 +166,11 @@ impl Inst {
     /// `true` if the immediate field is meaningful for this opcode.
     #[must_use]
     pub fn uses_imm(&self) -> bool {
-        use Opcode::*;
-        matches!(
-            self.opcode,
-            AAddImm | ASubImm | AImm | SImm | SShl | SShr | LoadA | LoadS | StoreA | StoreS
-        )
+        self.opcode
+            .shape()
+            .operands
+            .iter()
+            .any(|o| matches!(o, Operand::Imm(_)))
     }
 }
 
@@ -207,6 +212,34 @@ mod tests {
         let s = i.to_string();
         assert!(s.contains("a.add"));
         assert!(s.contains("A1"));
+
+        // One exact line per operand shape: the text syntax, with a
+        // branch target written `L{pc}`.
+        let mut a = crate::Asm::new("shapes");
+        let top = a.new_label();
+        a.bind(top);
+        a.a_add(Reg::a(1), Reg::a(2), Reg::a(3));
+        a.a_sub_imm(Reg::a(1), Reg::a(2), -4);
+        a.ld_s(Reg::s(1), Reg::a(2), 40);
+        a.st_s(Reg::s(2), Reg::a(1), 3);
+        a.a_imm(Reg::a(1), 5);
+        a.a_to_b(Reg::b(63), Reg::a(1));
+        a.br_an(top);
+        a.jump(top);
+        a.halt();
+        let lines: Vec<String> = a.assemble().unwrap().iter().map(Inst::to_string).collect();
+        let want = [
+            "a.add A1, A2, A3",
+            "a.subi A1, A2, -4",
+            "ld.s S1, A2, 40",
+            "st.s S2, A1, 3",
+            "a.imm A1, 5",
+            "mov.ab B63, A1",
+            "br.an L0",
+            "j L0",
+            "halt",
+        ];
+        assert_eq!(lines, want);
     }
 
     #[test]

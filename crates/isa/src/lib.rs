@@ -9,8 +9,8 @@
 //! It provides:
 //!
 //! * [`Reg`] — typed register names over the four files;
-//! * [`Opcode`] / [`FuClass`] — the instruction set and its mapping onto
-//!   functional units;
+//! * [`Opcode`] / [`FuClass`] — the instruction set, each opcode's operand
+//!   shape ([`Opcode::shape`]) and its functional unit;
 //! * [`Inst`] — a decoded instruction with uniform operand accessors, which
 //!   is what both the golden interpreter and the timing simulators consume;
 //! * [`Program`] and the [`Asm`] assembler with labels and forward

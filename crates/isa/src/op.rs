@@ -1,11 +1,18 @@
-//! Opcodes and their mapping onto functional-unit classes.
+//! Opcodes, their operand shapes and their mapping onto functional-unit
+//! classes.
 //!
 //! The opcode set is the subset of the CRAY-1 scalar unit needed to compile
 //! the Lawrence Livermore loops, plus register transfers between all four
 //! files. Default latencies are the CRAY-1 functional unit times in clock
 //! periods (CRAY-1 Hardware Reference Manual; paper §2).
+//!
+//! [`Opcode::shape`] is the one statement of each opcode's operands: their
+//! written order, register files and constant widths. The assembler's
+//! checks, the text syntax and [`crate::Inst`]'s `Display` all read it.
 
 use std::fmt;
+
+use crate::reg::RegFile;
 
 /// Functional-unit classes of the model architecture (paper Figure 1).
 ///
@@ -117,13 +124,42 @@ impl fmt::Display for FuClass {
     }
 }
 
+/// One written operand of an instruction, in the order the text syntax
+/// and the [`crate::Asm`] constructors take them (see [`Opcode::shape`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operand {
+    /// The destination register ([`crate::Inst::dst`]), in this file.
+    Dst(RegFile),
+    /// The first source ([`crate::Inst::src1`]; a memory op's base).
+    Src1(RegFile),
+    /// The second source ([`crate::Inst::src2`]; a store's data).
+    Src2(RegFile),
+    /// The constant ([`crate::Inst::imm`]: immediate, shift count or
+    /// displacement), in a signed field of this many bits.
+    Imm(u32),
+    /// The branch target ([`crate::Inst::target`]), in a signed field of
+    /// this many bits.
+    Target(u32),
+}
+
+/// An opcode's operand shape: what its instructions carry and where.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shape {
+    /// The written operands, in text order.
+    pub operands: &'static [Operand],
+    /// A conditional branch's implicit condition register: register 0 of
+    /// this file (`A0` or `S0`), carried in `src1` but never written.
+    pub cond: Option<RegFile>,
+}
+
 /// The instruction opcodes of the model architecture.
 ///
-/// Operand conventions (see [`crate::Inst`]):
+/// Operand conventions (stated per opcode by [`Opcode::shape`]; see
+/// [`crate::Inst`]):
 /// * three-register ops: `dst = src1 op src2`;
 /// * reg-immediate ops: `dst = src1 op imm`;
 /// * loads: `dst = mem[src1 + imm]`;
-/// * stores: `mem[src1 + imm] = src2`;
+/// * stores: `mem[src1 + imm] = src2`, written `data, base, disp`;
 /// * conditional branches implicitly read `A0` or `S0`, which the
 ///   constructors materialise as `src1` so the dependence is explicit;
 /// * `Halt` terminates the program (a convenience for simulation; the
@@ -215,6 +251,62 @@ pub enum Opcode {
 }
 
 impl Opcode {
+    /// Every opcode, in declaration order.
+    pub const ALL: [Opcode; 41] = {
+        use Opcode::*;
+        [
+            AAdd, ASub, AAddImm, ASubImm, AMul, AImm, SAdd, SSub, SImm, SAnd, SOr, SXor, SShl,
+            SShr, SPop, SLz, FAdd, FSub, FMul, FRecip, AtoB, BtoA, StoT, TtoS, AtoS, StoA, LoadA,
+            LoadS, StoreA, StoreS, Jump, BrAZ, BrAN, BrAP, BrAM, BrSZ, BrSN, BrSP, BrSM, Nop, Halt,
+        ]
+    };
+
+    /// The opcode written `mnemonic`, if any (the inverse of
+    /// [`Opcode::mnemonic`]).
+    #[must_use]
+    pub fn from_mnemonic(mnemonic: &str) -> Option<Opcode> {
+        Self::ALL.into_iter().find(|op| op.mnemonic() == mnemonic)
+    }
+
+    /// This opcode's operand shape.
+    ///
+    /// A constant gets the field of the paper's two-parcel instructions
+    /// (§2): a pure immediate or a branch target gets 22 signed bits (the
+    /// CRAY `jkm` field); the register+constant forms name two registers
+    /// in the first parcel, which leaves 16.
+    #[must_use]
+    pub fn shape(self) -> Shape {
+        use Opcode::*;
+        use Operand::{Dst, Imm, Src1, Src2, Target};
+        use RegFile::{A, B, S, T};
+        let operands: &'static [Operand] = match self {
+            AAdd | ASub | AMul => &[Dst(A), Src1(A), Src2(A)],
+            SAdd | SSub | SAnd | SOr | SXor | FAdd | FSub | FMul => &[Dst(S), Src1(S), Src2(S)],
+            AAddImm | ASubImm | LoadA => &[Dst(A), Src1(A), Imm(16)],
+            SShl | SShr => &[Dst(S), Src1(S), Imm(16)],
+            LoadS => &[Dst(S), Src1(A), Imm(16)],
+            StoreA => &[Src2(A), Src1(A), Imm(16)],
+            StoreS => &[Src2(S), Src1(A), Imm(16)],
+            AImm => &[Dst(A), Imm(22)],
+            SImm => &[Dst(S), Imm(22)],
+            SPop | SLz | StoA => &[Dst(A), Src1(S)],
+            FRecip => &[Dst(S), Src1(S)],
+            AtoB => &[Dst(B), Src1(A)],
+            BtoA => &[Dst(A), Src1(B)],
+            StoT => &[Dst(T), Src1(S)],
+            TtoS => &[Dst(S), Src1(T)],
+            AtoS => &[Dst(S), Src1(A)],
+            Jump | BrAZ | BrAN | BrAP | BrAM | BrSZ | BrSN | BrSP | BrSM => &[Target(22)],
+            Nop | Halt => &[],
+        };
+        let cond = match self {
+            BrAZ | BrAN | BrAP | BrAM => Some(A),
+            BrSZ | BrSN | BrSP | BrSM => Some(S),
+            _ => None,
+        };
+        Shape { operands, cond }
+    }
+
     /// The functional unit class that executes this opcode.
     ///
     /// Branches, `Nop` and `Halt` are resolved in the decode/issue stage
@@ -369,6 +461,30 @@ mod tests {
         assert!(Opcode::LoadS.is_load() && Opcode::LoadS.is_mem());
         assert!(Opcode::StoreA.is_store() && Opcode::StoreA.is_mem());
         assert!(!Opcode::FAdd.is_mem());
+    }
+
+    #[test]
+    fn all_lists_every_opcode_once_in_order() {
+        for (i, op) in Opcode::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i, "{op}");
+        }
+    }
+
+    #[test]
+    fn shapes_agree_with_the_classification() {
+        for op in Opcode::ALL {
+            let shape = op.shape();
+            let has = |want: fn(&Operand) -> bool| shape.operands.iter().any(want);
+            assert_eq!(shape.cond.is_some(), op.is_cond_branch(), "{op}");
+            assert_eq!(
+                has(|o| matches!(o, Operand::Target(_))),
+                op.is_branch(),
+                "{op}"
+            );
+            // Everything that executes on a unit but a store writes a result.
+            let writes = op.fu_class().is_some() && !op.is_store();
+            assert_eq!(has(|o| matches!(o, Operand::Dst(_))), writes, "{op}");
+        }
     }
 
     #[test]

@@ -18,18 +18,20 @@
 //!     halt
 //! ```
 //!
-//! Operand order follows the [`crate::Asm`] constructors (stores are
+//! Each line's operands are read by [`Opcode::shape`], in the order the
+//! [`crate::Asm`] constructors take them (stores are
 //! `st.s data, base, disp`); conditional branches name only their target
 //! (the condition register is `A0`/`S0` by the machine's convention).
-//! [`emit`] produces this syntax from any [`Program`], and
+//! [`parse`] builds through the assembler's checked path, so a register
+//! in the wrong file is a [`ParseError`], never a panic. [`emit`] writes
+//! each instruction with [`crate::Inst`]'s `Display`, and
 //! `parse(emit(p))` reproduces `p` exactly.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::asm::{Asm, Label};
-use crate::inst::Inst;
-use crate::op::Opcode;
+use crate::asm::{Arg, Asm, Label};
+use crate::op::{Opcode, Operand};
 use crate::program::Program;
 use crate::reg::{Reg, RegFile};
 
@@ -58,15 +60,16 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 }
 
 fn parse_reg(tok: &str, line: usize) -> Result<Reg, ParseError> {
-    let (file, num) = tok.split_at(1);
-    let file = match file {
-        "A" | "a" => RegFile::A,
-        "S" | "s" => RegFile::S,
-        "B" | "b" => RegFile::B,
-        "T" | "t" => RegFile::T,
-        _ => return Err(err(line, format!("bad register {tok}"))),
+    let mut chars = tok.chars();
+    let file = match chars.next() {
+        Some('A' | 'a') => RegFile::A,
+        Some('S' | 's') => RegFile::S,
+        Some('B' | 'b') => RegFile::B,
+        Some('T' | 't') => RegFile::T,
+        _ => return Err(err(line, format!("bad register '{tok}'"))),
     };
-    let n: u8 = num
+    let n: u8 = chars
+        .as_str()
         .parse()
         .map_err(|_| err(line, format!("bad register number in {tok}")))?;
     if n >= file.len() {
@@ -75,17 +78,25 @@ fn parse_reg(tok: &str, line: usize) -> Result<Reg, ParseError> {
     Ok(Reg::new(file, n))
 }
 
+/// A decimal or `0x` hexadecimal constant, optionally negated by one
+/// leading `-`.
 fn parse_imm(tok: &str, line: usize) -> Result<i64, ParseError> {
     let (neg, body) = match tok.strip_prefix('-') {
         Some(rest) => (true, rest),
         None => (false, tok),
     };
-    let v = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16)
+    let (radix, digits) = match body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
+        Some(hex) => (16, hex),
+        None => (10, body),
+    };
+    // `from_str_radix` takes a sign of its own, which would read `--5`
+    // as 5.
+    let v = if neg && digits.starts_with(['+', '-']) {
+        None
     } else {
-        body.parse()
+        i64::from_str_radix(digits, radix).ok()
     }
-    .map_err(|_| err(line, format!("bad immediate {tok}")))?;
+    .ok_or_else(|| err(line, format!("bad immediate {tok}")))?;
     Ok(if neg { -v } else { v })
 }
 
@@ -140,184 +151,31 @@ pub fn parse(source: &str) -> Result<Program, ParseError> {
         } else {
             rest.split(',').map(str::trim).collect()
         };
-
-        let want = |n: usize| -> Result<(), ParseError> {
-            if ops.len() == n {
-                Ok(())
-            } else {
-                Err(err(
-                    line,
-                    format!("{mnemonic} expects {n} operand(s), got {}", ops.len()),
-                ))
-            }
-        };
-        let reg_of = |i: usize, file: RegFile| -> Result<Reg, ParseError> {
-            let r = parse_reg(ops[i], line)?;
-            if r.file() == file {
-                Ok(r)
-            } else {
-                Err(err(
-                    line,
-                    format!(
-                        "operand {} of {mnemonic} must be an {file} register, got {r}",
-                        i + 1
-                    ),
-                ))
-            }
-        };
-        let areg = |i: usize| reg_of(i, RegFile::A);
-        let sreg = |i: usize| reg_of(i, RegFile::S);
-        let breg = |i: usize| reg_of(i, RegFile::B);
-        let treg = |i: usize| reg_of(i, RegFile::T);
-        let imm = |i: usize| parse_imm(ops[i], line);
-
-        match mnemonic {
-            "a.add" => {
-                want(3)?;
-                asm.a_add(areg(0)?, areg(1)?, areg(2)?);
-            }
-            "a.sub" => {
-                want(3)?;
-                asm.a_sub(areg(0)?, areg(1)?, areg(2)?);
-            }
-            "a.addi" => {
-                want(3)?;
-                asm.a_add_imm(areg(0)?, areg(1)?, imm(2)?);
-            }
-            "a.subi" => {
-                want(3)?;
-                asm.a_sub_imm(areg(0)?, areg(1)?, imm(2)?);
-            }
-            "a.mul" => {
-                want(3)?;
-                asm.a_mul(areg(0)?, areg(1)?, areg(2)?);
-            }
-            "a.imm" => {
-                want(2)?;
-                asm.a_imm(areg(0)?, imm(1)?);
-            }
-            "s.add" => {
-                want(3)?;
-                asm.s_add(sreg(0)?, sreg(1)?, sreg(2)?);
-            }
-            "s.sub" => {
-                want(3)?;
-                asm.s_sub(sreg(0)?, sreg(1)?, sreg(2)?);
-            }
-            "s.imm" => {
-                want(2)?;
-                asm.s_imm(sreg(0)?, imm(1)?);
-            }
-            "s.and" => {
-                want(3)?;
-                asm.s_and(sreg(0)?, sreg(1)?, sreg(2)?);
-            }
-            "s.or" => {
-                want(3)?;
-                asm.s_or(sreg(0)?, sreg(1)?, sreg(2)?);
-            }
-            "s.xor" => {
-                want(3)?;
-                asm.s_xor(sreg(0)?, sreg(1)?, sreg(2)?);
-            }
-            "s.shl" => {
-                want(3)?;
-                asm.s_shl(sreg(0)?, sreg(1)?, imm(2)?);
-            }
-            "s.shr" => {
-                want(3)?;
-                asm.s_shr(sreg(0)?, sreg(1)?, imm(2)?);
-            }
-            "s.pop" => {
-                want(2)?;
-                asm.s_pop(areg(0)?, sreg(1)?);
-            }
-            "s.lz" => {
-                want(2)?;
-                asm.s_lz(areg(0)?, sreg(1)?);
-            }
-            "f.add" => {
-                want(3)?;
-                asm.f_add(sreg(0)?, sreg(1)?, sreg(2)?);
-            }
-            "f.sub" => {
-                want(3)?;
-                asm.f_sub(sreg(0)?, sreg(1)?, sreg(2)?);
-            }
-            "f.mul" => {
-                want(3)?;
-                asm.f_mul(sreg(0)?, sreg(1)?, sreg(2)?);
-            }
-            "f.recip" => {
-                want(2)?;
-                asm.f_recip(sreg(0)?, sreg(1)?);
-            }
-            "mov.ab" => {
-                want(2)?;
-                asm.a_to_b(breg(0)?, areg(1)?);
-            }
-            "mov.ba" => {
-                want(2)?;
-                asm.b_to_a(areg(0)?, breg(1)?);
-            }
-            "mov.st" => {
-                want(2)?;
-                asm.s_to_t(treg(0)?, sreg(1)?);
-            }
-            "mov.ts" => {
-                want(2)?;
-                asm.t_to_s(sreg(0)?, treg(1)?);
-            }
-            "mov.as" => {
-                want(2)?;
-                asm.a_to_s(sreg(0)?, areg(1)?);
-            }
-            "mov.sa" => {
-                want(2)?;
-                asm.s_to_a(areg(0)?, sreg(1)?);
-            }
-            "ld.a" => {
-                want(3)?;
-                asm.ld_a(areg(0)?, areg(1)?, imm(2)?);
-            }
-            "ld.s" => {
-                want(3)?;
-                asm.ld_s(sreg(0)?, areg(1)?, imm(2)?);
-            }
-            "st.a" => {
-                want(3)?;
-                asm.st_a(areg(0)?, areg(1)?, imm(2)?);
-            }
-            "st.s" => {
-                want(3)?;
-                asm.st_s(sreg(0)?, areg(1)?, imm(2)?);
-            }
-            "j" | "br.az" | "br.an" | "br.ap" | "br.am" | "br.sz" | "br.sn" | "br.sp" | "br.sm" => {
-                want(1)?;
-                let l = label_for(&mut asm, &mut labels, ops[0]);
-                match mnemonic {
-                    "j" => asm.jump(l),
-                    "br.az" => asm.br_az(l),
-                    "br.an" => asm.br_an(l),
-                    "br.ap" => asm.br_ap(l),
-                    "br.am" => asm.br_am(l),
-                    "br.sz" => asm.br_sz(l),
-                    "br.sn" => asm.br_sn(l),
-                    "br.sp" => asm.br_sp(l),
-                    "br.sm" => asm.br_sm(l),
-                    _ => unreachable!(),
-                };
-            }
-            "nop" => {
-                want(0)?;
-                asm.nop();
-            }
-            "halt" => {
-                want(0)?;
-                asm.halt();
-            }
-            other => return Err(err(line, format!("unknown mnemonic {other}"))),
+        let opcode = Opcode::from_mnemonic(mnemonic)
+            .ok_or_else(|| err(line, format!("unknown mnemonic {mnemonic}")))?;
+        let operands = opcode.shape().operands;
+        if ops.len() != operands.len() {
+            return Err(err(
+                line,
+                format!(
+                    "{mnemonic} expects {} operand(s), got {}",
+                    operands.len(),
+                    ops.len()
+                ),
+            ));
         }
+        let mut args = Vec::with_capacity(ops.len());
+        for (operand, tok) in operands.iter().zip(&ops) {
+            args.push(match operand {
+                Operand::Imm(_) => Arg::Imm(parse_imm(tok, line)?),
+                Operand::Target(_) => Arg::Label(label_for(&mut asm, &mut labels, tok)),
+                Operand::Dst(_) | Operand::Src1(_) | Operand::Src2(_) => {
+                    Arg::Reg(parse_reg(tok, line)?)
+                }
+            });
+        }
+        asm.try_push(opcode, &args)
+            .map_err(|e| err(line, format!("{mnemonic}: {e}")))?;
     }
 
     // Check every referenced label was bound before assembling, to report
@@ -337,54 +195,32 @@ pub fn parse(source: &str) -> Result<Program, ParseError> {
 }
 
 /// Emits a program in the textual syntax; `parse(&emit(p))` reproduces
-/// `p` exactly (the name is carried in a `.name` directive).
+/// `p` exactly (the name is carried in a `.name` directive, and each
+/// branch target gets a label `L{pc}`).
 #[must_use]
 pub fn emit(program: &Program) -> String {
     use std::fmt::Write as _;
     let mut targets: Vec<u32> = program.iter().filter_map(|i| i.target).collect();
     targets.sort_unstable();
     targets.dedup();
-    let label = |pc: u32| format!("L{pc}");
 
     let mut out = String::new();
     let _ = writeln!(out, ".name {}", program.name());
     for (pc, inst) in program.iter().enumerate() {
         if targets.binary_search(&(pc as u32)).is_ok() {
-            let _ = writeln!(out, "{}:", label(pc as u32));
+            let _ = writeln!(out, "L{pc}:");
         }
-        let _ = writeln!(out, "    {}", inst_text(inst, &label));
+        let _ = writeln!(out, "    {inst}");
     }
     out
 }
 
-fn inst_text(inst: &Inst, label: &dyn Fn(u32) -> String) -> String {
-    use Opcode::*;
-    let m = inst.opcode.mnemonic();
-    let d = |r: Option<Reg>| r.expect("operand present").to_string();
-    match inst.opcode {
-        AAdd | ASub | AMul | SAdd | SSub | SAnd | SOr | SXor | FAdd | FSub | FMul => {
-            format!("{m} {}, {}, {}", d(inst.dst), d(inst.src1), d(inst.src2))
-        }
-        AAddImm | ASubImm | SShl | SShr => {
-            format!("{m} {}, {}, {}", d(inst.dst), d(inst.src1), inst.imm)
-        }
-        AImm | SImm => format!("{m} {}, {}", d(inst.dst), inst.imm),
-        SPop | SLz | FRecip | AtoB | BtoA | StoT | TtoS | AtoS | StoA => {
-            format!("{m} {}, {}", d(inst.dst), d(inst.src1))
-        }
-        LoadA | LoadS => format!("{m} {}, {}, {}", d(inst.dst), d(inst.src1), inst.imm),
-        StoreA | StoreS => format!("{m} {}, {}, {}", d(inst.src2), d(inst.src1), inst.imm),
-        Jump | BrAZ | BrAN | BrAP | BrAM | BrSZ | BrSN | BrSP | BrSM => {
-            format!("{m} {}", label(inst.target.expect("branch has a target")))
-        }
-        Nop | Halt => m.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
-    use crate::reg::Reg;
+    use crate::inst::Inst;
 
     const DOT: &str = r"
 ; dot product over 8 elements
@@ -504,6 +340,54 @@ top:
         let p = a.assemble().unwrap();
         let q = parse(&emit(&p)).unwrap();
         assert_eq!(p, q);
+
+        // Every opcode, with its constant at both edges of its field and
+        // its target at both ends of the program. (A target's upper edge,
+        // 2^21 - 1, needs a program that long; `check_constant`'s own
+        // test covers it.)
+        let mut a = Asm::new("every-opcode");
+        let (top, end) = (a.new_label(), a.new_label());
+        a.bind(top);
+        for op in Opcode::ALL {
+            assert_eq!(Opcode::from_mnemonic(op.mnemonic()), Some(op));
+            let operands = op.shape().operands;
+            let constants = match operands.last() {
+                Some(&Operand::Imm(bits)) => {
+                    let half = 1i64 << (bits - 1);
+                    vec![Arg::Imm(-half), Arg::Imm(half - 1)]
+                }
+                Some(Operand::Target(_)) => vec![Arg::Label(top), Arg::Label(end)],
+                _ => vec![Arg::Imm(0)],
+            };
+            for constant in constants {
+                let args: Vec<Arg> = (0u8..)
+                    .zip(operands)
+                    .map(|(i, operand)| match *operand {
+                        Operand::Dst(f) | Operand::Src1(f) | Operand::Src2(f) => {
+                            Arg::Reg(Reg::new(f, i + 1))
+                        }
+                        Operand::Imm(_) | Operand::Target(_) => constant,
+                    })
+                    .collect();
+                a.try_push(op, &args).unwrap();
+            }
+        }
+        a.bind(end);
+        a.halt();
+        let p = a.assemble().unwrap();
+        let used: HashSet<Opcode> = p.iter().map(|i| i.opcode).collect();
+        assert_eq!(used.len(), Opcode::ALL.len());
+        assert_eq!(parse(&emit(&p)).unwrap(), p);
+
+        // Each instruction's `Display` line is a line of the text syntax.
+        for inst in &p {
+            let inst = Inst {
+                target: inst.target.map(|_| 0),
+                ..*inst
+            };
+            let back = parse(&format!("L0:\n    {inst}\n")).unwrap();
+            assert_eq!(back[0], inst, "{inst}");
+        }
     }
 
     #[test]
@@ -518,6 +402,17 @@ top:
 
         let e = parse("  a.add A1, A2, S3\n").unwrap_err();
         assert!(e.message.contains("must be an A register"), "{e}");
+
+        // Malformed operands: an empty one, a non-ASCII one, a doubled sign.
+        for (source, what) in [
+            ("a.add A1, , A2", "bad register"),
+            ("a.imm \u{e9}1, 3", "bad register"),
+            ("a.imm A1, --5", "bad immediate"),
+        ] {
+            let e = parse(&format!("  {source}\n")).unwrap_err();
+            assert_eq!(e.line, 1, "{source}: {e}");
+            assert!(e.message.contains(what), "{source}: {e}");
+        }
     }
 
     #[test]

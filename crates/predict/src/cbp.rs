@@ -120,8 +120,6 @@ impl BtbStats {
 /// The replay result for one predictor over one stream.
 #[derive(Debug, Clone)]
 pub struct CbpResult {
-    /// Predictor display name.
-    pub predictor: String,
     /// Dynamic instructions in the source trace.
     pub instructions: u64,
     /// Conditional branches replayed.
@@ -207,7 +205,6 @@ fn replay(
     btb: Option<&mut Btb>,
 ) -> CbpResult {
     let mut out = CbpResult {
-        predictor: predictor.name().to_string(),
         instructions: stream.instructions,
         cond_branches: 0,
         uncond_branches: 0,
