@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::asm::{Arg, Asm, Label};
+use crate::asm::{Arg, Asm, AsmError, Label};
 use crate::op::{Opcode, Operand};
 use crate::program::Program;
 use crate::reg::{Reg, RegFile};
@@ -110,6 +110,11 @@ pub fn parse(source: &str) -> Result<Program, ParseError> {
     let mut name: Option<String> = None;
     let mut labels: HashMap<String, Label> = HashMap::new();
     let mut bound: Vec<String> = Vec::new();
+    // Each label first seen as a branch target, with that line, in source
+    // order: an undefined label is reported where it is first used.
+    let mut first_uses: Vec<(String, usize)> = Vec::new();
+    // The source line of each instruction, to place what `assemble` finds.
+    let mut inst_lines: Vec<usize> = Vec::new();
 
     // The assembler wants a fresh label id per name; create lazily.
     fn label_for(asm: &mut Asm, labels: &mut HashMap<String, Label>, name: &str) -> Label {
@@ -168,7 +173,12 @@ pub fn parse(source: &str) -> Result<Program, ParseError> {
         for (operand, tok) in operands.iter().zip(&ops) {
             args.push(match operand {
                 Operand::Imm(_) => Arg::Imm(parse_imm(tok, line)?),
-                Operand::Target(_) => Arg::Label(label_for(&mut asm, &mut labels, tok)),
+                Operand::Target(_) => {
+                    if !labels.contains_key(*tok) {
+                        first_uses.push((tok.to_string(), line));
+                    }
+                    Arg::Label(label_for(&mut asm, &mut labels, tok))
+                }
                 Operand::Dst(_) | Operand::Src1(_) | Operand::Src2(_) => {
                     Arg::Reg(parse_reg(tok, line)?)
                 }
@@ -176,18 +186,23 @@ pub fn parse(source: &str) -> Result<Program, ParseError> {
         }
         asm.try_push(opcode, &args)
             .map_err(|e| err(line, format!("{mnemonic}: {e}")))?;
+        inst_lines.push(line);
     }
 
     // Check every referenced label was bound before assembling, to report
     // the name rather than an internal id.
-    for (label_name, _) in labels.iter() {
-        if !bound.iter().any(|b| b == label_name) {
-            return Err(err(0, format!("label {label_name} is never defined")));
-        }
+    if let Some((label, line)) = first_uses.iter().find(|(l, _)| !bound.contains(l)) {
+        return Err(err(*line, format!("label {label} is never defined")));
     }
-    let program = asm
-        .assemble()
-        .map_err(|e| err(0, format!("assembly failed: {e}")))?;
+    let program = asm.assemble().map_err(|e| {
+        let line = match e {
+            AsmError::ImmOutOfRange { pc, .. } | AsmError::UnboundLabel { pc, .. } => {
+                inst_lines[pc]
+            }
+            AsmError::ReboundLabel { .. } => unreachable!("a second definition is refused above"),
+        };
+        err(line, format!("assembly failed: {e}"))
+    })?;
     Ok(match name {
         Some(n) => Program::from_parts(n, program.iter().copied().collect()),
         None => program,
@@ -419,6 +434,35 @@ top:
     fn undefined_label_is_reported_by_name() {
         let e = parse("  j nowhere\n").unwrap_err();
         assert!(e.message.contains("nowhere"));
+    }
+
+    #[test]
+    fn the_first_undefined_label_is_reported_where_it_is_first_used() {
+        let source = "\
+    j alpha
+    j beta
+    j gamma
+    j beta
+alpha:
+    j delta
+    halt
+";
+        // Labels live in a hash map, whose order changes from map to map.
+        for _ in 0..20 {
+            let e = parse(source).unwrap_err();
+            assert_eq!(e.to_string(), "line 2: label beta is never defined");
+        }
+        let e = parse("  j alpha\n  j beta\n  j gamma\n  halt\n").unwrap_err();
+        assert_eq!(e.to_string(), "line 1: label alpha is never defined");
+    }
+
+    #[test]
+    fn a_constant_too_wide_is_reported_on_its_own_line() {
+        let e = parse("  a.imm A1, 3\n\n  a.imm A1, 99999999\n  halt\n").unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.message.contains("99999999"), "{e}");
+        let e = parse("top:\n  a.addi A1, A1, 40000\n  br.an top\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Machinery shared by the issue-mechanism simulators: register-instance
-//! tags, reservation-station operands, the fetch frontend with branch dead
-//! cycles, and per-cycle broadcast records.
+//! tags, reservation-station operands, and the fetch frontend with branch
+//! dead cycles.
 
 use ruu_isa::{semantics, Inst, Program, Reg};
 use ruu_sim_core::{MachineConfig, PipelineObserver, RunStats, StallReason};
@@ -34,6 +34,7 @@ pub enum Operand {
 impl Operand {
     /// `true` once the value is available.
     #[must_use]
+    #[inline]
     pub fn is_ready(&self) -> bool {
         matches!(self, Operand::Ready(_))
     }
@@ -43,6 +44,7 @@ impl Operand {
     /// # Panics
     /// Panics if the operand is still waiting.
     #[must_use]
+    #[inline]
     pub fn value(&self) -> u64 {
         match self {
             Operand::Ready(v) => *v,
@@ -52,6 +54,7 @@ impl Operand {
 
     /// Gates in a broadcast: if waiting on `tag`, becomes ready with
     /// `value`. Returns `true` if the operand matched.
+    #[inline]
     pub fn gate(&mut self, tag: Tag, value: u64) -> bool {
         if let Operand::Waiting(t) = self {
             if *t == tag {
@@ -60,32 +63,6 @@ impl Operand {
             }
         }
         false
-    }
-}
-
-/// The (tag, value) pairs broadcast during the current cycle, across all
-/// monitored buses (result bus and, for the RUU, the RUU→register-file
-/// bus). Waiting stations and a waiting branch consult this.
-#[derive(Debug, Clone, Default)]
-pub struct Broadcasts {
-    items: Vec<(Tag, u64)>,
-}
-
-impl Broadcasts {
-    /// Clears the record at the start of a cycle.
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
-
-    /// Records a broadcast.
-    pub fn push(&mut self, tag: Tag, value: u64) {
-        self.items.push((tag, value));
-    }
-
-    /// The value broadcast for `tag` this cycle, if any.
-    #[must_use]
-    pub fn lookup(&self, tag: Tag) -> Option<u64> {
-        self.items.iter().find(|(t, _)| *t == tag).map(|(_, v)| *v)
     }
 }
 
@@ -325,20 +302,6 @@ mod tests {
         // Ready operands ignore further broadcasts.
         assert!(!op.gate(t, 10));
         assert_eq!(op.value(), 9);
-    }
-
-    #[test]
-    fn broadcasts_lookup() {
-        let mut b = Broadcasts::default();
-        let t = Tag {
-            reg: Reg::a(2),
-            instance: 1,
-        };
-        assert_eq!(b.lookup(t), None);
-        b.push(t, 5);
-        assert_eq!(b.lookup(t), Some(5));
-        b.clear();
-        assert_eq!(b.lookup(t), None);
     }
 
     #[test]

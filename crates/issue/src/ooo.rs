@@ -32,8 +32,9 @@
 //! The window is a ring indexed by sequence number; a consumer that issues
 //! waiting on a tag registers with the tag's producer, so a broadcast
 //! gates only those waiters; entries join age-ordered ready lists as their
-//! last operand arrives, and dispatch walks those lists; completion events
-//! sit in a timing wheel indexed by cycle.
+//! last operand arrives, and dispatch scans those lists oldest first until
+//! the dispatch paths run out; completion events sit in a timing wheel
+//! indexed by cycle.
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -47,7 +48,7 @@ use ruu_sim_core::{
     FORWARD_LATENCY, STORE_EXEC_LATENCY,
 };
 
-use crate::common::{end_cycle, idle_cycles, Broadcasts, FetchSlot, Frontend, Operand, Tag};
+use crate::common::{end_cycle, idle_cycles, FetchSlot, Frontend, Operand, Tag};
 use crate::simulator::IssueSimulator;
 use crate::SimError;
 
@@ -357,12 +358,17 @@ struct Entry<'a> {
     seq: u64,
     pc: u32,
     inst: &'a Inst,
+    /// Its unit, decided at issue (`None` for a Nop, which needs none).
+    fu: Option<FuClass>,
     dst_tag: Option<Tag>,
     ops: [Operand; 2],
     /// Left its station for a unit (or booked the bus, for a forwarded
     /// load).
     dispatched: bool,
     executed: bool,
+    /// The cycle its result was on the result bus: meaningful once it has
+    /// executed.
+    done_at: u64,
     /// The value it produces: meaningful once it has dispatched, or once
     /// its load has data in hand (`MemPhase::Forwarding`).
     result: u64,
@@ -413,20 +419,26 @@ impl EventWheel {
     }
 
     /// Schedules `ev` for `cycle`, strictly after `now`.
+    #[inline]
     fn schedule(&mut self, now: u64, cycle: u64, ev: Event) {
         while cycle - now >= self.slots.len() as u64 {
-            let mut slots: Vec<Vec<Event>> =
-                (0..self.slots.len() * 2).map(|_| Vec::new()).collect();
-            let mask = slots.len() - 1;
-            for c in now..now + self.slots.len() as u64 {
-                let i = self.index(c);
-                slots[c as usize & mask] = std::mem::take(&mut self.slots[i]);
-            }
-            self.slots = slots;
+            self.grow(now);
         }
         let i = self.index(cycle);
         self.slots[i].push(ev);
         self.pending += 1;
+    }
+
+    /// Doubles the ring, keeping each pending event's cycle.
+    #[cold]
+    fn grow(&mut self, now: u64) {
+        let mut slots: Vec<Vec<Event>> = (0..self.slots.len() * 2).map(|_| Vec::new()).collect();
+        let mask = slots.len() - 1;
+        for c in now..now + self.slots.len() as u64 {
+            let i = self.index(c);
+            slots[c as usize & mask] = std::mem::take(&mut self.slots[i]);
+        }
+        self.slots = slots;
     }
 
     /// Takes the events due at `now`; hand the vector back with
@@ -534,23 +546,20 @@ impl<'a> Window<'a> {
         self.live == 0
     }
 
+    /// Entry `seq`, if it is live: its slot may hold nothing, or another
+    /// entry the same ring length away.
     #[inline]
     fn get(&self, seq: u64) -> Option<&Entry<'a>> {
-        if !(self.head..self.tail).contains(&seq) {
-            return None;
-        }
-        let e = self.slots[self.index(seq)].entry.as_ref();
-        debug_assert!(e.is_none_or(|e| e.seq == seq), "slot aliases another entry");
-        e
+        self.slots[self.index(seq)]
+            .entry
+            .as_ref()
+            .filter(|e| e.seq == seq)
     }
 
     #[inline]
     fn get_mut(&mut self, seq: u64) -> Option<&mut Entry<'a>> {
-        if !(self.head..self.tail).contains(&seq) {
-            return None;
-        }
         let i = self.index(seq);
-        self.slots[i].entry.as_mut()
+        self.slots[i].entry.as_mut().filter(|e| e.seq == seq)
     }
 
     #[inline]
@@ -575,8 +584,8 @@ impl<'a> Window<'a> {
     }
 
     /// Appends `e`, younger than every entry in the window. Forced inline:
-    /// `Machine::run` is near the inliner's budget, and an out-of-line push
-    /// costs a copy of the 88-byte entry per issued instruction.
+    /// an out-of-line push costs a copy of the 104-byte entry per issued
+    /// instruction, where inline the entry is written into its slot.
     #[inline(always)]
     fn push(&mut self, e: Entry<'a>) {
         if self.live == 0 {
@@ -602,15 +611,15 @@ impl<'a> Window<'a> {
         self.live += 1;
     }
 
-    /// Takes entry `seq` out of the window.
-    fn remove(&mut self, seq: u64) -> Entry<'a> {
+    /// Drops entry `seq` from the window.
+    fn remove(&mut self, seq: u64) {
         let i = self.index(seq);
-        let e = self.slots[i].entry.take().expect("removed entry is live");
+        debug_assert!(self.slots[i].entry.is_some(), "removed entry is live");
+        self.slots[i].entry = None;
         self.live -= 1;
         while self.head < self.tail && self.slots[self.index(self.head)].entry.is_none() {
             self.head += 1;
         }
-        e
     }
 
     /// Takes the youngest entry out if it is younger than `seq`.
@@ -628,6 +637,7 @@ impl<'a> Window<'a> {
     }
 
     /// Registers `w` as waiting for the result of live entry `producer`.
+    #[inline]
     fn add_waiter(&mut self, producer: u64, w: Waiter) {
         debug_assert!(self.get(producer).is_some(), "a waited-on producer is live");
         let i = self.index(producer);
@@ -645,11 +655,13 @@ impl<'a> Window<'a> {
     /// Takes `producer`'s waiters; hand the vector back with
     /// [`Window::recycle_waiters`]. As for [`Window::has_waiters`], the
     /// producer may have just left the window.
+    #[inline]
     fn take_waiters(&mut self, producer: u64) -> Vec<Waiter> {
         let i = self.index(producer);
         std::mem::take(&mut self.slots[i].waiters)
     }
 
+    #[inline]
     fn recycle_waiters(&mut self, producer: u64, mut waiters: Vec<Waiter>) {
         waiters.clear();
         let i = self.index(producer);
@@ -657,10 +669,43 @@ impl<'a> Window<'a> {
     }
 }
 
+// The ready lists are short, so inserting into and removing from them
+// shifts their entries by hand: `Vec::{insert, remove}` call out to
+// `memmove`.
+
 /// Inserts `seq` into an age-ordered ready list.
+#[inline]
 fn insert_by_age(list: &mut Vec<u64>, seq: u64) {
-    let i = list.partition_point(|&s| s < seq);
-    list.insert(i, seq);
+    list.push(seq);
+    let mut i = list.len() - 1;
+    while i > 0 && list[i - 1] > seq {
+        list[i] = list[i - 1];
+        i -= 1;
+    }
+    list[i] = seq;
+}
+
+/// Takes `list[i]` out of an age-ordered ready list, keeping the order.
+#[inline]
+fn remove_in_order(list: &mut Vec<u64>, i: usize) {
+    for j in i + 1..list.len() {
+        list[j - 1] = list[j];
+    }
+    list.pop();
+}
+
+/// An operand of `e` just arrived: `e` joins its ready list if that was
+/// the last thing it waited for.
+#[inline]
+fn wake(e: &Entry, mem_ready: &mut Vec<u64>, alu_ready: &mut Vec<u64>) {
+    if e.dispatched || !(e.ops[0].is_ready() && e.ops[1].is_ready()) {
+        return;
+    }
+    match e.mem_phase {
+        MemPhase::NotMem => insert_by_age(alu_ready, e.seq),
+        MemPhase::StorePending => insert_by_age(mem_ready, e.seq),
+        _ => {}
+    }
 }
 
 /// A branch fetched by a predicting core, kept for resolution and
@@ -680,10 +725,12 @@ struct BranchRecord {
     cond: Operand,
     /// pc of the *other* path, fetched on misprediction.
     repair_pc: u32,
-    /// A future file at prediction time (restoring is conservative: a
-    /// legitimate older broadcast in between re-arrives via the commit
-    /// bus, so a stale-invalid entry only delays, never corrupts).
-    ff: [Option<u64>; 8],
+    /// The A future file at prediction time, kept only under
+    /// [`Bypass::LimitedA`], the one policy that reads it (restoring is
+    /// conservative: a legitimate older broadcast in between re-arrives
+    /// via the commit bus, so a stale-invalid entry only delays, never
+    /// corrupts).
+    ff: Option<[Option<u64>; 8]>,
 }
 
 /// Per-run state of the out-of-order core, reporting to an observer of
@@ -712,6 +759,8 @@ pub struct Machine<'a, O: PipelineObserver + ?Sized> {
     ni: [u32; NUM_REGS],
     li: [u64; NUM_REGS],
     ff: [Option<u64>; 8],
+    /// The LI bits a queue tag carries.
+    tag_mask: u64,
     /// Queue rename state: the entry producing the latest instance of
     /// each register (meaningful while the register's NI is non-zero).
     producer: [u64; NUM_REGS],
@@ -738,7 +787,6 @@ pub struct Machine<'a, O: PipelineObserver + ?Sized> {
     bus: SlotReservation,
     dcache: DCache,
     frontend: Frontend,
-    broadcasts: Broadcasts,
     stats: RunStats,
     /// Fetch-stall cycles strictly before this cycle are misprediction
     /// repair (squash + redirect) rather than ordinary branch bubbles.
@@ -791,6 +839,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             ni: [0; NUM_REGS],
             li: [0; NUM_REGS],
             ff: [None; 8],
+            tag_mask: (1u64 << cfg.counter_bits) - 1,
             producer: [0; NUM_REGS],
             window: Window::new(),
             busy_stations: [0; FuClass::ALL.len()],
@@ -805,7 +854,6 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             fus: FuPool::new(),
             bus: SlotReservation::new(cfg.result_buses),
             dcache,
-            broadcasts: Broadcasts::default(),
             stats: RunStats::default(),
             repair_until: 0,
             seq: 0,
@@ -820,10 +868,6 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     /// as they complete (the tagged kinds).
     fn commits(&self) -> bool {
         matches!(self.stations, Stations::Queue { .. })
-    }
-
-    fn tag_mask(&self) -> u64 {
-        (1u64 << self.cfg.counter_bits) - 1
     }
 
     /// Architectural completions: committed instructions plus resolved
@@ -842,13 +886,11 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         self.events.schedule(self.cycle, cycle, ev);
     }
 
-    /// Marks `seq` as gone to a unit (or, for a forwarded load, as having
-    /// booked the bus): its station frees.
+    /// Marks forwarded load `seq` as having booked the bus, its dispatch:
+    /// its station frees.
     fn mark_dispatched(&mut self, seq: u64) {
-        let e = self.window.entry_mut(seq);
-        e.dispatched = true;
-        let fu = e.inst.fu_class().expect("a dispatched entry has a unit");
-        self.busy_stations[fu.index()] -= 1;
+        self.window.entry_mut(seq).dispatched = true;
+        self.busy_stations[FuClass::Memory.index()] -= 1;
     }
 
     // ---- broadcast & wake ---------------------------------------------
@@ -864,8 +906,8 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
 
     /// `producer`'s result `(tag, value)` appears on a bus: the consumers
     /// registered with it and a parked branch gate it in.
+    #[inline(always)]
     fn gate(&mut self, producer: u64, tag: Tag, value: u64) {
-        self.broadcasts.push(tag, value);
         if let Some(pb) = self.frontend.pending_branch_mut() {
             pb.cond.gate(tag, value);
         }
@@ -880,7 +922,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 Waiter::Operand(seq, i) => {
                     if let Some(e) = self.window.get_mut(seq) {
                         if e.ops[i].gate(tag, value) {
-                            self.wake(seq);
+                            wake(e, &mut self.mem_ready, &mut self.alu_ready);
                         }
                     }
                 }
@@ -893,20 +935,6 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             }
         }
         self.window.recycle_waiters(producer, waiters);
-    }
-
-    /// An operand of `seq` just arrived: it joins a ready list if that was
-    /// the last thing it waited for.
-    fn wake(&mut self, seq: u64) {
-        let e = self.window.entry(seq);
-        if e.dispatched || !(e.ops[0].is_ready() && e.ops[1].is_ready()) {
-            return;
-        }
-        match e.mem_phase {
-            MemPhase::NotMem => insert_by_age(&mut self.alu_ready, seq),
-            MemPhase::StorePending => insert_by_age(&mut self.mem_ready, seq),
-            _ => {}
-        }
     }
 
     /// A broadcast on the result bus. The tagged register file captures
@@ -924,7 +952,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 }
             }
             Stations::Queue { .. } => {
-                if r.is_a() && tag.instance == (self.li[r.index()] & self.tag_mask()) {
+                if r.is_a() && tag.instance == (self.li[r.index()] & self.tag_mask) {
                     self.ff[r.num() as usize] = Some(value);
                 }
             }
@@ -944,51 +972,60 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         }
     }
 
-    /// The fault hook: the interrupt frame if entry `seq` is the
-    /// designated faulting instruction. It fires where the instruction
-    /// would update state, before it does.
-    fn fault(&self, seq: u64) -> Option<InterruptFrame> {
-        if self.fault_seq != Some(seq) {
-            return None;
-        }
+    /// The fault hook: `true` if entry `seq` is the designated faulting
+    /// instruction. It fires where the instruction would update state,
+    /// before it does; the run then stops with [`Machine::interrupt_frame`].
+    #[inline]
+    fn faults(&self, seq: u64) -> bool {
+        self.fault_seq == Some(seq)
+    }
+
+    /// The state an interrupt taken on entry `seq` sees.
+    #[cold]
+    fn interrupt_frame(&self, seq: u64) -> InterruptFrame {
         let e = self.window.entry(seq);
         let mut state = self.arch.clone();
         state.pc = e.pc;
-        Some(InterruptFrame {
+        InterruptFrame {
             state,
             memory: self.mem.clone(),
             resume_pc: e.pc,
             committed: self.committed,
             cycle: self.cycle,
-        })
+        }
     }
 
-    /// Entry `e`, just taken out of the window, updates architectural
-    /// state.
-    fn retire(&mut self, e: Entry<'a>) {
-        if e.inst.is_store() {
-            debug_assert_ne!(e.mem_phase, MemPhase::AwaitingLr, "a store's address");
-            self.mem.write(e.ea, e.ops[1].value());
-            self.lr.retire(e.seq);
+    /// Entry `seq` leaves the window and updates architectural state.
+    #[inline(always)]
+    fn retire(&mut self, seq: u64) {
+        let e = self.window.entry(seq);
+        debug_assert!(e.executed, "a retiring entry has executed");
+        // A retiring store has executed, so its address is recorded.
+        let store = (e.mem_phase == MemPhase::StorePending).then(|| (e.ea, e.ops[1].value()));
+        debug_assert_eq!(store.is_some(), e.inst.is_store());
+        let dst = e.dst_tag.map(|tag| (tag, e.result));
+        self.window.remove(seq);
+        if let Some((ea, data)) = store {
+            self.mem.write(ea, data);
+            self.lr.retire(seq);
         }
         if self.commits() {
-            if let Some(tag) = e.dst_tag {
+            if let Some((tag, v)) = dst {
                 // The RUU→register-file bus: stations listen, the future
                 // file does not.
-                debug_assert!(e.executed, "a committing producer has executed");
-                let v = e.result;
                 self.arch.set_reg(tag.reg, v);
                 self.ni[tag.reg.index()] -= 1;
-                self.gate(e.seq, tag, v);
+                self.gate(seq, tag, v);
             }
-            self.obs.commit(self.cycle, e.seq);
+            self.obs.commit(self.cycle, seq);
         }
         self.committed += 1;
     }
 
     // ---- phase 1: completions -------------------------------------------
 
-    fn phase_completions(&mut self) -> Option<InterruptFrame> {
+    /// The entry the injected interrupt is taken on, if one faults.
+    fn phase_completions(&mut self) -> Option<u64> {
         if !self.events.is_due(self.cycle) {
             return None;
         }
@@ -996,18 +1033,20 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         let at_completion = !self.commits();
         for &ev in &evs {
             let seq = ev.seq();
-            if at_completion {
-                if let Some(frame) = self.fault(seq) {
-                    return Some(frame);
-                }
+            if at_completion && self.faults(seq) {
+                return Some(seq);
             }
             self.obs.complete(self.cycle, seq);
             let e = self.window.entry_mut(seq);
             e.executed = true;
+            e.done_at = self.cycle;
             match ev {
                 Event::Finish(_) => {
                     debug_assert!(e.dispatched, "a finished entry has its result");
-                    let (dst_tag, value, is_load) = (e.dst_tag, e.result, e.inst.is_load());
+                    // Stores finish as `StoreExec`, so a finishing memory
+                    // operation is a load.
+                    let is_load = e.mem_phase != MemPhase::NotMem;
+                    let (dst_tag, value) = (e.dst_tag, e.result);
                     let was_provider = e.lr_provider;
                     if let Some(tag) = dst_tag {
                         self.broadcast_result(seq, tag, value);
@@ -1025,8 +1064,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 }
             }
             if at_completion {
-                let e = self.window.remove(seq);
-                self.retire(e);
+                self.retire(seq);
             }
         }
         self.events.recycle(self.cycle, evs);
@@ -1074,7 +1112,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             LrOutcome::WaitOn { .. } => e.mem_phase = MemPhase::AwaitingData,
             LrOutcome::StoreRecorded => {
                 e.mem_phase = MemPhase::StorePending;
-                self.wake(seq);
+                wake(e, &mut self.mem_ready, &mut self.alu_ready);
             }
         }
         if matches!(outcome, LrOutcome::ToMemory | LrOutcome::StoreRecorded) && !self.commits() {
@@ -1144,85 +1182,94 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         } else {
             self.oldest_memory_op()
         };
-        // Load/store priority first, then age (paper §5.1).
-        let mut mem = std::mem::take(&mut self.mem_ready);
-        mem.retain(|&seq| {
-            let sent = paths > 0 && self.dispatch_mem(seq, oldest);
-            paths -= u32::from(sent);
-            !sent
-        });
-        self.mem_ready = mem;
-        let mut alu = std::mem::take(&mut self.alu_ready);
-        alu.retain(|&seq| {
-            let sent = paths > 0 && self.dispatch_alu(seq);
-            paths -= u32::from(sent);
-            !sent
-        });
-        self.alu_ready = alu;
+        // Load/store priority first, then age (paper §5.1), until the
+        // paths run out.
+        let mut i = 0;
+        while paths > 0 && i < self.mem_ready.len() {
+            if self.dispatch_mem(self.mem_ready[i], oldest) {
+                remove_in_order(&mut self.mem_ready, i);
+                paths -= 1;
+            } else {
+                i += 1;
+            }
+        }
+        let mut i = 0;
+        while paths > 0 && i < self.alu_ready.len() {
+            if self.dispatch_alu(self.alu_ready[i]) {
+                remove_in_order(&mut self.alu_ready, i);
+                paths -= 1;
+            } else {
+                i += 1;
+            }
+        }
     }
 
     /// Sends ready load or store `seq` to the memory unit if the unit, the
-    /// data cache and the result bus allow; `true` if it went. A store
-    /// that writes memory as it executes must be `oldest`.
+    /// data cache and the result bus allow; `true` if it went, leaving its
+    /// station. A store that writes memory as it executes must be
+    /// `oldest`.
     fn dispatch_mem(&mut self, seq: u64, oldest: Option<u64>) -> bool {
-        let e = self.window.entry(seq);
+        let (cycle, stores_wait) = (self.cycle, !self.commits());
+        let e = self.window.entry_mut(seq);
         debug_assert_ne!(e.mem_phase, MemPhase::AwaitingLr, "address generated");
-        let (ea, is_load) = (e.ea, e.mem_phase == MemPhase::ToMemory);
-        if !is_load {
-            let stores_wait = !self.commits();
-            if (stores_wait && oldest != Some(seq))
-                || !self.fus.can_accept(FuClass::Memory, self.cycle)
+        let ea = e.ea;
+        let load = if e.mem_phase == MemPhase::ToMemory {
+            let plan = self.dcache.plan(ea, cycle);
+            let Some(lat) = plan.latency() else {
+                return false; // every outstanding-miss register busy: retry
+            };
+            let done = cycle + lat;
+            if !self.fus.can_accept(FuClass::Memory, cycle) || !self.bus.try_reserve(cycle, done) {
+                return false;
+            }
+            e.result = self.mem.read(ea);
+            Some(lat)
+        } else {
+            if (stores_wait && oldest != Some(seq)) || !self.fus.can_accept(FuClass::Memory, cycle)
             {
                 return false;
             }
-            self.fus.accept(FuClass::Memory, self.cycle);
-            self.mark_dispatched(seq);
-            let done = self.cycle + STORE_EXEC_LATENCY;
-            self.obs.dispatch(self.cycle, seq, FuClass::Memory, done);
+            None
+        };
+        self.fus.accept(FuClass::Memory, cycle);
+        e.dispatched = true;
+        self.busy_stations[FuClass::Memory.index()] -= 1;
+        let Some(lat) = load else {
+            let done = cycle + STORE_EXEC_LATENCY;
+            self.obs.dispatch(cycle, seq, FuClass::Memory, done);
             self.schedule(done, Event::StoreExec(seq));
             return true;
-        }
-        let plan = self.dcache.plan(ea, self.cycle);
-        let Some(lat) = plan.latency() else {
-            return false; // every outstanding-miss register busy: retry
         };
-        let done = self.cycle + lat;
-        if !self.fus.can_accept(FuClass::Memory, self.cycle) || !self.bus.available(done) {
-            return false;
-        }
-        self.fus.accept(FuClass::Memory, self.cycle);
-        self.bus.try_reserve(self.cycle, done);
-        self.window.entry_mut(seq).result = self.mem.read(ea);
-        self.mark_dispatched(seq);
-        self.obs.dispatch(self.cycle, seq, FuClass::Memory, done);
+        let done = cycle + lat;
+        self.obs.dispatch(cycle, seq, FuClass::Memory, done);
         if self.dcache.is_finite() {
-            let plan = self.dcache.access(ea, self.cycle);
-            self.obs.mem_access(self.cycle, ea, plan.is_hit(), lat);
+            let plan = self.dcache.access(ea, cycle);
+            self.obs.mem_access(cycle, ea, plan.is_hit(), lat);
         }
         self.schedule(done, Event::Finish(seq));
         true
     }
 
     /// Sends ready ALU operation `seq` to its unit if the unit and the
-    /// result bus allow; `true` if it went.
+    /// result bus allow; `true` if it went, leaving its station.
     fn dispatch_alu(&mut self, seq: u64) -> bool {
-        let e = self.window.entry(seq);
-        let fu = e.inst.fu_class().expect("ALU entry has a unit");
-        let done = self.cycle + self.cfg.fu_latency(fu);
-        if !self.fus.can_accept(fu, self.cycle) || !self.bus.available(done) {
+        let cycle = self.cycle;
+        let e = self.window.entry_mut(seq);
+        let fu = e.fu.expect("an ALU entry has a unit");
+        let done = cycle + self.cfg.fu_latency(fu);
+        if !self.fus.can_accept(fu, cycle) || !self.bus.try_reserve(cycle, done) {
             return false;
         }
-        self.fus.accept(fu, self.cycle);
-        self.bus.try_reserve(self.cycle, done);
-        let v = semantics::alu_result(
+        self.fus.accept(fu, cycle);
+        e.result = semantics::alu_result(
             e.inst.opcode,
             e.ops[0].value(),
             e.ops[1].value(),
             e.inst.imm,
         );
-        self.window.entry_mut(seq).result = v;
-        self.mark_dispatched(seq);
-        self.obs.dispatch(self.cycle, seq, fu, done);
+        e.dispatched = true;
+        self.busy_stations[fu.index()] -= 1;
+        self.obs.dispatch(cycle, seq, fu, done);
         self.schedule(done, Event::Finish(seq));
         true
     }
@@ -1231,8 +1278,9 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
 
     /// Commit from the head of the queue, gated on the oldest unresolved
     /// predicted branch: a speculative instruction may execute but never
-    /// update architectural state.
-    fn phase_commit(&mut self) -> Option<InterruptFrame> {
+    /// update architectural state. The entry the injected interrupt is
+    /// taken on, if one faults.
+    fn phase_commit(&mut self) -> Option<u64> {
         let spec_boundary = self.branches.front().map(|b| b.seq);
         for _ in 0..COMMIT_WIDTH {
             let Some(head) = self.window.front() else {
@@ -1242,13 +1290,12 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             if !head.executed || spec_boundary.is_some_and(|b| seq > b) {
                 break;
             }
-            if let Some(frame) = self.fault(seq) {
+            if self.faults(seq) {
                 // Precise interrupt: the faulting instruction does not
                 // update any state; everything older already has.
-                return Some(frame);
+                return Some(seq);
             }
-            let head = self.window.remove(seq);
-            self.retire(head);
+            self.retire(seq);
         }
         None
     }
@@ -1306,7 +1353,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 self.li[tag.reg.index()] -= 1;
             }
             if !e.dispatched {
-                let fu = e.inst.fu_class().expect("an undispatched entry has a unit");
+                let fu = e.fu.expect("an undispatched entry has a unit");
                 self.busy_stations[fu.index()] -= 1;
             }
         }
@@ -1322,7 +1369,9 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         // Restore the future file from the branch's snapshot. A register
         // with instances left has its latest one older than the branch, so
         // its producer is the youngest surviving entry that writes it.
-        self.ff = b.ff;
+        if let Some(ff) = b.ff {
+            self.ff = ff;
+        }
         for e in self.window.iter() {
             if let Some(tag) = e.dst_tag {
                 self.producer[tag.reg.index()] = e.seq;
@@ -1340,39 +1389,39 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     // ---- phase 7: decode / issue ----------------------------------------
 
     /// A source operand: a value, or the tag of its in-flight producer.
+    ///
+    /// Decode sees a result broadcast on the result bus this cycle (the
+    /// stations monitor it). A tagged register's latest instance has not
+    /// been broadcast yet: register capture clears `reg_latest` as it is.
+    /// On the RUU the producer's entry holds the result, and the bypass
+    /// policy says which results may be read there besides this cycle's;
+    /// the commit bus never carries a result read here, because the
+    /// latest instance committing drops NI to 0.
+    #[inline(always)]
     fn read_operand(&self, r: Reg) -> Operand {
-        let tag = match self.stations {
-            Stations::Tagged(_) => match self.reg_latest[r.index()] {
-                None => return Operand::Ready(self.arch.reg(r)),
-                Some(tag) => tag,
-            },
-            Stations::Queue { .. } => {
-                if self.ni[r.index()] == 0 {
-                    return Operand::Ready(self.arch.reg(r));
-                }
-                Tag {
-                    reg: r,
-                    instance: self.li[r.index()] & self.tag_mask(),
-                }
-            }
-        };
-        if let Some(v) = self.broadcasts.lookup(tag) {
-            return Operand::Ready(v);
-        }
         let Stations::Queue { bypass, .. } = self.stations else {
-            return Operand::Waiting(tag);
+            return self.reg_latest[r.index()]
+                .map_or(Operand::Ready(self.arch.reg(r)), Operand::Waiting);
         };
-        let bypassed = match bypass {
-            Bypass::None => None,
-            Bypass::Full => self
-                .window
+        if self.ni[r.index()] == 0 {
+            return Operand::Ready(self.arch.reg(r));
+        }
+        let tag = Tag {
+            reg: r,
+            instance: self.li[r.index()] & self.tag_mask,
+        };
+        let bypassed = if bypass == Bypass::LimitedA && r.is_a() {
+            // The future file mirrors the result bus.
+            self.ff[r.num() as usize]
+        } else {
+            let cycle = self.cycle;
+            self.window
                 .get(self.producer[r.index()])
-                .filter(|e| e.executed)
+                .filter(|e| e.executed && (bypass == Bypass::Full || e.done_at == cycle))
                 .map(|e| {
                     debug_assert_eq!(e.dst_tag, Some(tag));
                     e.result
-                }),
-            Bypass::LimitedA => r.is_a().then(|| self.ff[r.num() as usize]).flatten(),
+                })
         };
         bypassed.map_or(Operand::Waiting(tag), Operand::Ready)
     }
@@ -1430,7 +1479,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 }
                 Tag {
                     reg: d,
-                    instance: self.li[d.index()] & self.tag_mask(),
+                    instance: self.li[d.index()] & self.tag_mask,
                 }
             }
         }
@@ -1485,7 +1534,14 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             assumed_taken,
             cond,
             repair_pc,
-            ff: self.ff,
+            ff: matches!(
+                self.stations,
+                Stations::Queue {
+                    bypass: Bypass::LimitedA,
+                    ..
+                }
+            )
+            .then_some(self.ff),
         });
         self.count_issue();
         self.frontend.redirect(next_pc, self.cycle + 1 + bubble);
@@ -1567,10 +1623,11 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 .map_or(Operand::Ready(0), |r| self.read_operand(r)),
         ];
         let seq = self.seq;
-        let producers = ops.map(|op| match op {
+        let producer = |op: Operand| match op {
             Operand::Waiting(tag) => Some(self.producer_of(tag)),
             Operand::Ready(_) => None,
-        });
+        };
+        let producers = [producer(ops[0]), producer(ops[1])];
         let dst_tag = inst.dst.map(|d| self.rename(d, seq));
         let is_mem = inst.is_mem();
         let fu = inst.fu_class();
@@ -1583,10 +1640,12 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 seq,
                 pc,
                 inst,
+                fu,
                 dst_tag,
                 ops,
                 dispatched: nop,
                 executed: nop,
+                done_at: 0,
                 result: 0,
                 ea: 0,
                 mem_phase: if is_mem {
@@ -1625,19 +1684,20 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             && self.events.is_empty()
     }
 
-    /// One cycle: breaks with the frame if it took the injected
-    /// interrupt, and otherwise continues with decode's stall reason, if
-    /// nothing issued.
-    fn step(&mut self) -> Result<ControlFlow<InterruptFrame, Option<StallReason>>, SimError> {
-        if let Some(frame) = self.phase_completions() {
-            return Ok(ControlFlow::Break(frame));
+    /// One cycle: breaks with the entry it took the injected interrupt on,
+    /// and otherwise continues with decode's stall reason, if nothing
+    /// issued.
+    #[inline(always)]
+    fn step(&mut self) -> Result<ControlFlow<u64, Option<StallReason>>, SimError> {
+        if let Some(seq) = self.phase_completions() {
+            return Ok(ControlFlow::Break(seq));
         }
         self.phase_addr_gen();
         self.phase_forwards();
         self.phase_dispatch();
         if self.commits() {
-            if let Some(frame) = self.phase_commit() {
-                return Ok(ControlFlow::Break(frame));
+            if let Some(seq) = self.phase_commit() {
+                return Ok(ControlFlow::Break(seq));
             }
         }
         self.phase_resolve_branches();
@@ -1690,10 +1750,11 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     pub fn run(mut self, fault_seq: Option<u64>) -> Result<RunOutcome, SimError> {
         self.fault_seq = fault_seq;
         loop {
-            self.broadcasts.clear();
             let occ = self.window.len() as u32;
             let stall = match self.step()? {
-                ControlFlow::Break(frame) => return Ok(RunOutcome::Interrupted(frame)),
+                ControlFlow::Break(seq) => {
+                    return Ok(RunOutcome::Interrupted(self.interrupt_frame(seq)))
+                }
                 ControlFlow::Continue(stall) => stall,
             };
 
@@ -1746,7 +1807,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruu_isa::Opcode;
+    use ruu_isa::{Asm, Opcode};
 
     const NOP: Inst = Inst {
         opcode: Opcode::Nop,
@@ -1762,10 +1823,12 @@ mod tests {
             seq,
             pc: 0,
             inst: &NOP,
+            fu: None,
             dst_tag: None,
             ops: [Operand::Ready(0); 2],
             dispatched: true,
             executed: true,
+            done_at: 0,
             result: 0,
             ea: 0,
             mem_phase: MemPhase::NotMem,
@@ -1831,5 +1894,112 @@ mod tests {
         assert_eq!(fired, want);
         assert!(wheel.is_empty());
         assert_eq!(wheel.next_due(now + 3 * first), None);
+    }
+
+    #[test]
+    fn ready_lists_stay_in_age_order() {
+        let mut list = Vec::new();
+        for seq in [7, 3, 9, 5, 1, 8] {
+            insert_by_age(&mut list, seq);
+        }
+        assert_eq!(list, [1, 3, 5, 7, 8, 9]);
+        // Dispatch takes entries from anywhere in the list.
+        remove_in_order(&mut list, 2);
+        assert_eq!(list, [1, 3, 7, 8, 9]);
+        remove_in_order(&mut list, 0);
+        remove_in_order(&mut list, 3);
+        assert_eq!(list, [3, 7, 8]);
+        insert_by_age(&mut list, 4);
+        assert_eq!(list, [3, 4, 7, 8]);
+    }
+
+    /// Issue, completion, dispatch and commit cycles by sequence number.
+    #[derive(Default)]
+    struct Timeline {
+        issued: Vec<(u64, u64)>,
+        dispatched: Vec<(u64, u64)>,
+        completed: Vec<(u64, u64)>,
+        committed: Vec<(u64, u64)>,
+    }
+
+    impl Timeline {
+        fn at(events: &[(u64, u64)], seq: u64) -> u64 {
+            events
+                .iter()
+                .find(|&&(s, _)| s == seq)
+                .map(|&(_, cycle)| cycle)
+                .expect("the event happened")
+        }
+    }
+
+    impl PipelineObserver for Timeline {
+        fn issue(&mut self, cycle: u64, seq: u64) {
+            self.issued.push((seq, cycle));
+        }
+        fn dispatch(&mut self, cycle: u64, seq: u64, _: FuClass, _: u64) {
+            self.dispatched.push((seq, cycle));
+        }
+        fn complete(&mut self, cycle: u64, seq: u64) {
+            self.completed.push((seq, cycle));
+        }
+        fn commit(&mut self, cycle: u64, seq: u64) {
+            self.committed.push((seq, cycle));
+        }
+    }
+
+    /// Runs, on the RUU under `bypass`, a producer of S1 (seq 1) that
+    /// completes while an older load holds up commit, and two consumers:
+    /// seq 3, decoded in the producer's completion cycle, and seq 4,
+    /// decoded one cycle later. Returns the cycles at which the two
+    /// consumers dispatch and the cycle at which the producer commits.
+    fn same_cycle_consumers(bypass: Bypass) -> (u64, u64, u64) {
+        let mut a = Asm::new("result-bus");
+        a.ld_s(Reg::s(7), Reg::a(0), 0); // seq 0: holds the head for 11 cycles
+        a.s_imm(Reg::s(1), 5); // seq 1: the producer
+        a.nop(); // seq 2
+        a.s_add(Reg::s(2), Reg::s(1), Reg::s(1)); // seq 3
+        a.s_add(Reg::s(3), Reg::s(1), Reg::s(1)); // seq 4
+        a.halt();
+        let program = a.assemble().unwrap();
+        let sim = OutOfOrder::ruu(MachineConfig::paper(), 10, bypass);
+        let mut t = Timeline::default();
+        let r = sim
+            .run_observed(ArchState::new(), Memory::new(16), &program, 100, &mut t)
+            .unwrap();
+        assert_eq!(r.state.reg(Reg::s(2)), 10);
+        assert_eq!(r.state.reg(Reg::s(3)), 10);
+        let done = Timeline::at(&t.completed, 1);
+        assert_eq!(
+            Timeline::at(&t.issued, 3),
+            done,
+            "seq 3 decodes as seq 1 completes"
+        );
+        assert_eq!(Timeline::at(&t.issued, 4), done + 1);
+        let commit = Timeline::at(&t.committed, 1);
+        assert!(commit > done + 2, "the load holds up the producer's commit");
+        (
+            Timeline::at(&t.dispatched, 3),
+            Timeline::at(&t.dispatched, 4),
+            commit,
+        )
+    }
+
+    #[test]
+    fn a_result_on_the_result_bus_reaches_a_consumer_decoded_that_cycle() {
+        // Without a bypass to S registers, a consumer decoded in its
+        // producer's completion cycle takes the value off the result bus;
+        // one decoded a cycle later missed it and waits for the commit
+        // bus.
+        for bypass in [Bypass::None, Bypass::LimitedA] {
+            let (first, second, commit) = same_cycle_consumers(bypass);
+            assert!(first < commit, "{bypass:?}: seq 3 reads the result bus");
+            assert!(
+                second > commit,
+                "{bypass:?}: seq 4 waits for the commit bus"
+            );
+        }
+        // The full bypass serves both from the producer's entry.
+        let (first, second, commit) = same_cycle_consumers(Bypass::Full);
+        assert!(first < commit && second < commit);
     }
 }
