@@ -138,10 +138,8 @@ impl Executor {
             index: self.executed,
             pc,
             inst: *inst,
-            result: None,
             ea: None,
             taken: None,
-            store_value: None,
         };
 
         let mut next_pc = pc + 1;
@@ -153,34 +151,41 @@ impl Executor {
             }
         } else if inst.is_load() {
             let ea = semantics::effective_address(s1, inst.imm);
-            let v = self.mem.read(ea);
             event.ea = Some(ea);
-            event.result = Some(v);
-            self.state
-                .set_reg(inst.dst.expect("load always has a destination"), v);
+            self.state.set_reg(
+                inst.dst.expect("load always has a destination"),
+                self.mem.read(ea),
+            );
         } else if inst.is_store() {
             let ea = semantics::effective_address(s1, inst.imm);
             event.ea = Some(ea);
-            event.store_value = Some(s2);
             self.mem.write(ea, s2);
         } else if let Some(dst) = inst.dst {
-            let v = semantics::alu_result(inst.opcode, s1, s2, inst.imm);
-            event.result = Some(v);
-            self.state.set_reg(dst, v);
+            self.state
+                .set_reg(dst, semantics::alu_result(inst.opcode, s1, s2, inst.imm));
         }
         // `Nop` and result-less cases fall through with no state change.
         self.state.pc = next_pc;
         event
     }
 
-    /// Runs until `Halt` or until `limit` dynamic instructions.
+    /// `true` if the next step would execute instruction `limit + 1`:
+    /// `limit` instructions have executed and the next is not `Halt`.
+    /// A program that executes exactly `limit` instructions and then
+    /// halts therefore runs here, as it does on every simulator.
+    pub(crate) fn over_limit(&self, program: &Program, limit: u64) -> bool {
+        self.executed >= limit && !program.get(self.state.pc).is_some_and(Inst::is_halt)
+    }
+
+    /// Runs until `Halt`, executing at most `limit` dynamic instructions.
     ///
     /// # Errors
-    /// Returns [`ExecError::InstLimit`] if the limit is hit before `Halt`,
-    /// or [`ExecError::PcOutOfRange`] if execution falls off the program.
+    /// Returns [`ExecError::InstLimit`] if the program would execute more
+    /// than `limit` instructions, or [`ExecError::PcOutOfRange`] if
+    /// execution falls off the program.
     pub fn run(&mut self, program: &Program, limit: u64) -> Result<ExecSummary, ExecError> {
         while !self.halted {
-            if self.executed >= limit {
+            if self.over_limit(program, limit) {
                 return Err(ExecError::InstLimit { limit });
             }
             self.step(program)?;
@@ -319,6 +324,7 @@ mod tests {
         let mut ex = Executor::new(mem());
         let err = ex.run(&p, 10).unwrap_err();
         assert_eq!(err, ExecError::InstLimit { limit: 10 });
+        assert_eq!(ex.executed(), 10, "instruction 11 never executed");
     }
 
     #[test]

@@ -23,14 +23,10 @@ pub struct TraceEvent {
     pub pc: u32,
     /// The instruction.
     pub inst: Inst,
-    /// Result value written to the destination register, if any.
-    pub result: Option<u64>,
     /// Effective address, for memory operations.
     pub ea: Option<u64>,
     /// Branch outcome, for branches.
     pub taken: Option<bool>,
-    /// Value stored to memory, for stores.
-    pub store_value: Option<u64>,
 }
 
 /// Instruction-mix statistics over a trace.
@@ -106,16 +102,17 @@ pub struct Trace {
 
 impl Trace {
     /// Runs `program` on the golden interpreter, recording every dynamic
-    /// instruction, up to `limit` instructions.
+    /// instruction, executing at most `limit` instructions.
     ///
     /// # Errors
-    /// Propagates interpreter errors ([`ExecError`]).
+    /// Propagates interpreter errors ([`ExecError`]), as
+    /// [`Executor::run`] raises them.
     pub fn capture(program: &Program, mem: Memory, limit: u64) -> Result<Self, ExecError> {
         let mut ex = Executor::new(mem);
         let mut events = Vec::new();
         let mut mix = InstMix::default();
         loop {
-            if ex.executed() >= limit {
+            if ex.over_limit(program, limit) {
                 return Err(ExecError::InstLimit { limit });
             }
             match ex.step(program)? {

@@ -5,8 +5,9 @@
 //!
 //! Timing may differ wildly between mechanisms; architecture must not.
 
-use ruu::exec::Memory;
-use ruu::issue::{Bypass, Mechanism, PredictorConfig};
+use ruu::exec::{ExecError, Executor, Memory, Trace};
+use ruu::isa::{Asm, Program, Reg};
+use ruu::issue::{Bypass, Mechanism, PreciseScheme, PredictorConfig, SimError};
 use ruu::sim::MachineConfig;
 use ruu::workloads::livermore;
 
@@ -191,4 +192,83 @@ fn memory_is_shared_ground_truth() {
     .unwrap();
     assert_eq!(a.memory, b.memory);
     assert!(!Memory::new(8).is_empty()); // Memory sanity helper
+}
+
+/// Straight-line code, and a loop whose branch the speculative RUU
+/// predicts: each with its dynamic instruction count (`Halt` excluded).
+fn limit_programs() -> Vec<(Program, u64)> {
+    let mut a = Asm::new("straight");
+    for k in 1..=3 {
+        a.a_imm(Reg::a(k), i64::from(k));
+    }
+    a.halt();
+    let straight = a.assemble().expect("assembles");
+
+    let mut a = Asm::new("loop");
+    let top = a.new_label();
+    a.a_imm(Reg::a(0), 3);
+    a.a_imm(Reg::a(1), 0);
+    a.bind(top);
+    a.a_add(Reg::a(1), Reg::a(1), Reg::a(0));
+    a.a_sub_imm(Reg::a(0), Reg::a(0), 1);
+    a.br_an(top);
+    a.halt();
+    let looped = a.assemble().expect("assembles");
+    vec![(straight, 3), (looped, 2 + 3 * 3)]
+}
+
+#[test]
+fn a_program_of_exactly_limit_instructions_runs_everywhere() {
+    // The limit bounds the instructions executed: a program that
+    // executes exactly `limit` and then halts completes on the golden
+    // interpreter, in a golden trace and on every simulator, and one
+    // that needs one more is stopped by both golden paths and by every
+    // simulator that does not predict.
+    let cfg = MachineConfig::paper();
+    let mut every = mechanisms();
+    for scheme in [
+        PreciseScheme::ReorderBuffer,
+        PreciseScheme::ReorderBufferBypass,
+        PreciseScheme::HistoryBuffer,
+        PreciseScheme::FutureFile,
+    ] {
+        every.push(Mechanism::InOrderPrecise { scheme, entries: 4 });
+    }
+    for predictor in [
+        PredictorConfig::AlwaysTaken,
+        PredictorConfig::Btfn,
+        PredictorConfig::default(),
+    ] {
+        every.push(Mechanism::SpecRuu {
+            entries: 10,
+            bypass: Bypass::Full,
+            predictor,
+        });
+    }
+    let mem = Memory::new(1 << 10);
+    for (p, n) in limit_programs() {
+        let name = p.name();
+        let golden = Executor::new(mem.clone()).run(&p, n);
+        assert_eq!(golden.map(|s| s.instructions), Ok(n), "{name}");
+        let trace = Trace::capture(&p, mem.clone(), n);
+        assert_eq!(trace.map(|t| t.len() as u64), Ok(n), "{name}");
+        let over = Err(ExecError::InstLimit { limit: n - 1 });
+        assert_eq!(Executor::new(mem.clone()).run(&p, n - 1).map(drop), over);
+        assert_eq!(Trace::capture(&p, mem.clone(), n - 1).map(drop), over);
+        for m in &every {
+            let r = m.build(&cfg).run(&p, mem.clone(), n);
+            assert_eq!(r.map(|r| r.instructions), Ok(n), "{m} on {name}");
+            if m.predictor().is_some() {
+                // A predicting machine counts completions at fetch, so
+                // the instructions still in flight slip past a limit.
+                continue;
+            }
+            let r = m.build(&cfg).run(&p, mem.clone(), n - 1);
+            assert_eq!(
+                r.map(drop),
+                Err(SimError::InstLimit { limit: n - 1 }),
+                "{m} on {name}"
+            );
+        }
+    }
 }

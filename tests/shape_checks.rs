@@ -8,9 +8,11 @@
 //!    sizes (precision costs something; bypass buys most of it back);
 //! 3. a second dispatch path helps the RSTU only marginally (§3.2.3.1);
 //! 4. the RUU with bypass approaches the RSTU at large sizes (§6.1);
-//! 5. out-of-order mechanisms beat the simple baseline at moderate sizes.
+//! 5. out-of-order mechanisms beat the simple baseline at moderate sizes;
+//! 6. speculation (§7) beats the blocking RUU when both pay the same
+//!    redirect costs.
 
-use ruu::issue::{Bypass, Mechanism};
+use ruu::issue::{Bypass, Mechanism, PredictorConfig};
 use ruu::sim::MachineConfig;
 use ruu_bench::{harness, sweep};
 
@@ -170,4 +172,37 @@ fn baseline_issue_rate_is_dependency_bound() {
         (0.2..0.6).contains(&rate),
         "baseline rate should be far below 1 IPC: {rate}"
     );
+}
+
+#[test]
+fn speculation_wins_under_matched_redirect_costs() {
+    // At the paper's costs a branch the speculative RUU guesses taken
+    // costs 1 cycle and one whose condition is known costs 3, so part of
+    // its gain is that gap. Charge both machines 1 cycle per taken and 0
+    // per not-taken branch: what is left is time no longer spent waiting
+    // on branch conditions, which must still be a gain.
+    let cfg = MachineConfig::paper().with_branch_penalties(1, 0);
+    let sizes = [20, 30];
+    let blocking = sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
+        entries,
+        bypass: Bypass::Full,
+    })
+    .expect("RUU sweep runs")
+    .0;
+    let spec = sweep(&cfg, &sizes, |entries| Mechanism::SpecRuu {
+        entries,
+        bypass: Bypass::Full,
+        predictor: PredictorConfig::default(),
+    })
+    .expect("speculative RUU sweep runs")
+    .0;
+    for (b, s) in blocking.iter().zip(&spec) {
+        assert!(
+            s.cycles < b.cycles,
+            "the two-bit speculative RUU ({}) should beat the blocking RUU ({}) at {} entries",
+            s.cycles,
+            b.cycles,
+            b.entries
+        );
+    }
 }
