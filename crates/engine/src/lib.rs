@@ -62,11 +62,11 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ruu_analysis::dataflow_bound;
-use ruu_exec::ExecError;
+use ruu_exec::{ExecError, Trace};
 use ruu_issue::{Mechanism, SimError};
 use ruu_sim_core::{JsonWriter, MachineConfig, RunStats, StallReason};
 use ruu_workloads::{livermore, VerifyError, Workload};
@@ -374,6 +374,9 @@ pub struct SweepEngine {
     suite: Arc<[Workload]>,
     workers: usize,
     baseline_cache: Mutex<HashMap<MachineConfig, u64>>,
+    /// The suite's golden traces (suite order), captured on the first
+    /// bound fill and kept: they do not depend on the configuration.
+    traces: OnceLock<Result<Vec<Trace>, EngineError>>,
     bound_cache: Mutex<HashMap<MachineConfig, Arc<Vec<u64>>>>,
 }
 
@@ -386,6 +389,7 @@ impl SweepEngine {
             suite: suite.into(),
             workers: default_workers(),
             baseline_cache: Mutex::new(HashMap::new()),
+            traces: OnceLock::new(),
             bound_cache: Mutex::new(HashMap::new()),
         }
     }
@@ -482,15 +486,15 @@ impl SweepEngine {
     }
 
     /// Fills `memo` for every configuration in `configs` it lacks: one
-    /// pooled pass of `unit` over all missing (config × workload) pairs,
-    /// whose per-config results (suite order) `fold` turns into the
-    /// memoized value. Returns the number of units it ran; the first
+    /// pooled pass of `unit` over all missing (config × workload index)
+    /// pairs, whose per-config results (suite order) `fold` turns into
+    /// the memoized value. Returns the number of units it ran; the first
     /// failing unit (in unit order) aborts the fill.
     fn fill_memo<V, T: Send>(
         &self,
         memo: &Mutex<HashMap<MachineConfig, V>>,
         configs: &[&MachineConfig],
-        unit: impl Fn(&MachineConfig, &Workload) -> Result<T, EngineError> + Sync,
+        unit: impl Fn(&MachineConfig, usize) -> Result<T, EngineError> + Sync,
         fold: impl Fn(Vec<T>) -> V,
     ) -> Result<usize, EngineError> {
         let missing: Vec<&MachineConfig> = {
@@ -506,9 +510,7 @@ impl SweepEngine {
         let per_cfg = self.suite.len();
         let n_units = missing.len() * per_cfg;
         let mut outs = self
-            .run_pool(n_units, |i| {
-                unit(missing[i / per_cfg], &self.suite[i % per_cfg])
-            })
+            .run_pool(n_units, |i| unit(missing[i / per_cfg], i % per_cfg))
             .into_iter();
         let mut memo = memo.lock().expect("memo lock");
         for &cfg in &missing {
@@ -524,9 +526,31 @@ impl SweepEngine {
         self.fill_memo(
             &self.baseline_cache,
             configs,
-            |cfg, w| Self::run_unit("baseline(simple)", Mechanism::Simple, cfg, w).map(|u| u.0),
+            |cfg, w| {
+                Self::run_unit("baseline(simple)", Mechanism::Simple, cfg, &self.suite[w])
+                    .map(|u| u.0)
+            },
             |cycles| cycles.into_iter().sum(),
         )
+    }
+
+    /// The suite's golden traces, in suite order: captured across the
+    /// pool on the first call, then kept for the engine's lifetime.
+    fn golden_traces(&self) -> Result<&[Trace], EngineError> {
+        self.traces
+            .get_or_init(|| {
+                self.run_pool(self.suite.len(), |i| {
+                    let w = &self.suite[i];
+                    w.golden_trace().map_err(|err| EngineError::Golden {
+                        workload: w.name,
+                        err,
+                    })
+                })
+                .into_iter()
+                .collect()
+            })
+            .as_deref()
+            .map_err(Clone::clone)
     }
 
     /// Fills the dataflow-bound memo for every configuration in
@@ -534,17 +558,11 @@ impl SweepEngine {
     /// golden trace, not simulation units, so fills are **not** counted
     /// in [`EngineStats::units`].
     fn ensure_bounds(&self, configs: &[&MachineConfig]) -> Result<(), EngineError> {
+        let traces = self.golden_traces()?;
         self.fill_memo(
             &self.bound_cache,
             configs,
-            |cfg, w| {
-                w.golden_trace()
-                    .map(|t| dataflow_bound(&t, cfg).bound)
-                    .map_err(|err| EngineError::Golden {
-                        workload: w.name,
-                        err,
-                    })
-            },
+            |cfg, w| Ok(dataflow_bound(&traces[w], cfg).bound),
             Arc::new,
         )
         .map(drop)
@@ -798,6 +816,27 @@ mod tests {
             .run_grid(&[Job::new(Mechanism::Rstu { entries: 4 }, other)])
             .expect("grid");
         assert_eq!(r2.stats.units, 2 * engine.suite().len());
+    }
+
+    #[test]
+    fn bounds_of_every_config_come_from_one_capture() {
+        let engine = SweepEngine::livermore().with_workers(2);
+        let slow = MachineConfig::paper().with_fu_latency(ruu_isa::FuClass::FloatAdd, 9);
+        let mut bounds = Vec::new();
+        let mut captures = Vec::new();
+        for cfg in [MachineConfig::paper(), slow] {
+            let fresh: Vec<u64> = engine
+                .suite()
+                .iter()
+                .map(|w| dataflow_bound(&w.golden_trace().expect("golden runs"), &cfg).bound)
+                .collect();
+            let memo = engine.dataflow_bounds(&cfg).expect("bounds");
+            assert_eq!(*memo, fresh);
+            bounds.push(memo);
+            captures.push(engine.golden_traces().expect("kept").as_ptr());
+        }
+        assert_eq!(captures[0], captures[1], "one capture serves both");
+        assert_ne!(bounds[0], bounds[1], "the configurations bound differently");
     }
 
     #[test]

@@ -57,6 +57,14 @@ pub enum StepOutcome {
     Halted,
 }
 
+/// One instruction [`Executor::execute`] ran: its pc, the instruction,
+/// and for a branch whether it was taken (`false` for the rest).
+pub(crate) struct Executed<'p> {
+    pub(crate) pc: u32,
+    pub(crate) inst: &'p Inst,
+    pub(crate) taken: bool,
+}
+
 /// The golden architectural interpreter.
 ///
 /// Executes instructions one at a time, strictly in program order, applying
@@ -114,51 +122,62 @@ impl Executor {
     /// Returns [`ExecError::PcOutOfRange`] if `pc` points past the end of
     /// the program.
     pub fn step(&mut self, program: &Program) -> Result<StepOutcome, ExecError> {
-        if self.halted {
-            return Ok(StepOutcome::Halted);
-        }
-        let pc = self.state.pc;
-        let inst = *program.get(pc).ok_or(ExecError::PcOutOfRange { pc })?;
-        if inst.is_halt() {
-            self.halted = true;
-            return Ok(StepOutcome::Halted);
-        }
-        let event = self.execute(pc, &inst);
-        self.executed += 1;
-        Ok(StepOutcome::Executed(event))
+        Ok(match self.execute(program, u64::MAX)? {
+            Some(done) => StepOutcome::Executed(TraceEvent {
+                index: self.executed - 1,
+                pc: done.pc,
+                inst: *done.inst,
+                taken: done.inst.is_branch().then_some(done.taken),
+            }),
+            None => StepOutcome::Halted,
+        })
     }
 
-    /// Executes `inst` (not `Halt`) at `pc`, updating state, and returns
-    /// the trace event.
-    fn execute(&mut self, pc: u32, inst: &Inst) -> TraceEvent {
+    /// The one execute path every caller goes through: executes the
+    /// instruction at `pc` and says where it was and, for a branch,
+    /// whether it was taken; `None` once `Halt` is reached.
+    ///
+    /// Instruction `limit + 1` is refused: a program that executes exactly
+    /// `limit` instructions and then halts runs here, as it does on every
+    /// simulator. The limit is checked before the range, so a program
+    /// that falls off its end past the limit reports the limit.
+    #[inline(always)]
+    pub(crate) fn execute<'p>(
+        &mut self,
+        program: &'p Program,
+        limit: u64,
+    ) -> Result<Option<Executed<'p>>, ExecError> {
+        if self.halted {
+            return Ok(None);
+        }
+        let pc = self.state.pc;
+        let inst = program.get(pc);
+        if inst.is_some_and(Inst::is_halt) {
+            self.halted = true;
+            return Ok(None);
+        }
+        if self.executed >= limit {
+            return Err(ExecError::InstLimit { limit });
+        }
+        let inst = inst.ok_or(ExecError::PcOutOfRange { pc })?;
         let s1 = inst.src1.map_or(0, |r| self.state.reg(r));
         let s2 = inst.src2.map_or(0, |r| self.state.reg(r));
 
-        let mut event = TraceEvent {
-            index: self.executed,
-            pc,
-            inst: *inst,
-            ea: None,
-            taken: None,
-        };
-
+        let mut taken = false;
         let mut next_pc = pc + 1;
         if inst.is_branch() {
-            let taken = semantics::branch_taken(inst.opcode, s1);
-            event.taken = Some(taken);
+            taken = semantics::branch_taken(inst.opcode, s1);
             if taken {
                 next_pc = inst.target.expect("branch always has a target");
             }
         } else if inst.is_load() {
             let ea = semantics::effective_address(s1, inst.imm);
-            event.ea = Some(ea);
             self.state.set_reg(
                 inst.dst.expect("load always has a destination"),
                 self.mem.read(ea),
             );
         } else if inst.is_store() {
             let ea = semantics::effective_address(s1, inst.imm);
-            event.ea = Some(ea);
             self.mem.write(ea, s2);
         } else if let Some(dst) = inst.dst {
             self.state
@@ -166,15 +185,8 @@ impl Executor {
         }
         // `Nop` and result-less cases fall through with no state change.
         self.state.pc = next_pc;
-        event
-    }
-
-    /// `true` if the next step would execute instruction `limit + 1`:
-    /// `limit` instructions have executed and the next is not `Halt`.
-    /// A program that executes exactly `limit` instructions and then
-    /// halts therefore runs here, as it does on every simulator.
-    pub(crate) fn over_limit(&self, program: &Program, limit: u64) -> bool {
-        self.executed >= limit && !program.get(self.state.pc).is_some_and(Inst::is_halt)
+        self.executed += 1;
+        Ok(Some(Executed { pc, inst, taken }))
     }
 
     /// Runs until `Halt`, executing at most `limit` dynamic instructions.
@@ -184,12 +196,7 @@ impl Executor {
     /// than `limit` instructions, or [`ExecError::PcOutOfRange`] if
     /// execution falls off the program.
     pub fn run(&mut self, program: &Program, limit: u64) -> Result<ExecSummary, ExecError> {
-        while !self.halted {
-            if self.over_limit(program, limit) {
-                return Err(ExecError::InstLimit { limit });
-            }
-            self.step(program)?;
-        }
+        while self.execute(program, limit)?.is_some() {}
         Ok(ExecSummary {
             instructions: self.executed,
         })
@@ -202,11 +209,16 @@ impl Executor {
     /// Propagates [`ExecError::PcOutOfRange`].
     pub fn run_steps(&mut self, program: &Program, n: u64) -> Result<(), ExecError> {
         for _ in 0..n {
-            if let StepOutcome::Halted = self.step(program)? {
+            if self.execute(program, u64::MAX)?.is_none() {
                 break;
             }
         }
         Ok(())
+    }
+
+    /// The final state and memory, without copying either.
+    pub(crate) fn into_parts(self) -> (ArchState, Memory) {
+        (self.state, self.mem)
     }
 }
 
@@ -222,7 +234,7 @@ pub fn golden_state_at(
 ) -> Result<(ArchState, Memory), ExecError> {
     let mut ex = Executor::new(mem);
     ex.run_steps(program, k)?;
-    Ok((ex.state.clone(), ex.mem))
+    Ok(ex.into_parts())
 }
 
 #[cfg(test)]

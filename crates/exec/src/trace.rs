@@ -4,7 +4,7 @@ use std::fmt;
 
 use ruu_isa::{FuClass, Inst, Program};
 
-use crate::executor::{ExecError, Executor, StepOutcome};
+use crate::executor::{ExecError, Executor};
 use crate::memory::Memory;
 use crate::state::ArchState;
 
@@ -23,8 +23,6 @@ pub struct TraceEvent {
     pub pc: u32,
     /// The instruction.
     pub inst: Inst,
-    /// Effective address, for memory operations.
-    pub ea: Option<u64>,
     /// Branch outcome, for branches.
     pub taken: Option<bool>,
 }
@@ -49,21 +47,27 @@ pub struct InstMix {
 impl InstMix {
     /// Records one dynamic instruction.
     pub fn record(&mut self, ev: &TraceEvent) {
-        self.total += 1;
-        if let Some(fu) = ev.inst.fu_class() {
-            self.per_fu[fu.index()] += 1;
+        self.add(&ev.inst, 1);
+        if ev.taken == Some(true) {
+            self.taken_branches += 1;
         }
-        if ev.inst.is_branch() {
-            self.branches += 1;
-            if ev.taken == Some(true) {
-                self.taken_branches += 1;
-            }
+    }
+
+    /// Counts `n` executions of `inst`, leaving out whether a branch was
+    /// taken.
+    fn add(&mut self, inst: &Inst, n: u64) {
+        self.total += n;
+        if let Some(fu) = inst.fu_class() {
+            self.per_fu[fu.index()] += n;
         }
-        if ev.inst.is_load() {
-            self.loads += 1;
+        if inst.is_branch() {
+            self.branches += n;
         }
-        if ev.inst.is_store() {
-            self.stores += 1;
+        if inst.is_load() {
+            self.loads += n;
+        }
+        if inst.is_store() {
+            self.stores += n;
         }
     }
 
@@ -91,10 +95,20 @@ impl fmt::Display for InstMix {
     }
 }
 
+/// The record bit of a taken branch; the other 31 bits hold the pc.
+const TAKEN: u32 = 1 << 31;
+
 /// A complete dynamic trace of a program run, with the final golden state.
+///
+/// Each dynamic instruction is one `u32`: its pc, with the top bit set for
+/// a taken branch. The pc names the instruction in a copy of the program,
+/// so [`Trace::events`] rebuilds every [`TraceEvent`] from 4 bytes. The
+/// outcome needs its own bit: a taken branch to `pc + 1` leads where a
+/// fall-through does.
 #[derive(Debug, Clone)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    records: Vec<u32>,
+    insts: Box<[Inst]>,
     mix: InstMix,
     final_state: ArchState,
     final_memory: Memory,
@@ -107,46 +121,64 @@ impl Trace {
     /// # Errors
     /// Propagates interpreter errors ([`ExecError`]), as
     /// [`Executor::run`] raises them.
+    ///
+    /// # Panics
+    /// If the program holds `2^31` instructions or more, whose pcs a
+    /// record cannot hold.
     pub fn capture(program: &Program, mem: Memory, limit: u64) -> Result<Self, ExecError> {
+        assert!(
+            program.len() <= TAKEN as usize,
+            "a trace record holds a 31-bit pc"
+        );
         let mut ex = Executor::new(mem);
-        let mut events = Vec::new();
+        let mut records = Vec::new();
+        // Executions per pc: the mix is counted per static instruction.
+        let mut runs = vec![0u64; program.len()];
         let mut mix = InstMix::default();
-        loop {
-            if ex.over_limit(program, limit) {
-                return Err(ExecError::InstLimit { limit });
-            }
-            match ex.step(program)? {
-                StepOutcome::Executed(ev) => {
-                    mix.record(&ev);
-                    events.push(ev);
-                }
-                StepOutcome::Halted => break,
-            }
+        while let Some(done) = ex.execute(program, limit)? {
+            runs[done.pc as usize] += 1;
+            mix.taken_branches += u64::from(done.taken);
+            records.push(done.pc | if done.taken { TAKEN } else { 0 });
         }
+        let insts: Box<[Inst]> = program.iter().copied().collect();
+        for (inst, &n) in insts.iter().zip(&runs) {
+            mix.add(inst, n);
+        }
+        let (final_state, final_memory) = ex.into_parts();
         Ok(Trace {
-            events,
+            records,
+            insts,
             mix,
-            final_state: ex.state().clone(),
-            final_memory: ex.memory().clone(),
+            final_state,
+            final_memory,
         })
     }
 
-    /// The dynamic instruction events, in program order.
-    #[must_use]
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    /// The dynamic instruction events, in program order, each rebuilt
+    /// from its record.
+    pub fn events(&self) -> impl ExactSizeIterator<Item = TraceEvent> + '_ {
+        self.records.iter().enumerate().map(|(index, &r)| {
+            let pc = r & !TAKEN;
+            let inst = self.insts[pc as usize];
+            TraceEvent {
+                index: index as u64,
+                pc,
+                inst,
+                taken: inst.is_branch().then_some(r & TAKEN != 0),
+            }
+        })
     }
 
     /// Number of dynamic instructions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.records.len()
     }
 
     /// `true` if no instructions executed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.records.is_empty()
     }
 
     /// Instruction-mix statistics.
@@ -205,7 +237,7 @@ mod tests {
         a.halt();
         let p = a.assemble().unwrap();
         let t = Trace::capture(&p, Memory::new(8), 100).unwrap();
-        let idx: Vec<u64> = t.events().iter().map(|e| e.index).collect();
+        let idx: Vec<u64> = t.events().map(|e| e.index).collect();
         assert_eq!(idx, vec![0, 1]);
     }
 

@@ -36,15 +36,42 @@ pub fn alu_result(op: Opcode, s1: u64, s2: u64, imm: i64) -> u64 {
         SShr => s1.wrapping_shr((imm as u32) & 63),
         SPop => u64::from(s1.count_ones()),
         SLz => u64::from(s1.leading_zeros()),
-        FAdd => value::from_f64(value::as_f64(s1) + value::as_f64(s2)),
-        FSub => value::from_f64(value::as_f64(s1) - value::as_f64(s2)),
-        FMul => value::from_f64(value::as_f64(s1) * value::as_f64(s2)),
-        FRecip => value::from_f64(recip_approx(value::as_f64(s1))),
+        FAdd => float_op(s1, s2, |a, b| a + b),
+        FSub => float_op(s1, s2, |a, b| a - b),
+        FMul => float_op(s1, s2, |a, b| a * b),
+        FRecip => float_op(s1, 0, |a, _| recip_approx(a)),
         AtoB | BtoA | StoT | TtoS | AtoS | StoA => s1,
         LoadA | LoadS | StoreA | StoreS | Jump | BrAZ | BrAN | BrAP | BrAM | BrSZ | BrSN | BrSP
         | BrSM | Nop | Halt => {
             panic!("opcode {op} has no ALU result")
         }
+    }
+}
+
+/// The NaN that `∞ − ∞` and `0 × ∞` make: the x86-64 default NaN.
+const DEFAULT_NAN: u64 = 0xFFF8_0000_0000_0000;
+
+/// The bit that makes a NaN quiet.
+const QUIET_NAN: u64 = 1 << 51;
+
+/// `op` on the words `s1` and `s2` as doubles, with every NaN result
+/// fixed. Rust leaves open which payload a NaN result carries, and the
+/// compiler may swap the operands of `+` and `*`, so two inlined copies
+/// of one operation (the golden interpreter's and a core's) could
+/// disagree when both operands are NaN. Here a NaN result is `s1` if it
+/// is a NaN, else `s2`, quieted, else [`DEFAULT_NAN`]: what an x86-64
+/// host gives with the operands in that order.
+#[inline]
+fn float_op(s1: u64, s2: u64, op: impl Fn(f64, f64) -> f64) -> u64 {
+    let r = op(value::as_f64(s1), value::as_f64(s2));
+    if !r.is_nan() {
+        value::from_f64(r)
+    } else if value::as_f64(s1).is_nan() {
+        s1 | QUIET_NAN
+    } else if value::as_f64(s2).is_nan() {
+        s2 | QUIET_NAN
+    } else {
+        DEFAULT_NAN
     }
 }
 
@@ -122,6 +149,20 @@ mod tests {
         assert_eq!(value::as_f64(alu_result(Opcode::FAdd, a, b, 0)), 3.5);
         assert_eq!(value::as_f64(alu_result(Opcode::FMul, a, b, 0)), 3.0);
         assert_eq!(value::as_f64(alu_result(Opcode::FRecip, b, 0, 0)), 0.5);
+    }
+
+    #[test]
+    fn nan_results_are_fixed() {
+        let (x, y) = (0xFFFF_FFFF_FFFF_48A3, 0x7FF0_0000_0000_0001);
+        let inf = value::from_f64(f64::INFINITY);
+        for op in [Opcode::FAdd, Opcode::FSub, Opcode::FMul] {
+            assert_eq!(alu_result(op, x, y, 0), x, "{op}: the first NaN");
+            assert_eq!(alu_result(op, y, x, 0), y | QUIET_NAN, "{op}: quieted");
+            assert_eq!(alu_result(op, 0, y, 0), y | QUIET_NAN, "{op}");
+        }
+        assert_eq!(alu_result(Opcode::FSub, inf, inf, 0), DEFAULT_NAN);
+        assert_eq!(alu_result(Opcode::FMul, 0, inf, 0), DEFAULT_NAN);
+        assert_eq!(alu_result(Opcode::FRecip, y, 0, 0), y | QUIET_NAN);
     }
 
     #[test]

@@ -1569,14 +1569,9 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 }
             }
             FetchSlot::Inst(pc, inst) => {
-                // A predicting machine counts architectural completions;
-                // the others count what decode has let through.
-                let counted = if self.predictor.is_some() {
-                    self.completed()
-                } else {
-                    self.seq
-                };
-                if counted >= self.limit {
+                // A core that does not predict counts what decode lets
+                // through; a predicting one counts completions in `step`.
+                if self.predictor.is_none() && self.seq >= self.limit {
                     return Err(SimError::InstLimit { limit: self.limit });
                 }
                 self.obs.fetch(self.cycle, pc);
@@ -1701,6 +1696,11 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             }
         }
         self.phase_resolve_branches();
+        // A predicting core cannot count wrong-path work at fetch, so it
+        // stops in the cycle of its `limit + 1`-th commit or resolution.
+        if self.predictor.is_some() && self.completed() > self.limit {
+            return Err(SimError::InstLimit { limit: self.limit });
+        }
         Ok(ControlFlow::Continue(self.phase_issue()?))
     }
 

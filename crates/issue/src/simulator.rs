@@ -30,7 +30,12 @@ pub trait IssueSimulator: Send {
     ///
     /// # Errors
     /// [`SimError::InstLimit`] if more than `limit` dynamic instructions
-    /// issue; [`SimError::Deadlock`] on internal lack of progress.
+    /// would run: a core that does not predict raises it when decode
+    /// would let instruction `limit + 1` through, a predicting core where
+    /// its `limit + 1`-th architectural completion (a commit or a
+    /// resolved branch) would happen, since the wrong-path work it
+    /// fetches cannot be counted. [`SimError::Deadlock`] on internal lack
+    /// of progress.
     fn run_observed(
         &self,
         state: ArchState,

@@ -41,7 +41,6 @@ impl FaultKind {
 pub fn fault_points(trace: &Trace, kind: FaultKind) -> Vec<u64> {
     trace
         .events()
-        .iter()
         .filter(|ev| kind.applies_to(&ev.inst))
         .map(|ev| ev.index)
         .collect()

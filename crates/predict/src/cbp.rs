@@ -45,7 +45,6 @@ impl BranchStream {
     pub fn from_trace(trace: &Trace) -> Self {
         let events = trace
             .events()
-            .iter()
             .filter(|ev| ev.inst.is_branch())
             .map(|ev| BranchEvent {
                 index: ev.index,

@@ -472,7 +472,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use ruu_analysis::{lint, LintOptions};
-    use ruu_exec::Trace;
+    use ruu_exec::{Executor, StepOutcome, Trace};
+    use ruu_isa::semantics;
 
     #[test]
     fn random_programs_terminate_on_golden() {
@@ -498,13 +499,20 @@ mod tests {
             ..SynthConfig::default()
         };
         let (p, mem) = random_program(11, &cfg);
-        let t = Trace::capture(&p, mem, 1_000_000).unwrap();
         // nearly all memory traffic lands in a handful of words
         use std::collections::HashMap;
         let mut counts: HashMap<u64, u64> = HashMap::new();
-        for ev in t.events() {
-            if let Some(ea) = ev.ea {
-                *counts.entry(ea).or_default() += 1;
+        let mut ex = Executor::new(mem);
+        loop {
+            let inst = *p.get(ex.state().pc).expect("runs to its halt");
+            if inst.is_mem() {
+                let base = inst.src1.map_or(0, |r| ex.state().reg(r));
+                *counts
+                    .entry(semantics::effective_address(base, inst.imm))
+                    .or_default() += 1;
+            }
+            if ex.step(&p).unwrap() == StepOutcome::Halted {
+                break;
             }
         }
         if !counts.is_empty() {

@@ -223,7 +223,7 @@ fn a_program_of_exactly_limit_instructions_runs_everywhere() {
     // executes exactly `limit` and then halts completes on the golden
     // interpreter, in a golden trace and on every simulator, and one
     // that needs one more is stopped by both golden paths and by every
-    // simulator that does not predict.
+    // simulator.
     let cfg = MachineConfig::paper();
     let mut every = mechanisms();
     for scheme in [
@@ -258,11 +258,6 @@ fn a_program_of_exactly_limit_instructions_runs_everywhere() {
         for m in &every {
             let r = m.build(&cfg).run(&p, mem.clone(), n);
             assert_eq!(r.map(|r| r.instructions), Ok(n), "{m} on {name}");
-            if m.predictor().is_some() {
-                // A predicting machine counts completions at fetch, so
-                // the instructions still in flight slip past a limit.
-                continue;
-            }
             let r = m.build(&cfg).run(&p, mem.clone(), n - 1);
             assert_eq!(
                 r.map(drop),
