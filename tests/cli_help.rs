@@ -1,5 +1,6 @@
 //! `ruu-sim -h`/`--help` prints the usage and succeeds, at top level and
-//! after every subcommand.
+//! after every subcommand; a malformed command line or a bad value exits
+//! 1 with a message, never a panic.
 
 use std::process::Command;
 
@@ -37,12 +38,98 @@ fn help_prints_usage_and_succeeds_everywhere() {
     }
 }
 
+/// Malformed command lines and bad values, each with the text its error
+/// message must contain.
+const BAD_COMMAND_LINES: [(&[&str], &str); 20] = [
+    (&["ruu", "LLL1", "--bogus"], "unknown option --bogus"),
+    (&["sweep", "--bogus"], "unknown option --bogus"),
+    (&["cachesim", "--bogus"], "unknown option --bogus"),
+    (&["cbp", "--bogus"], "unknown option --bogus"),
+    (&["trace", "--bogus"], "unknown option --bogus"),
+    (&["lint", "--bogus"], "unknown option --bogus"),
+    (&["analyze", "--bogus"], "unknown option --bogus"),
+    (
+        &["cachesim", "LLL3", "--entries"],
+        "--entries needs a value",
+    ),
+    (&["analyze", "--mechanism"], "--mechanism needs a value"),
+    (&["ruu", "LLL1", "LLL2"], "unexpected argument LLL2"),
+    (&["lint", "LLL1", "LLL2"], "unexpected argument LLL2"),
+    (&["cbp", "LLL1"], "unexpected argument LLL1"),
+    (
+        &["ruu", "LLL1", "--entries", "x"],
+        "--entries needs a number",
+    ),
+    (
+        &["ruu", "LLL1", "--entries", "0"],
+        "--entries must be at least 1",
+    ),
+    (
+        &["ruu", "LLL1", "--paths", "0"],
+        "--paths must be at least 1",
+    ),
+    (
+        &["ruu", "LLL1", "--loadregs", "0"],
+        "--loadregs must be at least 1",
+    ),
+    (
+        &[
+            "sweep",
+            "--mechanism",
+            "ruu",
+            "--entries",
+            "4",
+            "--paths",
+            "0",
+        ],
+        "--paths must be at least 1",
+    ),
+    (
+        &[
+            "sweep",
+            "--mechanism",
+            "ruu",
+            "--entries",
+            "4",
+            "--loadregs",
+            "0",
+        ],
+        "--loadregs must be at least 1",
+    ),
+    (
+        &[
+            "sweep",
+            "--mechanism",
+            "ruu",
+            "--entries",
+            "4",
+            "--buses",
+            "0",
+        ],
+        "--buses must be at least 1",
+    ),
+    (
+        &["cachesim", "LLL3", "--entries", "0"],
+        "--entries must be at least 1",
+    ),
+];
+
 #[test]
 fn unknown_options_still_fail() {
-    let out = Command::new(env!("CARGO_BIN_EXE_ruu-sim"))
-        .args(["sweep", "--bogus"])
-        .output()
-        .expect("run ruu-sim");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --bogus"));
+    for (args, message) in BAD_COMMAND_LINES {
+        let out = Command::new(env!("CARGO_BIN_EXE_ruu-sim"))
+            .args(args)
+            .output()
+            .expect("run ruu-sim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "ruu-sim {args:?} must exit 1; stderr:\n{stderr}"
+        );
+        assert!(
+            stderr.starts_with(&format!("error: {message}")),
+            "ruu-sim {args:?} printed:\n{stderr}"
+        );
+    }
 }
