@@ -4,11 +4,19 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench per_loop`.
 
+use ruu_bench::stall_breakdown;
+use ruu_engine::EngineError;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
-use ruu_workloads::livermore;
 
 fn main() {
+    if let Err(e) = run() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Result<(), EngineError> {
     let cfg = MachineConfig::paper();
     let mechanisms = [
         ("RSTU(15)", Mechanism::Rstu { entries: 15 }),
@@ -47,19 +55,15 @@ fn main() {
     }
     println!();
 
-    for w in livermore::all() {
-        let base = Mechanism::Simple
-            .build(&cfg)
-            .run(&w.program, w.memory.clone(), w.inst_limit)
-            .expect("baseline runs");
-        print!("| {} | {:.3} |", w.name, base.issue_rate());
-        for (_, m) in &mechanisms {
-            let r = m
-                .build(&cfg)
-                .run(&w.program, w.memory.clone(), w.inst_limit)
-                .expect("mechanism runs");
-            w.verify(&r.memory).expect("results verify");
-            print!(" {:.2} |", base.cycles as f64 / r.cycles as f64);
+    let base = stall_breakdown(&cfg, Mechanism::Simple)?;
+    let runs = mechanisms
+        .iter()
+        .map(|&(_, m)| stall_breakdown(&cfg, m))
+        .collect::<Result<Vec<_>, _>>()?;
+    for (i, b) in base.iter().enumerate() {
+        print!("| {} | {:.3} |", b.name, b.issue_rate());
+        for rows in &runs {
+            print!(" {:.2} |", b.cycles as f64 / rows[i].cycles as f64);
         }
         println!();
     }
@@ -69,4 +73,5 @@ fn main() {
          the tight recurrences (LLL5, 11) are latency-bound and gain the least — \
          dependency structure, not the mechanism, sets their ceiling."
     );
+    Ok(())
 }

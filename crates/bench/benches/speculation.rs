@@ -7,6 +7,7 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench speculation`.
 
+use ruu_bench::harness;
 use ruu_exec::ArchState;
 use ruu_issue::{Bypass, Mechanism, PredictorConfig};
 use ruu_sim_core::{FlushAccountant, MachineConfig};
@@ -60,16 +61,10 @@ fn main() {
     let cfg = MachineConfig::paper();
     let matched = cfg.clone().with_branch_penalties(1, 0);
     let suite = livermore::all();
-    let baseline = suite
-        .iter()
-        .map(|w| {
-            Mechanism::Simple
-                .build(&cfg)
-                .run(&w.program, w.memory.clone(), w.inst_limit)
-                .expect("baseline runs")
-                .cycles
-        })
-        .sum();
+    let baseline = harness::engine().baseline_cycles(&cfg).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
 
     println!("### Extension A5 — speculative (conditional-mode) execution in the RUU");
     println!(
