@@ -322,7 +322,7 @@ pub fn cache_ablation(
 mod tests {
     use super::*;
     use ruu_issue::Bypass;
-    use ruu_sim_core::StallReason;
+    use ruu_sim_core::{StallReason, MISPREDICT_PENALTY};
 
     #[test]
     fn baseline_rows_cover_all_loops() {
@@ -365,7 +365,7 @@ mod tests {
             );
             assert_eq!(
                 r.stats.stalls(StallReason::MispredictRepair),
-                r.stats.mispredicted_branches * (cfg.mispredict_penalty + 1),
+                r.stats.mispredicted_branches * (MISPREDICT_PENALTY + 1),
                 "{}: every flush charges penalty+1 repair cycles",
                 r.predictor
             );

@@ -913,7 +913,7 @@ mod tests {
         assert!(b.mispredicted_branches > 0 && b.mispredicted_branches <= b.predicted_branches);
         assert_eq!(
             b.stalls(StallReason::MispredictRepair),
-            b.mispredicted_branches * (cfg.mispredict_penalty + 1),
+            b.mispredicted_branches * (ruu_sim_core::MISPREDICT_PENALTY + 1),
             "every flush costs exactly one redirect window"
         );
         assert!(b.branch_mpki(report.jobs[1].instructions) > 0.0);

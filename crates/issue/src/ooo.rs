@@ -45,7 +45,7 @@ use ruu_predict::{Predictor, PredictorConfig};
 use ruu_sim_core::{
     DCache, FuPool, LoadRegUnit, LrOutcome, MachineConfig, MemOpKind, NullObserver,
     PipelineObserver, RunResult, RunStats, SlotReservation, StallReason, COMMIT_WIDTH,
-    FORWARD_LATENCY, STORE_EXEC_LATENCY,
+    FORWARD_LATENCY, MISPREDICT_PENALTY, SPEC_TAKEN_BUBBLE, STORE_EXEC_LATENCY,
 };
 
 use crate::common::{end_cycle, idle_cycles, FetchSlot, Frontend, Operand, Tag};
@@ -1379,10 +1379,10 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         }
 
         // Redirect fetch to the repair path. The current cycle and the
-        // `mispredict_penalty` cycles after it are all charged as
+        // `MISPREDICT_PENALTY` cycles after it are all charged as
         // misprediction repair: `repair_stalls == flushes * (penalty + 1)`
         // is the invariant `FlushAccountant` checks.
-        self.repair_until = self.cycle + 1 + self.cfg.mispredict_penalty;
+        self.repair_until = self.cycle + 1 + MISPREDICT_PENALTY;
         self.frontend.redirect(b.repair_pc, self.repair_until);
     }
 
@@ -1518,7 +1518,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             }
         };
         let (next_pc, repair_pc, bubble) = match (assumed_taken, speculative) {
-            (true, true) => (target, pc + 1, self.cfg.spec_taken_bubble),
+            (true, true) => (target, pc + 1, SPEC_TAKEN_BUBBLE),
             (true, false) => (target, pc + 1, self.cfg.branch_taken_penalty),
             (false, true) => (pc + 1, target, 0),
             (false, false) => (pc + 1, target, self.cfg.branch_untaken_penalty),

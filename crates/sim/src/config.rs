@@ -8,6 +8,17 @@ use crate::cache::DCacheConfig;
 /// cycle over the RUU→register-file bus.
 pub const COMMIT_WIDTH: u32 = 1;
 
+/// Fetch bubble after a predicted-taken branch in the speculative
+/// machine (§7 extension): the cost of redirecting fetch to a predicted
+/// target. A taken branch whose condition is known at decode pays
+/// [`MachineConfig::branch_taken_penalty`] instead (DESIGN.md §3).
+pub const SPEC_TAKEN_BUBBLE: u64 = 1;
+
+/// Dead cycles charged when a misprediction is repaired (§7 extension),
+/// after the cycle that detects it: a flush stalls decode for
+/// `MISPREDICT_PENALTY + 1` cycles.
+pub const MISPREDICT_PENALTY: u64 = 3;
+
 /// Cycles from "forwarding data known" to its result-bus broadcast for
 /// loads satisfied from the load registers rather than memory.
 pub const FORWARD_LATENCY: u64 = 1;
@@ -28,11 +39,10 @@ pub const STORE_EXEC_LATENCY: u64 = 1;
 /// knob surface, and the sweep harnesses construct many variants of it.
 /// Chainable `with_*` builders are the preferred way to derive variants
 /// (`MachineConfig::paper().with_result_buses(2).with_load_registers(4)`);
-/// they validate their arguments where direct mutation cannot. The
-/// `spec_taken_bubble` and `mispredict_penalty` fields have no builder.
-/// What the paper's machine fixes and no experiment varies is a constant
-/// instead: [`COMMIT_WIDTH`], [`FORWARD_LATENCY`] and
-/// [`STORE_EXEC_LATENCY`].
+/// they validate their arguments where direct mutation cannot. What the
+/// paper's machine fixes and no experiment varies is a constant instead:
+/// [`COMMIT_WIDTH`], [`FORWARD_LATENCY`], [`STORE_EXEC_LATENCY`],
+/// [`SPEC_TAKEN_BUBBLE`] and [`MISPREDICT_PENALTY`].
 ///
 /// `Hash`/`Eq` let sweep engines key memoization caches (e.g. the
 /// per-config baseline-cycles cache in `ruu-engine`) by configuration.
@@ -58,13 +68,6 @@ pub struct MachineConfig {
     /// Width in bits of the per-register NI/LI instance counters
     /// (paper §5.1 uses 3: up to 7 simultaneous instances).
     pub counter_bits: u32,
-    /// Fetch bubble after a predicted-taken branch in the speculative
-    /// machine (§7 extension): the cost of redirecting fetch to a
-    /// predicted target.
-    pub spec_taken_bubble: u64,
-    /// Dead cycles charged when a misprediction is repaired (§7
-    /// extension).
-    pub mispredict_penalty: u64,
     /// Data-cache timing model. [`DCacheConfig::Perfect`] (the default)
     /// reproduces the paper's §2.2 idealization — a fixed memory latency,
     /// no conflicts — bit-identically; a finite cache makes load latency
@@ -89,8 +92,6 @@ impl MachineConfig {
             dispatch_paths: 1,
             load_registers: 6,
             counter_bits: 3,
-            spec_taken_bubble: 1,
-            mispredict_penalty: 3,
             dcache: DCacheConfig::Perfect,
         }
     }

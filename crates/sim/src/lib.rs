@@ -38,7 +38,10 @@ mod stats;
 
 pub use bus::SlotReservation;
 pub use cache::{CachePlan, CacheStats, DCache, DCacheConfig, DCacheError};
-pub use config::{MachineConfig, COMMIT_WIDTH, FORWARD_LATENCY, STORE_EXEC_LATENCY};
+pub use config::{
+    MachineConfig, COMMIT_WIDTH, FORWARD_LATENCY, MISPREDICT_PENALTY, SPEC_TAKEN_BUBBLE,
+    STORE_EXEC_LATENCY,
+};
 pub use fu::FuPool;
 pub use json::JsonWriter;
 pub use loadregs::{LoadRegUnit, LrOutcome, MemOpKind, OpId};

@@ -29,6 +29,7 @@ use std::fmt;
 
 use ruu_isa::FuClass;
 
+use crate::config::MISPREDICT_PENALTY;
 use crate::json::JsonWriter;
 use crate::stats::StallReason;
 
@@ -350,13 +351,13 @@ impl std::error::Error for FlushViolation {}
 ///
 /// A speculative machine may only squash state because a predicted branch
 /// resolved the other way, and each squash must stall fetch for exactly
-/// the redirect window (`mispredict_penalty + 1` cycles, charged as
+/// the redirect window (`MISPREDICT_PENALTY + 1` cycles, charged as
 /// [`StallReason::MispredictRepair`]). [`FlushAccountant::verify`] checks
 /// both identities against the run's reported misprediction count:
 ///
 /// ```text
 /// flushes       == mispredicted_branches
-/// repair_stalls == flushes * (mispredict_penalty + 1)
+/// repair_stalls == flushes * (MISPREDICT_PENALTY + 1)
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct FlushAccountant {
@@ -387,8 +388,8 @@ impl FlushAccountant {
     /// Verifies that every flush is attributable to a recorded
     /// misprediction and paid for with exactly one redirect window of
     /// repair stalls.
-    pub fn verify(&self, mispredicted: u64, mispredict_penalty: u64) -> Result<(), FlushViolation> {
-        let expected_repair = self.flushes * (mispredict_penalty + 1);
+    pub fn verify(&self, mispredicted: u64) -> Result<(), FlushViolation> {
+        let expected_repair = self.flushes * (MISPREDICT_PENALTY + 1);
         if self.flushes == mispredicted && self.repair_stalls == expected_repair {
             Ok(())
         } else {
@@ -653,12 +654,13 @@ mod tests {
         assert_eq!(acc.flushes(), 1);
         assert_eq!(acc.squashed(), 5);
         assert_eq!(acc.repair_stalls(), 4);
-        assert!(acc.verify(1, 3).is_ok());
+        assert!(acc.verify(1).is_ok());
         // A flush without a recorded misprediction is a violation.
-        let v = acc.verify(0, 3).expect_err("unattributed flush");
+        let v = acc.verify(0).expect_err("unattributed flush");
         assert!(v.to_string().contains("flush accounting violated"));
         // So is a repair window of the wrong width.
-        assert!(acc.verify(1, 2).is_err());
+        acc.stall(15, StallReason::MispredictRepair);
+        assert!(acc.verify(1).is_err());
     }
 
     #[test]

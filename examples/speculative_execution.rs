@@ -2,7 +2,7 @@
 //! branch paths in the RUU, with nullification on mispredictions.
 //!
 //! On LLL4 the speculative RUU's lead over the blocking RUU is mostly a
-//! property of the timing model: `MachineConfig::spec_taken_bubble` (1) is
+//! property of the timing model: `ruu::sim::SPEC_TAKEN_BUBBLE` (1) is
 //! smaller than `branch_taken_penalty` (3), so a branch guessed taken costs
 //! less than one whose condition is known at decode. CHANGES.md records the
 //! measurement as a `FOUND:` note on `Machine::predict_branch`.
@@ -13,7 +13,7 @@
 
 use ruu::exec::ArchState;
 use ruu::issue::{Bypass, Mechanism, PredictorConfig};
-use ruu::sim::{FlushAccountant, MachineConfig};
+use ruu::sim::{FlushAccountant, MachineConfig, SPEC_TAKEN_BUBBLE};
 use ruu::workloads::livermore;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,11 +25,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          decrement is still in flight, so it predicts the branch taken. The blocking\n\
          machine hardly waits for that condition; its extra cycles come from the\n\
          timing model, which charges a predicted-taken branch a {}-cycle bubble\n\
-         (spec_taken_bubble) but a taken branch whose condition is already known\n\
+         (SPEC_TAKEN_BUBBLE) but a taken branch whose condition is already known\n\
          {} dead cycles (branch_taken_penalty). Guessing is modelled as cheaper\n\
          than knowing, so most of the gain below is that difference, not time\n\
          saved waiting on branch conditions.)\n",
-        cfg.spec_taken_bubble, cfg.branch_taken_penalty
+        SPEC_TAKEN_BUBBLE, cfg.branch_taken_penalty
     );
 
     let blocking = Mechanism::Ruu {

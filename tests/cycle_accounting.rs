@@ -140,7 +140,7 @@ fn every_flush_is_an_attributed_misprediction() {
                 .unwrap_or_else(|e| panic!("{m} failed on {}: {e}", w.name));
             w.verify(&r.memory)
                 .unwrap_or_else(|e| panic!("{m} wrong result on {}: {e}", w.name));
-            acct.verify(r.stats.mispredicted_branches, cfg.mispredict_penalty)
+            acct.verify(r.stats.mispredicted_branches)
                 .unwrap_or_else(|v| panic!("{m} on {}: {v}", w.name));
         }
     }
