@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench ablation_counters`.
 
-use ruu_bench::{harness, report};
+use ruu_bench::{engine, or_exit, report};
 use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
@@ -30,21 +30,13 @@ fn main() {
             ))
         })
         .collect();
-    let grid = harness::engine().run_grid(&jobs).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let rows: Vec<(String, f64, f64)> = grid
-        .jobs
-        .iter()
-        .map(|j| (j.label.clone(), j.speedup, j.issue_rate))
-        .collect();
+    let grid = or_exit(engine().run_grid(&jobs));
     print!(
         "{}",
         report::format_plain_sweep(
             "Ablation A3 — NI/LI counter width (RUU, 20 entries, full bypass)",
             "configuration",
-            &rows
+            &grid.jobs
         )
     );
     println!();

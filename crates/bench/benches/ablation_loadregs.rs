@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench ablation_loadregs`.
 
-use ruu_bench::{harness, report};
+use ruu_bench::{engine, or_exit, report};
 use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
@@ -26,21 +26,13 @@ fn main() {
             .with_label(format!("{lrs} load registers"))
         })
         .collect();
-    let grid = harness::engine().run_grid(&jobs).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let rows: Vec<(String, f64, f64)> = grid
-        .jobs
-        .iter()
-        .map(|j| (j.label.clone(), j.speedup, j.issue_rate))
-        .collect();
+    let grid = or_exit(engine().run_grid(&jobs));
     print!(
         "{}",
         report::format_plain_sweep(
             "Ablation A2 — load registers (RUU, 15 entries, full bypass)",
             "configuration",
-            &rows
+            &grid.jobs
         )
     );
     println!();

@@ -10,7 +10,7 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench ablation_paths`.
 
-use ruu_bench::{harness, report};
+use ruu_bench::{engine, or_exit, report};
 use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
@@ -34,21 +34,13 @@ fn main() {
             .with_label(format!("RUU(10, bypass), {paths} path(s)")),
         );
     }
-    let grid = harness::engine().run_grid(&jobs).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let rows: Vec<(String, f64, f64)> = grid
-        .jobs
-        .iter()
-        .map(|j| (j.label.clone(), j.speedup, j.issue_rate))
-        .collect();
+    let grid = or_exit(engine().run_grid(&jobs));
     print!(
         "{}",
         report::format_plain_sweep(
             "Ablation A1 — dispatch paths to the functional units",
             "configuration",
-            &rows
+            &grid.jobs
         )
     );
     println!();

@@ -4,19 +4,12 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench mechanism_spectrum`.
 
-use ruu_bench::{harness, report};
-use ruu_engine::EngineError;
+use ruu_bench::{engine, or_exit, report};
+use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn run() -> Result<(), EngineError> {
     let cfg = MachineConfig::paper();
     let mechanisms = [
         ("simple issue (Table 1 baseline)", Mechanism::Simple),
@@ -58,18 +51,17 @@ fn run() -> Result<(), EngineError> {
             },
         ),
     ];
-    let mut rows = Vec::new();
-    for (label, m) in mechanisms {
-        let (pts, _) = harness::sweep(&cfg, &[15], |_| m)?;
-        rows.push((label.to_string(), pts[0].speedup, pts[0].issue_rate));
-    }
+    let jobs: Vec<Job> = mechanisms
+        .into_iter()
+        .map(|(label, m)| Job::new(m, cfg.clone()).with_label(label))
+        .collect();
+    let grid = or_exit(engine().run_grid(&jobs));
     print!(
         "{}",
         report::format_plain_sweep(
             "The §3→§5 design spectrum on the Livermore suite",
             "mechanism",
-            &rows
+            &grid.jobs
         )
     );
-    Ok(())
 }

@@ -4,19 +4,11 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench per_loop`.
 
-use ruu_bench::stall_breakdown;
-use ruu_engine::EngineError;
+use ruu_bench::{engine, or_exit};
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn run() -> Result<(), EngineError> {
     let cfg = MachineConfig::paper();
     let mechanisms = [
         ("RSTU(15)", Mechanism::Rstu { entries: 15 }),
@@ -55,11 +47,11 @@ fn run() -> Result<(), EngineError> {
     }
     println!();
 
-    let base = stall_breakdown(&cfg, Mechanism::Simple)?;
-    let runs = mechanisms
+    let base = or_exit(engine().workload_rows(Mechanism::Simple, &cfg));
+    let runs: Vec<_> = mechanisms
         .iter()
-        .map(|&(_, m)| stall_breakdown(&cfg, m))
-        .collect::<Result<Vec<_>, _>>()?;
+        .map(|&(_, m)| or_exit(engine().workload_rows(m, &cfg)))
+        .collect();
     for (i, b) in base.iter().enumerate() {
         print!("| {} | {:.3} |", b.name, b.issue_rate());
         for rows in &runs {
@@ -73,5 +65,4 @@ fn run() -> Result<(), EngineError> {
          the tight recurrences (LLL5, 11) are latency-bound and gain the least — \
          dependency structure, not the mechanism, sets their ceiling."
     );
-    Ok(())
 }

@@ -5,40 +5,41 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench precision_cost`.
 
-use ruu_bench::sweep;
-use ruu_engine::EngineError;
+use ruu_bench::{engine, or_exit};
+use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn run() -> Result<(), EngineError> {
     let cfg = MachineConfig::paper();
     let sizes = [4usize, 8, 10, 15, 20, 30];
-    let (rstu, _) = sweep(&cfg, &sizes, |entries| Mechanism::Rstu { entries })?;
-    let (ruu, _) = sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
-        entries,
-        bypass: Bypass::Full,
-    })?;
-    let (ruu_none, _) = sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
-        entries,
-        bypass: Bypass::None,
-    })?;
+    // One row of three jobs per window size: RSTU, RUU with and without bypass.
+    let jobs: Vec<Job> = sizes
+        .iter()
+        .flat_map(|&entries| {
+            [
+                Mechanism::Rstu { entries },
+                Mechanism::Ruu {
+                    entries,
+                    bypass: Bypass::Full,
+                },
+                Mechanism::Ruu {
+                    entries,
+                    bypass: Bypass::None,
+                },
+            ]
+        })
+        .map(|m| Job::new(m, cfg.clone()))
+        .collect();
+    let grid = or_exit(engine().run_grid(&jobs));
 
     println!("### Extension A6 — the cost of precise interrupts");
     println!("| entries | RSTU speedup | RUU (bypass) | precision cost | RUU (no bypass) |");
     println!("|---:|---:|---:|---:|---:|");
-    for i in 0..sizes.len() {
-        let cost = 100.0 * (1.0 - ruu[i].speedup / rstu[i].speedup);
-        println!(
-            "| {} | {:.3} | {:.3} | {:.1}% | {:.3} |",
-            sizes[i], rstu[i].speedup, ruu[i].speedup, cost, ruu_none[i].speedup
-        );
+    for (entries, row) in sizes.iter().zip(grid.jobs.chunks(3)) {
+        let (rstu, ruu, ruu_none) = (row[0].speedup, row[1].speedup, row[2].speedup);
+        let cost = 100.0 * (1.0 - ruu / rstu);
+        println!("| {entries} | {rstu:.3} | {ruu:.3} | {cost:.1}% | {ruu_none:.3} |");
     }
     println!();
     println!(
@@ -46,5 +47,4 @@ fn run() -> Result<(), EngineError> {
          RUU approaches the unconstrained RSTU — precision is nearly free; without \
          bypass the aggravated dependencies cost much more."
     );
-    Ok(())
 }

@@ -9,19 +9,12 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench section4`.
 
-use ruu_bench::{harness, report};
-use ruu_engine::EngineError;
+use ruu_bench::{engine, or_exit, report};
+use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism, PreciseScheme};
 use ruu_sim_core::MachineConfig;
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn run() -> Result<(), EngineError> {
     let cfg = MachineConfig::paper();
     let entries = 12;
     let rows: Vec<(String, Mechanism)> = vec![
@@ -62,17 +55,17 @@ fn run() -> Result<(), EngineError> {
             },
         ),
     ];
-    let mut out = Vec::new();
-    for (label, m) in rows {
-        let (pts, _) = harness::sweep(&cfg, &[entries], |_| m)?;
-        out.push((label, pts[0].speedup, pts[0].issue_rate));
-    }
+    let jobs: Vec<Job> = rows
+        .into_iter()
+        .map(|(label, m)| Job::new(m, cfg.clone()).with_label(label))
+        .collect();
+    let grid = or_exit(engine().run_grid(&jobs));
     print!(
         "{}",
         report::format_plain_sweep(
             "Extension A7 — §4 precise-interrupt schemes vs. the RUU",
             "machine",
-            &out
+            &grid.jobs
         )
     );
     println!();
@@ -81,5 +74,4 @@ fn run() -> Result<(), EngineError> {
          bypass = history = future file ≈ 1.0 (precision without out-of-order \
          issue gains nothing on its own); RUU well above 1.0 (both at once)."
     );
-    Ok(())
 }

@@ -7,14 +7,14 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench speculation`.
 
-use ruu_bench::harness;
+use ruu_bench::{engine, or_exit};
 use ruu_exec::ArchState;
 use ruu_issue::{Bypass, Mechanism, PredictorConfig};
 use ruu_sim_core::{FlushAccountant, MachineConfig};
 use ruu_workloads::{livermore, Workload};
 
 /// Prints one table row: `mechanism` under `cfg` over the suite, with its
-/// speedup over `baseline` cycles.
+/// speedup over `baseline` cycles. A failed run stops the target.
 fn row(cfg: &MachineConfig, mechanism: Mechanism, label: &str, suite: &[Workload], baseline: u64) {
     let sim = mechanism.build(cfg);
     let mut cycles = 0;
@@ -24,16 +24,20 @@ fn row(cfg: &MachineConfig, mechanism: Mechanism, label: &str, suite: &[Workload
     // Each misprediction reports the entries it nullified as a flush.
     let mut flushes = FlushAccountant::default();
     for w in suite {
-        let r = sim
-            .run_observed(
+        let r = or_exit(
+            sim.run_observed(
                 ArchState::new(),
                 w.memory.clone(),
                 &w.program,
                 w.inst_limit,
                 &mut flushes,
             )
-            .expect("RUU runs");
-        w.verify(&r.memory).expect("RUU result verifies");
+            .map_err(|e| format!("job {label} failed on {}: {e}", w.name)),
+        );
+        or_exit(
+            w.verify(&r.memory)
+                .map_err(|e| format!("job {label} wrong result on {}: {e}", w.name)),
+        );
         cycles += r.cycles;
         insts += r.instructions;
         predicted += r.stats.predicted_branches;
@@ -61,10 +65,7 @@ fn main() {
     let cfg = MachineConfig::paper();
     let matched = cfg.clone().with_branch_penalties(1, 0);
     let suite = livermore::all();
-    let baseline = harness::engine().baseline_cycles(&cfg).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let baseline = or_exit(engine().baseline_cycles(&cfg));
 
     println!("### Extension A5 — speculative (conditional-mode) execution in the RUU");
     println!(

@@ -3,32 +3,25 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench table1`.
 
-use ruu_bench::{baseline_rows, cache_ablation, predictor_ablation, report, stall_breakdown};
-use ruu_engine::EngineError;
+use ruu_bench::{baseline_rows, cache_ablation, or_exit, predictor_ablation, report};
 use ruu_issue::{Bypass, Mechanism, PredictorConfig};
 use ruu_sim_core::{DCacheConfig, MachineConfig};
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn run() -> Result<(), EngineError> {
     let cfg = MachineConfig::paper();
-    let rows = baseline_rows(&cfg)?;
+    let rows = or_exit(baseline_rows(&cfg));
     println!("## Table 1 — statistics for the benchmark programs (simple issue)");
     println!();
     print!("{}", report::format_table1(&rows));
     println!();
-    let stalls = stall_breakdown(&cfg, Mechanism::Simple)?;
+    // The per-loop rows without their `Total`: the stall table adds its own.
+    let loops = &rows[..rows.len() - 1];
     print!(
         "{}",
-        report::format_stall_table("Where the cycles go (simple issue)", &stalls)
+        report::format_stall_table("Where the cycles go (simple issue)", loops)
     );
     println!();
-    let ablation = predictor_ablation(&cfg, 15)?;
+    let ablation = or_exit(predictor_ablation(&cfg, 15));
     print!(
         "{}",
         report::format_predictor_ablation(
@@ -58,7 +51,7 @@ fn run() -> Result<(), EngineError> {
         .iter()
         .map(|s| DCacheConfig::parse(s).expect("ablation geometry"))
         .collect();
-    let cache_rows = cache_ablation(&cfg, &mechanisms, &dcaches)?;
+    let cache_rows = or_exit(cache_ablation(&cfg, &mechanisms, &dcaches));
     print!(
         "{}",
         report::format_cache_ablation(
@@ -73,8 +66,8 @@ fn run() -> Result<(), EngineError> {
         .map(|g| {
             format!(
                 "{} {:.3}x",
-                g[0].mechanism,
-                g[2].cycles as f64 / g[1].cycles as f64
+                g[0].job.label,
+                g[2].job.cycles as f64 / g[1].job.cycles as f64
             )
         })
         .collect();
@@ -84,5 +77,4 @@ fn run() -> Result<(), EngineError> {
         "Note: 'ours' runs hand-compiled kernels (DESIGN.md §1); absolute counts differ \
          from the paper's CFT-compiled code, shapes are compared in tests/shape_checks.rs."
     );
-    Ok(())
 }

@@ -3,26 +3,15 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench table2`.
 
-use ruu_bench::{harness, paper, report};
+use ruu_bench::{paper, print_paper_sweep};
 use ruu_issue::Mechanism;
 use ruu_sim_core::MachineConfig;
 
 fn main() {
-    let cfg = MachineConfig::paper();
-    let entries: Vec<usize> = paper::TABLE2.iter().map(|&(e, ..)| e).collect();
-    let (pts, stats) = harness::sweep(&cfg, &entries, |entries| Mechanism::Rstu { entries })
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-    print!(
-        "{}",
-        report::format_sweep(
-            "Table 2 — relative speedup and issue rate with a RSTU",
-            &pts,
-            &paper::TABLE2
-        )
+    print_paper_sweep(
+        "Table 2 — relative speedup and issue rate with a RSTU",
+        &MachineConfig::paper(),
+        &paper::TABLE2,
+        |entries| Mechanism::Rstu { entries },
     );
-    println!();
-    println!("{}", stats);
 }

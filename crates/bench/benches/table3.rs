@@ -3,26 +3,15 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench table3`.
 
-use ruu_bench::{harness, paper, report};
+use ruu_bench::{paper, print_paper_sweep};
 use ruu_issue::Mechanism;
 use ruu_sim_core::MachineConfig;
 
 fn main() {
-    let cfg = MachineConfig::paper().with_dispatch_paths(2);
-    let entries: Vec<usize> = paper::TABLE3.iter().map(|&(e, ..)| e).collect();
-    let (pts, stats) = harness::sweep(&cfg, &entries, |entries| Mechanism::Rstu { entries })
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-    print!(
-        "{}",
-        report::format_sweep(
-            "Table 3 — RSTU with 2 data paths to the functional units",
-            &pts,
-            &paper::TABLE3
-        )
+    print_paper_sweep(
+        "Table 3 — RSTU with 2 data paths to the functional units",
+        &MachineConfig::paper().with_dispatch_paths(2),
+        &paper::TABLE3,
+        |entries| Mechanism::Rstu { entries },
     );
-    println!();
-    println!("{}", stats);
 }

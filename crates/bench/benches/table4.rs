@@ -2,29 +2,18 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench table4`.
 
-use ruu_bench::{harness, paper, report};
+use ruu_bench::{paper, print_paper_sweep};
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
 
 fn main() {
-    let cfg = MachineConfig::paper();
-    let entries: Vec<usize> = paper::TABLE4.iter().map(|&(e, ..)| e).collect();
-    let (pts, stats) = harness::sweep(&cfg, &entries, |entries| Mechanism::Ruu {
-        entries,
-        bypass: Bypass::Full,
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    print!(
-        "{}",
-        report::format_sweep(
-            "Table 4 — RUU with bypass logic (precise interrupts)",
-            &pts,
-            &paper::TABLE4
-        )
+    print_paper_sweep(
+        "Table 4 — RUU with bypass logic (precise interrupts)",
+        &MachineConfig::paper(),
+        &paper::TABLE4,
+        |entries| Mechanism::Ruu {
+            entries,
+            bypass: Bypass::Full,
+        },
     );
-    println!();
-    println!("{}", stats);
 }

@@ -3,73 +3,27 @@
 //!
 //! Since the `ruu-engine` rewire, all sweeps execute on a shared
 //! [`SweepEngine`]: the Livermore suite is assembled once per process,
-//! jobs fan out across a scoped worker pool, and simple-issue baseline
-//! cycles are memoized per machine configuration. Worker count defaults
-//! to the host's hardware threads and can be pinned with the
-//! `RUU_BENCH_JOBS` environment variable (`1` recovers serial
-//! execution). Numbers are bit-identical for any worker count.
+//! jobs fan out across a scoped worker pool (one worker per hardware
+//! thread), and simple-issue baseline cycles are memoized per machine
+//! configuration. Numbers are bit-identical for any worker count.
 //!
-//! Every entry point returns `Result<_, EngineError>`: simulator,
-//! verification and golden-trace failures are typed, not panics. The
-//! per-workload rows are the engine's [`WorkloadRow`]s, whose `RunStats`
-//! carry every counter the tables print.
+//! Every entry point that runs returns `Result<_, EngineError>`:
+//! simulator, verification and golden-trace failures are typed, not
+//! panics. The per-workload rows are the engine's [`WorkloadRow`]s, whose
+//! `RunStats` carry every counter the tables print.
 
 use std::sync::OnceLock;
 
-use ruu_engine::{EngineError, EngineStats, Job, SweepEngine, WorkloadRow};
+use ruu_engine::{EngineError, Job, JobResult, SweepEngine, WorkloadRow};
 use ruu_issue::Mechanism;
 use ruu_sim_core::{DCacheConfig, MachineConfig, RunStats};
 use ruu_workloads::livermore;
 
 /// The process-wide sweep engine: Livermore suite assembled once,
 /// baseline cycles memoized across every table and ablation target.
-///
-/// # Panics
-/// Panics if `RUU_BENCH_JOBS` is set to anything but a worker count.
 pub fn engine() -> &'static SweepEngine {
     static ENGINE: OnceLock<SweepEngine> = OnceLock::new();
-    ENGINE.get_or_init(|| {
-        let jobs = std::env::var("RUU_BENCH_JOBS").ok();
-        let workers = parse_workers(jobs.as_deref()).unwrap_or_else(|e| panic!("{e}"));
-        SweepEngine::livermore().with_workers(workers)
-    })
-}
-
-/// Parses the `RUU_BENCH_JOBS` worker count (unset = `0`, one worker
-/// per hardware thread).
-fn parse_workers(value: Option<&str>) -> Result<usize, String> {
-    value.map_or(Ok(0), |v| {
-        v.parse()
-            .map_err(|_| format!("RUU_BENCH_JOBS must be a worker count, got {v:?}"))
-    })
-}
-
-/// One point of a mechanism sweep (Tables 2–6 style).
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// Window entries.
-    pub entries: usize,
-    /// Total cycles over the suite.
-    pub cycles: u64,
-    /// Total instructions over the suite.
-    pub instructions: u64,
-    /// Speedup relative to the baseline suite cycles.
-    pub speedup: f64,
-    /// Aggregate instructions per cycle.
-    pub issue_rate: f64,
-}
-
-/// Runs `mechanism` over the Livermore suite, returning one row per
-/// workload (suite order) whose counters break every cycle down into
-/// issue and per-reason stall cycles.
-///
-/// # Errors
-/// Propagates the first failing workload.
-pub fn stall_breakdown(
-    config: &MachineConfig,
-    mechanism: Mechanism,
-) -> Result<Vec<WorkloadRow>, EngineError> {
-    engine().workload_rows(mechanism, config)
+    ENGINE.get_or_init(SweepEngine::livermore)
 }
 
 /// Runs the baseline (simple issue) over the full Livermore suite,
@@ -78,55 +32,33 @@ pub fn stall_breakdown(
 /// # Errors
 /// Propagates the first failing loop.
 pub fn baseline_rows(config: &MachineConfig) -> Result<Vec<WorkloadRow>, EngineError> {
-    let mut rows = stall_breakdown(config, Mechanism::Simple)?;
+    let mut rows = engine().workload_rows(Mechanism::Simple, config)?;
     rows.push(WorkloadRow::total("Total", &rows));
     Ok(rows)
 }
 
-/// Sweeps a mechanism over window sizes on the shared engine, reporting
-/// paper-style speedup (vs. the simple-issue baseline) and aggregate
-/// issue rate, plus the engine's execution stats (wall clock, units/sec).
-///
-/// # Errors
-/// Propagates the first failing (mechanism, workload) unit.
+/// The jobs of a window sweep: `make(entries)` under `config` for each
+/// entry count, in order. Run them with one `run_grid` call; each
+/// result's speedup is over the simple-issue baseline under `config`.
+#[must_use]
 pub fn sweep(
     config: &MachineConfig,
     entries_list: &[usize],
     make: impl Fn(usize) -> Mechanism,
-) -> Result<(Vec<SweepPoint>, EngineStats), EngineError> {
-    sweep_on(engine(), config, entries_list, make)
-}
-
-/// [`sweep`] on an explicit engine.
-fn sweep_on(
-    engine: &SweepEngine,
-    config: &MachineConfig,
-    entries_list: &[usize],
-    make: impl Fn(usize) -> Mechanism,
-) -> Result<(Vec<SweepPoint>, EngineStats), EngineError> {
-    let jobs: Vec<Job> = entries_list
+) -> Vec<Job> {
+    entries_list
         .iter()
         .map(|&entries| Job::new(make(entries), config.clone()))
-        .collect();
-    let report = engine.run_grid(&jobs)?;
-    let points = entries_list
-        .iter()
-        .zip(&report.jobs)
-        .map(|(&entries, j)| SweepPoint {
-            entries,
-            cycles: j.cycles,
-            instructions: j.instructions,
-            speedup: j.speedup,
-            issue_rate: j.issue_rate,
-        })
-        .collect();
-    Ok((points, report.stats))
+        .collect()
 }
 
 /// The legacy serial sweep: a plain loop of one-shot simulator runs, with
 /// its own baseline pass and no engine, no pool, and no caches. Kept as the
 /// independent reference the `engine_determinism` integration test
 /// compares the parallel engine against bit-for-bit.
+///
+/// The loop computes cycles and instructions only: each result's
+/// `dataflow_bound`, `efficiency` and `stats` are left at zero.
 ///
 /// # Panics
 /// Panics on any simulator or verification failure (the historical
@@ -136,7 +68,7 @@ pub fn sweep_serial(
     config: &MachineConfig,
     entries_list: &[usize],
     make: impl Fn(usize) -> Mechanism,
-) -> Vec<SweepPoint> {
+) -> Vec<JobResult> {
     fn run_suite(
         mechanism: Mechanism,
         config: &MachineConfig,
@@ -162,13 +94,22 @@ pub fn sweep_serial(
     entries_list
         .iter()
         .map(|&entries| {
-            let (cycles, instructions) = run_suite(make(entries), config, &suite);
-            SweepPoint {
-                entries,
+            let mechanism = make(entries);
+            let (cycles, instructions) = run_suite(mechanism, config, &suite);
+            JobResult {
+                label: mechanism.to_string(),
+                mechanism: mechanism.to_string(),
+                entries: mechanism.window_entries(),
                 cycles,
                 instructions,
+                baseline_cycles: baseline,
                 speedup: baseline as f64 / cycles as f64,
                 issue_rate: instructions as f64 / cycles as f64,
+                dataflow_bound: 0,
+                efficiency: 0.0,
+                stats: RunStats::default(),
+                speculative: mechanism.predictor().is_some(),
+                finite_dcache: !config.dcache.is_perfect(),
             }
         })
         .collect()
@@ -182,17 +123,12 @@ pub fn sweep_serial(
 /// predictor.
 #[derive(Debug, Clone)]
 pub struct PredictorAblationRow {
-    /// Canonical predictor label (`NAME[:size]`).
-    pub predictor: String,
     /// Total CBP-replay mispredictions over the 14 loops.
     pub cbp_mispredicts: u64,
-    /// Total cycles over the suite.
-    pub cycles: u64,
-    /// Speedup over the simple-issue baseline.
-    pub speedup: f64,
-    /// The pipeline's counters over the suite (predictions consulted,
-    /// mispredictions, mispredict-repair stall cycles).
-    pub stats: RunStats,
+    /// The pipeline run, labelled with the canonical predictor label
+    /// (`NAME[:size]`); its counters hold the predictions consulted, the
+    /// mispredictions and the mispredict-repair stall cycles.
+    pub job: JobResult,
 }
 
 /// Sweeps the speculative RUU (at `entries` window entries) across the
@@ -219,6 +155,7 @@ pub fn predictor_ablation(
                 },
                 config.clone(),
             )
+            .with_label(predictor.to_string())
         })
         .collect();
     let report = engine().run_grid(&jobs)?;
@@ -235,7 +172,7 @@ pub fn predictor_ablation(
     Ok(zoo
         .iter()
         .zip(report.jobs)
-        .map(|(&p, j)| {
+        .map(|(&p, job)| {
             let cbp_mispredicts = streams
                 .iter()
                 .map(|s| {
@@ -245,11 +182,8 @@ pub fn predictor_ablation(
                 })
                 .sum();
             PredictorAblationRow {
-                predictor: p.to_string(),
                 cbp_mispredicts,
-                cycles: j.cycles,
-                speedup: j.speedup,
-                stats: j.stats,
+                job,
             }
         })
         .collect())
@@ -259,23 +193,15 @@ pub fn predictor_ablation(
 /// data-cache timing model, suite totals.
 #[derive(Debug, Clone)]
 pub struct CacheAblationRow {
-    /// Mechanism label.
-    pub mechanism: String,
     /// The data-cache timing model.
     pub dcache: DCacheConfig,
-    /// Total cycles over the suite.
-    pub cycles: u64,
-    /// Total instructions over the suite (the MPKI denominator).
-    pub instructions: u64,
     /// Cycle ratio vs. the same mechanism under the perfect memory — the
     /// price this mechanism pays for the real memory path.
     pub slowdown: f64,
-    /// Speedup vs. the simple-issue baseline *under the same memory
-    /// model* (the engine memoizes the baseline per configuration).
-    pub speedup: f64,
-    /// The runs' counters over the suite (data-cache accesses, hits and
-    /// misses are zero under the perfect memory).
-    pub stats: RunStats,
+    /// The run, labelled with the mechanism. Its speedup is over the
+    /// simple-issue baseline *under the same memory model*, and its
+    /// data-cache counters are zero under the perfect memory.
+    pub job: JobResult,
 }
 
 /// Runs every `mechanism` under the perfect memory and then each finite
@@ -302,16 +228,12 @@ pub fn cache_ablation(
         .collect();
     let report = engine().run_grid(&jobs)?;
     let mut rows = Vec::new();
-    for (group, m) in report.jobs.chunks(variants.len()).zip(mechanisms) {
-        for (j, &dcache) in group.iter().zip(&variants) {
+    for group in report.jobs.chunks(variants.len()) {
+        for (job, &dcache) in group.iter().zip(&variants) {
             rows.push(CacheAblationRow {
-                mechanism: m.to_string(),
                 dcache,
-                cycles: j.cycles,
-                instructions: j.instructions,
-                slowdown: j.cycles as f64 / group[0].cycles as f64,
-                speedup: j.speedup,
-                stats: j.stats.clone(),
+                slowdown: job.cycles as f64 / group[0].cycles as f64,
+                job: job.clone(),
             });
         }
     }
@@ -348,7 +270,7 @@ mod tests {
         assert_eq!(rows.len(), 7, "one row per zoo predictor");
         let find = |name: &str| {
             rows.iter()
-                .find(|r| r.predictor.starts_with(name))
+                .find(|r| r.job.label.starts_with(name))
                 .unwrap_or_else(|| panic!("{name} row exists"))
         };
         let twobit = find("twobit:64");
@@ -356,18 +278,18 @@ mod tests {
         // The zoo's headline: TAGE-lite beats the calibrated default both
         // in trace-replay mispredictions and in actual pipeline cycles.
         assert!(tage.cbp_mispredicts < twobit.cbp_mispredicts);
-        assert!(tage.cycles < twobit.cycles);
+        assert!(tage.job.cycles < twobit.job.cycles);
         for r in &rows {
             assert!(
-                r.stats.predicted_branches > 0,
+                r.job.stats.predicted_branches > 0,
                 "{}: predictor consulted",
-                r.predictor
+                r.job.label
             );
             assert_eq!(
-                r.stats.stalls(StallReason::MispredictRepair),
-                r.stats.mispredicted_branches * (MISPREDICT_PENALTY + 1),
+                r.job.stats.stalls(StallReason::MispredictRepair),
+                r.job.stats.mispredicted_branches * (MISPREDICT_PENALTY + 1),
                 "{}: every flush charges penalty+1 repair cycles",
-                r.predictor
+                r.job.label
             );
         }
     }
@@ -375,11 +297,13 @@ mod tests {
     #[test]
     fn sweep_reports_relative_speedup() {
         let cfg = MachineConfig::paper();
-        let (pts, _) = sweep(&cfg, &[10], |entries| Mechanism::Ruu {
-            entries,
-            bypass: Bypass::Full,
-        })
-        .expect("sweep runs");
+        let pts = engine()
+            .run_grid(&sweep(&cfg, &[10], |entries| Mechanism::Ruu {
+                entries,
+                bypass: Bypass::Full,
+            }))
+            .expect("sweep runs")
+            .jobs;
         assert_eq!(pts.len(), 1);
         assert!(pts[0].speedup > 0.5 && pts[0].speedup < 3.0);
     }
@@ -392,7 +316,7 @@ mod tests {
         suite[0].inst_limit = 1;
         let engine = SweepEngine::new(suite).with_workers(1);
         let cfg = MachineConfig::paper();
-        let result = sweep_on(&engine, &cfg, &[10], |entries| Mechanism::Rstu { entries });
+        let result = engine.run_grid(&sweep(&cfg, &[10], |entries| Mechanism::Rstu { entries }));
         assert!(matches!(result, Err(EngineError::Sim { .. })));
         // A window no instruction could issue through is refused when the
         // simulator is built, before any sweep runs it.
@@ -411,14 +335,15 @@ mod tests {
     #[test]
     fn stall_breakdown_accounts_for_every_cycle() {
         let cfg = MachineConfig::paper();
-        let rows = stall_breakdown(
-            &cfg,
-            Mechanism::Ruu {
-                entries: 10,
-                bypass: Bypass::Full,
-            },
-        )
-        .expect("breakdown runs");
+        let rows = engine()
+            .workload_rows(
+                Mechanism::Ruu {
+                    entries: 10,
+                    bypass: Bypass::Full,
+                },
+                &cfg,
+            )
+            .expect("breakdown runs");
         assert_eq!(rows.len(), engine().suite().len());
         for row in &rows {
             assert_eq!(
@@ -428,15 +353,5 @@ mod tests {
                 row.name
             );
         }
-    }
-
-    #[test]
-    fn worker_count_parser_rejects_a_bad_value() {
-        assert_eq!(parse_workers(None), Ok(0));
-        assert_eq!(parse_workers(Some("3")), Ok(3));
-        let err = parse_workers(Some("abc")).expect_err("not a number");
-        assert!(err.contains("RUU_BENCH_JOBS"), "{err}");
-        assert!(err.contains("\"abc\""), "{err}");
-        assert!(parse_workers(Some("-1")).is_err());
     }
 }

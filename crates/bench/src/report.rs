@@ -1,9 +1,9 @@
 //! Table formatting for the bench targets: measured values printed next
 //! to the paper's published numbers.
 
-use crate::harness::{CacheAblationRow, PredictorAblationRow, SweepPoint};
+use crate::harness::{CacheAblationRow, PredictorAblationRow};
 use crate::paper;
-use ruu_engine::WorkloadRow;
+use ruu_engine::{JobResult, WorkloadRow};
 use ruu_sim_core::StallReason;
 
 /// Formats a Table-1-style report (per-loop baseline statistics) with the
@@ -40,14 +40,13 @@ pub fn format_table1(rows: &[WorkloadRow]) -> String {
     out
 }
 
-/// Formats a sweep table (Tables 2–6 style) with the paper's numbers
-/// alongside.
+/// Formats a sweep table (Tables 2–6 style), one row per job by its
+/// window entries, with the paper's numbers alongside.
+///
+/// # Panics
+/// Panics if a job's mechanism has no window.
 #[must_use]
-pub fn format_sweep(
-    title: &str,
-    points: &[SweepPoint],
-    paper_table: &[(usize, f64, f64)],
-) -> String {
+pub fn format_sweep(title: &str, jobs: &[JobResult], paper_table: &[(usize, f64, f64)]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "### {title}");
@@ -59,12 +58,13 @@ pub fn format_sweep(
         out,
         "|--------:|---------------:|------------:|----------------:|-------------:|"
     );
-    for p in points {
-        let (ps, pr) = paper::lookup(paper_table, p.entries).unwrap_or((f64::NAN, f64::NAN));
+    for j in jobs {
+        let entries = j.entries.expect("a swept mechanism has a window");
+        let (ps, pr) = paper::lookup(paper_table, entries).unwrap_or((f64::NAN, f64::NAN));
         let _ = writeln!(
             out,
             "| {:>7} | {:>14.3} | {:>11.3} | {:>15.3} | {:>12.3} |",
-            p.entries, p.speedup, p.issue_rate, ps, pr,
+            entries, j.speedup, j.issue_rate, ps, pr,
         );
     }
     out
@@ -90,13 +90,13 @@ pub fn format_predictor_ablation(title: &str, rows: &[PredictorAblationRow]) -> 
         let _ = writeln!(
             out,
             "| {:<9} | {:>8} | {:>8} | {:>11} | {:>13} | {:>6} | {:>7.3} |",
-            r.predictor,
+            r.job.label,
             r.cbp_mispredicts,
-            r.stats.predicted_branches,
-            r.stats.mispredicted_branches,
-            r.stats.stalls(StallReason::MispredictRepair),
-            r.cycles,
-            r.speedup,
+            r.job.stats.predicted_branches,
+            r.job.stats.mispredicted_branches,
+            r.job.stats.stalls(StallReason::MispredictRepair),
+            r.job.cycles,
+            r.job.speedup,
         );
     }
     out
@@ -120,18 +120,15 @@ pub fn format_cache_ablation(title: &str, rows: &[CacheAblationRow]) -> String {
     );
     let mut last = "";
     for r in rows {
-        let label = if r.mechanism == last {
-            ""
-        } else {
-            &r.mechanism
-        };
-        last = &r.mechanism;
+        let j = &r.job;
+        let label = if j.label == last { "" } else { &j.label };
+        last = &j.label;
         let (hit_rate, mpki) = if r.dcache.is_perfect() {
             ("-".to_string(), "-".to_string())
         } else {
             (
-                format!("{:.1}%", 100.0 * r.stats.dcache_hit_rate()),
-                format!("{:.1}", r.stats.dcache_mpki(r.instructions)),
+                format!("{:.1}%", 100.0 * j.stats.dcache_hit_rate()),
+                format!("{:.1}", j.stats.dcache_mpki(j.instructions)),
             )
         };
         let _ = writeln!(
@@ -139,9 +136,9 @@ pub fn format_cache_ablation(title: &str, rows: &[CacheAblationRow]) -> String {
             "| {:<18} | {:<14} | {:>7} | {:>7.3}x | {:>7.3} | {hit_rate:>8} | {mpki:>4} |",
             label,
             r.dcache.to_string(),
-            r.cycles,
+            j.cycles,
             r.slowdown,
-            r.speedup,
+            j.speedup,
         );
     }
     out
@@ -192,16 +189,21 @@ pub fn format_stall_table(title: &str, rows: &[WorkloadRow]) -> String {
     out
 }
 
-/// Formats a plain sweep table with no paper reference (ablations).
+/// Formats a plain sweep table with no paper reference (ablations): one
+/// row per job, by its label.
 #[must_use]
-pub fn format_plain_sweep(title: &str, header: &str, rows: &[(String, f64, f64)]) -> String {
+pub fn format_plain_sweep(title: &str, header: &str, jobs: &[JobResult]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "### {title}");
     let _ = writeln!(out, "| {header} | speedup | issue rate |");
     let _ = writeln!(out, "|---|---:|---:|");
-    for (label, speedup, rate) in rows {
-        let _ = writeln!(out, "| {label} | {speedup:.3} | {rate:.3} |");
+    for j in jobs {
+        let _ = writeln!(
+            out,
+            "| {} | {:.3} | {:.3} |",
+            j.label, j.speedup, j.issue_rate
+        );
     }
     out
 }
@@ -229,11 +231,12 @@ mod tests {
 
     #[test]
     fn stall_table_lists_active_reasons_and_total() {
-        let rows = crate::harness::stall_breakdown(
-            &ruu_sim_core::MachineConfig::paper(),
-            ruu_issue::Mechanism::Simple,
-        )
-        .expect("breakdown runs");
+        let rows = crate::engine()
+            .workload_rows(
+                ruu_issue::Mechanism::Simple,
+                &ruu_sim_core::MachineConfig::paper(),
+            )
+            .expect("breakdown runs");
         let s = format_stall_table("Where the cycles go", &rows);
         assert!(s.contains("operands-not-ready"));
         assert!(s.contains("drained"));
@@ -243,12 +246,20 @@ mod tests {
 
     #[test]
     fn sweep_formatting_includes_paper_lookup() {
-        let pts = vec![SweepPoint {
-            entries: 10,
+        let pts = vec![JobResult {
+            label: "RUU(10)".into(),
+            mechanism: "RUU(10)".into(),
+            entries: Some(10),
             cycles: 1000,
             instructions: 700,
+            baseline_cycles: 1500,
             speedup: 1.5,
             issue_rate: 0.7,
+            dataflow_bound: 500,
+            efficiency: 0.5,
+            stats: ruu_sim_core::RunStats::default(),
+            speculative: false,
+            finite_dcache: false,
         }];
         let s = format_sweep("Table 2", &pts, &paper::TABLE2);
         assert!(s.contains("1.642")); // paper speedup at 10 entries

@@ -190,7 +190,7 @@ fn engine_sweep_matches_legacy_serial_sweep() {
 
     assert_eq!(legacy.len(), engine_points.len());
     for (l, e) in legacy.iter().zip(engine_points) {
-        assert_eq!(Some(l.entries), e.entries);
+        assert_eq!(l.entries, e.entries);
         assert_eq!(l.cycles, e.cycles);
         assert_eq!(l.speedup.to_bits(), e.speedup.to_bits());
         assert_eq!(l.issue_rate.to_bits(), e.issue_rate.to_bits());

@@ -15,7 +15,7 @@
 use ruu::engine::{Job, SweepEngine};
 use ruu::issue::{Bypass, Mechanism, PreciseScheme, PredictorConfig};
 use ruu::sim::{DCacheConfig, MachineConfig};
-use ruu_bench::{cache_ablation, predictor_ablation, report, stall_breakdown};
+use ruu_bench::{cache_ablation, engine, predictor_ablation, report};
 
 const JOBS: &str = include_str!("snapshots/report_jobs.json");
 const TABLES: &str = include_str!("snapshots/table1_reports.md");
@@ -68,7 +68,9 @@ fn sweep_report_jobs_match_the_snapshot() {
 fn table1_report_tables_match_the_snapshot() {
     let cfg = MachineConfig::paper();
     let mut text = String::new();
-    let stalls = stall_breakdown(&cfg, Mechanism::Simple).expect("breakdown runs");
+    let stalls = engine()
+        .workload_rows(Mechanism::Simple, &cfg)
+        .expect("breakdown runs");
     text += &report::format_stall_table("Where the cycles go (simple issue)", &stalls);
     let ablation = predictor_ablation(&cfg, 15).expect("ablation runs");
     text += &report::format_predictor_ablation(

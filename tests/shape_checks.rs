@@ -12,23 +12,29 @@
 //! 6. speculation (§7) beats the blocking RUU when both pay the same
 //!    redirect costs.
 
+use ruu::engine::JobResult;
 use ruu::issue::{Bypass, Mechanism, PredictorConfig};
 use ruu::sim::MachineConfig;
-use ruu_bench::{harness, sweep};
+use ruu_bench::{engine, harness, sweep};
 
 const SIZES: [usize; 5] = [3, 6, 10, 30, 50];
 
-fn rstu(cfg: &MachineConfig, paths: u32) -> Vec<harness::SweepPoint> {
+fn rstu(cfg: &MachineConfig, paths: u32) -> Vec<JobResult> {
     let cfg = cfg.clone().with_dispatch_paths(paths);
-    sweep(&cfg, &SIZES, |entries| Mechanism::Rstu { entries })
+    engine()
+        .run_grid(&sweep(&cfg, &SIZES, |entries| Mechanism::Rstu { entries }))
         .expect("RSTU sweep runs")
-        .0
+        .jobs
 }
 
-fn ruu(cfg: &MachineConfig, bypass: Bypass) -> Vec<harness::SweepPoint> {
-    sweep(cfg, &SIZES, |entries| Mechanism::Ruu { entries, bypass })
+fn ruu(cfg: &MachineConfig, bypass: Bypass) -> Vec<JobResult> {
+    engine()
+        .run_grid(&sweep(cfg, &SIZES, |entries| Mechanism::Ruu {
+            entries,
+            bypass,
+        }))
         .expect("RUU sweep runs")
-        .0
+        .jobs
 }
 
 #[test]
@@ -46,7 +52,7 @@ fn paper_shapes_hold() {
         for w in pts.windows(2) {
             assert!(
                 w[1].speedup >= w[0].speedup * 0.995,
-                "speedup should not fall when the window grows: {} -> {} at {} entries",
+                "speedup should not fall when the window grows: {} -> {} at {:?} entries",
                 w[0].speedup,
                 w[1].speedup,
                 w[1].entries
@@ -183,23 +189,25 @@ fn speculation_wins_under_matched_redirect_costs() {
     // on branch conditions, which must still be a gain.
     let cfg = MachineConfig::paper().with_branch_penalties(1, 0);
     let sizes = [20, 30];
-    let blocking = sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
-        entries,
-        bypass: Bypass::Full,
-    })
-    .expect("RUU sweep runs")
-    .0;
-    let spec = sweep(&cfg, &sizes, |entries| Mechanism::SpecRuu {
-        entries,
-        bypass: Bypass::Full,
-        predictor: PredictorConfig::default(),
-    })
-    .expect("speculative RUU sweep runs")
-    .0;
+    let blocking = engine()
+        .run_grid(&sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
+            entries,
+            bypass: Bypass::Full,
+        }))
+        .expect("RUU sweep runs")
+        .jobs;
+    let spec = engine()
+        .run_grid(&sweep(&cfg, &sizes, |entries| Mechanism::SpecRuu {
+            entries,
+            bypass: Bypass::Full,
+            predictor: PredictorConfig::default(),
+        }))
+        .expect("speculative RUU sweep runs")
+        .jobs;
     for (b, s) in blocking.iter().zip(&spec) {
         assert!(
             s.cycles < b.cycles,
-            "the two-bit speculative RUU ({}) should beat the blocking RUU ({}) at {} entries",
+            "the two-bit speculative RUU ({}) should beat the blocking RUU ({}) at {:?} entries",
             s.cycles,
             b.cycles,
             b.entries
