@@ -335,11 +335,15 @@ fn parse_entries_spec(spec: &str) -> Result<Vec<usize>, String> {
 }
 
 /// Runs one mechanism over the selected workloads, one row per workload.
-fn run_suite(name: &str, args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, "--entries --predictor --paths --loadregs", "", 1)?;
+/// Flags may come before or after the mechanism and workload names.
+fn run_suite(args: &[String]) -> Result<(), String> {
+    let mut flags = Flags::parse(args, "--entries --predictor --paths --loadregs", "", 2)?;
+    // The first positional names the mechanism; any second one, the workload.
+    let first = flags.0.iter().position(|(f, _)| f.is_empty());
+    let (_, name) = flags.0.remove(first.ok_or_else(usage)?);
     let cfg = machine_config(&flags)?;
     let suite = flags.workloads()?;
-    let sim = mechanism_by_name(name, flags.entries()?, flags.predictor()?)?.build(&cfg);
+    let sim = mechanism_by_name(&name, flags.entries()?, flags.predictor()?)?.build(&cfg);
 
     println!(
         "| {:<8} | {:>12} | {:>10} | {:>6} |",
@@ -769,7 +773,7 @@ fn run() -> Result<(), String> {
         "cbp" => run_cbp,
         "lint" => run_lint,
         "analyze" => run_analyze,
-        mechanism => return run_suite(mechanism, rest),
+        _ => return run_suite(&args),
     };
     subcommand(rest)
 }

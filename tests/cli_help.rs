@@ -133,3 +133,23 @@ fn unknown_options_still_fail() {
         );
     }
 }
+
+#[test]
+fn flags_may_come_before_the_mechanism() {
+    let stdout = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_ruu-sim"))
+            .args(args)
+            .output()
+            .expect("run ruu-sim");
+        assert!(
+            out.status.success(),
+            "ruu-sim {args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    assert_eq!(
+        stdout(&["--entries", "4", "ruu", "LLL3"]),
+        stdout(&["ruu", "LLL3", "--entries", "4"])
+    );
+}
