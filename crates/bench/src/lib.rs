@@ -19,10 +19,11 @@
 //! published numbers ([`paper`]), and table formatting, so integration
 //! tests can assert the *shape* of each reproduced result.
 //!
-//! Each target builds its experiment as a list of labelled
-//! [`ruu_engine::Job`]s and runs it with one `run_grid` call on the shared
-//! parallel [`ruu_engine::SweepEngine`] (see [`harness::engine`]); the
-//! [`report`] functions print the resulting [`ruu_engine::JobResult`]s.
+//! Each sweep, ablation and comparison target builds its experiment as a
+//! list of labelled [`ruu_engine::Job`]s and runs it with one `run_grid`
+//! call on the shared parallel [`ruu_engine::SweepEngine`] (see
+//! [`harness::engine`]); the [`report`] functions print the resulting
+//! [`ruu_engine::JobResult`]s.
 //! Results are bit-identical for any worker count. Every harness entry
 //! point that runs returns `Result<_, ruu_engine::EngineError>`, which a
 //! target hands to [`or_exit`], and every table reads the runs'
