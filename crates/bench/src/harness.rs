@@ -160,14 +160,11 @@ pub fn predictor_ablation(
         .collect();
     let report = engine().run_grid(&jobs)?;
 
-    let mut streams = Vec::new();
-    for w in livermore::all() {
-        let trace = w.golden_trace().map_err(|err| EngineError::Golden {
-            workload: w.name,
-            err,
-        })?;
-        streams.push(BranchStream::from_trace(&trace));
-    }
+    let streams: Vec<BranchStream> = engine()
+        .golden_traces()?
+        .iter()
+        .map(BranchStream::from_trace)
+        .collect();
 
     Ok(zoo
         .iter()

@@ -536,7 +536,11 @@ impl SweepEngine {
 
     /// The suite's golden traces, in suite order: captured across the
     /// pool on the first call, then kept for the engine's lifetime.
-    fn golden_traces(&self) -> Result<&[Trace], EngineError> {
+    ///
+    /// # Errors
+    /// Propagates a golden-interpreter failure as
+    /// [`EngineError::Golden`].
+    pub fn golden_traces(&self) -> Result<&[Trace], EngineError> {
         self.traces
             .get_or_init(|| {
                 self.run_pool(self.suite.len(), |i| {

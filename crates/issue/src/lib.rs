@@ -6,20 +6,21 @@
 //! | Mechanism | Paper | Type |
 //! |---|---|---|
 //! | Simple in-order, blocking issue | §2.2, Table 1 | [`Mechanism::Simple`] (in-order core) |
-//! | Tomasulo: distributed stations, a tag per register | §3.1 | [`OutOfOrder::tagged`], [`WindowKind::Distributed`] |
-//! | Tag Unit + distributed stations | §3.2.1 | [`OutOfOrder::tagged`], [`WindowKind::TagUnitDistributed`] |
-//! | Tag Unit + merged station pool | §3.2.2 | [`OutOfOrder::tagged`], [`WindowKind::Pooled`] |
-//! | RSTU | §3.2.3, Tables 2–3 | [`OutOfOrder::tagged`], [`WindowKind::Merged`] |
+//! | Tomasulo: distributed stations, a tag per register | §3.1 | [`Mechanism::Tomasulo`] |
+//! | Tag Unit + distributed stations | §3.2.1 | [`Mechanism::TagUnitDistributed`] |
+//! | Tag Unit + merged station pool | §3.2.2 | [`Mechanism::RsPool`] |
+//! | RSTU | §3.2.3, Tables 2–3 | [`Mechanism::Rstu`] |
 //! | In-order issue, precise: reorder buffer (± bypass), history buffer, future file | §4 | [`Mechanism::InOrderPrecise`] (in-order core), [`PreciseScheme`] |
-//! | RUU, with full / no / limited bypass | §5–6, Tables 4–6 | [`OutOfOrder::ruu`], [`Bypass`] |
-//! | Speculative RUU: branch prediction + nullification | §7 | [`OutOfOrder::spec_ruu`], [`PredictorConfig`] |
+//! | RUU, with full / no / limited bypass | §5–6, Tables 4–6 | [`Mechanism::Ruu`], [`Bypass`] |
+//! | Speculative RUU: branch prediction + nullification | §7 | [`Mechanism::SpecRuu`], [`PredictorConfig`] |
 //!
-//! [`Mechanism`] names each of them with its sizing parameters and builds
-//! it behind the uniform [`IssueSimulator`] interface. The tagged
-//! mechanisms, the RUU and the speculative RUU are one out-of-order
-//! simulator, [`OutOfOrder`], that differs only by where stations and tags
-//! live, when results update state, and what happens to unresolved
-//! branches. It also injects faults ([`OutOfOrder::run_with_exception`]).
+//! [`Mechanism`] names each of them with its sizing parameters, and
+//! [`Mechanism::build`] builds it behind the uniform [`IssueSimulator`]
+//! interface, which also injects faults
+//! ([`IssueSimulator::run_with_fault`]). The tagged mechanisms, the RUU
+//! and the speculative RUU are one out-of-order core that differs only by
+//! where stations and tags live, when results update state, and what
+//! happens to unresolved branches.
 //!
 //! The other two rows are one in-order core ([`inorder`]). The baseline
 //! is the in-order core without a commit stage: results retire as they
@@ -43,9 +44,9 @@ pub mod tag_unit;
 
 pub use inorder::PreciseScheme;
 pub use mechanism::Mechanism;
-pub use ooo::{Bypass, InterruptFrame, OutOfOrder, RunOutcome, WindowKind};
+pub use ooo::Bypass;
 pub use ruu_predict::PredictorConfig;
-pub use simulator::IssueSimulator;
+pub use simulator::{InterruptFrame, IssueSimulator, RunOutcome};
 pub use tag_unit::{TagRetirement, TagUnitModel, TuEntry};
 
 /// Errors from the timing simulators.

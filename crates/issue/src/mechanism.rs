@@ -8,7 +8,7 @@ use ruu_sim_core::MachineConfig;
 use ruu_predict::PredictorConfig;
 
 use crate::inorder::{InOrder, PreciseScheme};
-use crate::ooo::{Bypass, OutOfOrder, WindowKind};
+use crate::ooo::{Bypass, OutOfOrder, Rs, Stations};
 use crate::simulator::IssueSimulator;
 
 /// Any of the paper's issue mechanisms, with its sizing parameters.
@@ -118,35 +118,49 @@ impl Mechanism {
     /// predictor configuration that fails [`PredictorConfig::validate`].
     #[must_use]
     pub fn build(&self, config: &MachineConfig) -> Box<dyn IssueSimulator> {
-        let config = config.clone();
-        match *self {
-            Mechanism::Simple => Box::new(InOrder::new(config, None)),
-            Mechanism::Tomasulo { rs_per_fu } => Box::new(OutOfOrder::tagged(
-                config,
-                WindowKind::Distributed { rs_per_fu },
-            )),
-            Mechanism::TagUnitDistributed { rs_per_fu, tags } => Box::new(OutOfOrder::tagged(
-                config,
-                WindowKind::TagUnitDistributed { rs_per_fu, tags },
-            )),
-            Mechanism::RsPool { rs, tags } => {
-                Box::new(OutOfOrder::tagged(config, WindowKind::Pooled { rs, tags }))
-            }
-            Mechanism::Rstu { entries } => {
-                Box::new(OutOfOrder::tagged(config, WindowKind::Merged { entries }))
-            }
-            Mechanism::Ruu { entries, bypass } => {
-                Box::new(OutOfOrder::ruu(config, entries, bypass))
-            }
-            Mechanism::InOrderPrecise { scheme, entries } => {
-                Box::new(InOrder::new(config, Some((scheme, entries))))
-            }
-            Mechanism::SpecRuu {
+        let in_order = |buffer| -> Box<dyn IssueSimulator> {
+            let config = config.clone();
+            Box::new(InOrder { config, buffer })
+        };
+        let ooo = |stations| -> Box<dyn IssueSimulator> {
+            let config = config.clone();
+            Box::new(OutOfOrder { config, stations })
+        };
+        let tagged = |tags, rs| ooo(Stations::Tagged { tags, rs });
+        let queue = |entries, bypass| {
+            let predictor = self.predictor();
+            ooo(Stations::Queue {
                 entries,
                 bypass,
                 predictor,
-            } => Box::new(OutOfOrder::spec_ruu(config, entries, bypass, predictor)),
-        }
+            })
+        };
+        // The smallest of the mechanism's sizes, and its simulator.
+        let (least, sim) = match *self {
+            Mechanism::Simple => (1, in_order(None)),
+            Mechanism::InOrderPrecise { scheme, entries } => {
+                (entries, in_order(Some((scheme, entries))))
+            }
+            Mechanism::Tomasulo { rs_per_fu } => {
+                (rs_per_fu, tagged(usize::MAX, Rs::PerUnit(rs_per_fu)))
+            }
+            Mechanism::TagUnitDistributed { rs_per_fu, tags } => {
+                (rs_per_fu.min(tags), tagged(tags, Rs::PerUnit(rs_per_fu)))
+            }
+            Mechanism::RsPool { rs, tags } => (rs.min(tags), tagged(tags, Rs::Pooled(rs))),
+            Mechanism::Rstu { entries } => (entries, tagged(entries, Rs::Merged)),
+            Mechanism::Ruu { entries, bypass } => (entries, queue(entries, bypass)),
+            Mechanism::SpecRuu {
+                entries, bypass, ..
+            } => (entries, queue(entries, bypass)),
+        };
+        let invalid = self.predictor().and_then(|p| p.validate().err());
+        assert!(
+            least > 0 && invalid.is_none(),
+            "cannot build {self}: {}",
+            invalid.map_or("nothing could issue through it".into(), |e| e.to_string())
+        );
+        sim
     }
 
     /// The mechanism's primary window-sizing parameter, when it has one

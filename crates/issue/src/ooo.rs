@@ -10,9 +10,9 @@
 //! cache → forwarding), one dispatch select and one run loop, and one
 //! [`Stations`] value picks the mechanism:
 //!
-//! * [`Stations::Tagged`] sizes stations and tags by [`WindowKind`], names
-//!   a result by its producer's sequence number, and lets the register
-//!   file capture the latest instance as it completes. Results update
+//! * [`Stations::Tagged`] sizes stations and tags, names a result by its
+//!   producer's sequence number, and lets the register file capture the
+//!   latest instance as it completes. Results update
 //!   state as they complete, out of program order (stores write memory at
 //!   execute, behind [`Machine::oldest_memory_op`]), and an unresolved
 //!   branch parks in decode until its condition arrives.
@@ -49,68 +49,12 @@ use ruu_sim_core::{
 };
 
 use crate::common::{end_cycle, idle_cycles, FetchSlot, Frontend, Operand, Tag};
-use crate::simulator::IssueSimulator;
+use crate::simulator::{InterruptFrame, IssueSimulator, RunOutcome};
 use crate::SimError;
 
 /// Cycles without progress (nothing issued, completed or scheduled) after
 /// which a run is declared deadlocked.
 const DEADLOCK_CYCLES: u64 = 100_000;
-
-/// Window organisation of a tagged mechanism (paper §3). All of them
-/// update the register file *as results complete*, out of program order,
-/// so their interrupts are **imprecise** — what the RUU fixes. A
-/// completing result updates the register file only if it is the *latest*
-/// instance of its register (Tomasulo's register-capture rule; the paper's
-/// "may update the register but may not unlock it" is modelled this way so
-/// that stale instances never clobber newer values).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WindowKind {
-    /// Classic Tomasulo (§3.1): `rs_per_fu` reservation stations at each
-    /// functional unit; every register is tagged (no tag limit —
-    /// conceptually 144 tag-matching units, the expense the Tag Unit
-    /// removes).
-    Distributed {
-        /// Reservation stations per functional unit.
-        rs_per_fu: usize,
-    },
-    /// §3.2.1, Figure 2: a central Tag Unit (capacity `tags`) holding tags
-    /// only for *currently active* registers, with distributed
-    /// reservation stations.
-    TagUnitDistributed {
-        /// Reservation stations per functional unit.
-        rs_per_fu: usize,
-        /// Tag Unit entries.
-        tags: usize,
-    },
-    /// §3.2.2: the reservation stations merged into a common pool
-    /// (released when the instruction dispatches to a unit), Tag Unit
-    /// unchanged.
-    Pooled {
-        /// Stations in the merged pool.
-        rs: usize,
-        /// Tag Unit entries.
-        tags: usize,
-    },
-    /// §3.2.3, Figure 4: the **RSTU**, one merged structure; an entry is
-    /// both station and tag, reserved together and released at writeback.
-    Merged {
-        /// RSTU entries.
-        entries: usize,
-    },
-}
-
-impl WindowKind {
-    /// How many results may be in flight, if the tags are limited.
-    fn tag_capacity(self) -> Option<usize> {
-        match self {
-            WindowKind::Distributed { .. } => None,
-            WindowKind::TagUnitDistributed { tags, .. } | WindowKind::Pooled { tags, .. } => {
-                Some(tags)
-            }
-            WindowKind::Merged { entries } => Some(entries),
-        }
-    }
-}
 
 /// Operand-bypass policy of the RUU (paper §6). Managing the RSTU as a
 /// FIFO queue removes its associative tag search: each register carries
@@ -131,46 +75,22 @@ pub enum Bypass {
     LimitedA,
 }
 
-/// The machine state captured when an interrupt is taken. On the RUU it
-/// is precise; on the tagged machines it is whatever state the
-/// out-of-order completions had reached.
-#[derive(Debug, Clone)]
-pub struct InterruptFrame {
-    /// The register state. Precise on the RUU: every instruction before
-    /// the faulting one has updated it; none after (nor the faulting
-    /// one) has.
-    pub state: ArchState,
-    /// The memory. Precise on the RUU: committed stores only.
-    pub memory: Memory,
-    /// Program counter of the faulting instruction (restart point).
-    pub resume_pc: u32,
-    /// Dynamic instructions that updated state before the interrupt
-    /// (branches excluded; they resolve in the issue stage).
-    pub committed: u64,
-    /// Cycle at which the interrupt was taken.
-    pub cycle: u64,
-}
-
-/// Outcome of [`OutOfOrder::run_with_exception`].
-#[derive(Debug, Clone)]
-pub enum RunOutcome {
-    /// The program ran to completion (the designated instruction never
-    /// reached its update point — e.g. it was never reached).
-    Completed(RunResult),
-    /// The designated instruction reached the point where it would update
-    /// state, and the interrupt was taken with this frame.
-    Interrupted(InterruptFrame),
-}
-
 /// The mechanism the core simulates: where reservation stations and tags
 /// live, which also fixes when results update state and what happens to
 /// a branch whose condition is not yet available.
 #[derive(Debug, Clone, Copy)]
-pub enum Stations {
-    /// Associative stations and tags sized by the [`WindowKind`]. Results
-    /// update state as they complete, out of program order (imprecise);
-    /// unresolved branches park in decode.
-    Tagged(WindowKind),
+pub(crate) enum Stations {
+    /// A tagged mechanism (paper §3). Results update state as they
+    /// complete, out of program order (imprecise), and the register file
+    /// captures only a register's latest instance. Unresolved branches
+    /// park in decode.
+    Tagged {
+        /// Results that may be in flight (`usize::MAX`: Tomasulo tags
+        /// every register).
+        tags: usize,
+        /// Where the reservation stations live.
+        rs: Rs,
+    },
     /// The RUU: a FIFO queue of `entries` slots with NI/LI counters.
     /// Results update state in program order from its head (precise).
     Queue {
@@ -185,119 +105,23 @@ pub enum Stations {
     },
 }
 
+/// The reservation stations of a tagged mechanism.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rs {
+    /// This many at each unit, each with a private dispatch path (§3.1).
+    PerUnit(usize),
+    /// This many in one pool sharing the dispatch paths (§3.2.2).
+    Pooled(usize),
+    /// One per tag, sharing the dispatch paths: the RSTU (§3.2.3).
+    Merged,
+}
+
 /// Cycle-level simulator of the out-of-order mechanisms: a machine
-/// configuration and the mechanism one of the three constructors picks
-/// (where stations and tags live, which fixes when results update state
-/// and what happens to unresolved branches).
+/// configuration and the mechanism [`crate::Mechanism::build`] derived.
 #[derive(Debug, Clone)]
-pub struct OutOfOrder {
-    config: MachineConfig,
-    stations: Stations,
-}
-
-impl OutOfOrder {
-    /// A tagged mechanism (Tomasulo, Tag Unit, RS pool or RSTU): imprecise,
-    /// results update state as they complete, unresolved branches park in
-    /// decode.
-    ///
-    /// # Panics
-    /// Panics if `kind` has no reservation station or no tag: nothing
-    /// could ever issue.
-    #[must_use]
-    pub fn tagged(config: MachineConfig, kind: WindowKind) -> Self {
-        let empty = match kind {
-            WindowKind::Distributed { rs_per_fu } => rs_per_fu == 0,
-            WindowKind::TagUnitDistributed { rs_per_fu, tags } => rs_per_fu == 0 || tags == 0,
-            WindowKind::Pooled { rs, tags } => rs == 0 || tags == 0,
-            WindowKind::Merged { entries } => entries == 0,
-        };
-        assert!(!empty, "{kind:?} needs at least one station and one tag");
-        OutOfOrder {
-            config,
-            stations: Stations::Tagged(kind),
-        }
-    }
-
-    /// The RUU (paper §5–6): a queue of `entries` slots that commits in
-    /// program order from its head, so interrupts are precise; unresolved
-    /// branches park in decode.
-    ///
-    /// # Panics
-    /// Panics if `entries` is zero.
-    #[must_use]
-    pub fn ruu(config: MachineConfig, entries: usize, bypass: Bypass) -> Self {
-        OutOfOrder::queue(config, entries, bypass, None)
-    }
-
-    /// The speculative RUU (paper §7): the RUU, with unresolved branches
-    /// predicted by a fresh `predictor` each run and wrong-path work
-    /// nullified.
-    ///
-    /// # Panics
-    /// Panics if `entries` is zero or `predictor` fails
-    /// [`PredictorConfig::validate`].
-    #[must_use]
-    pub fn spec_ruu(
-        config: MachineConfig,
-        entries: usize,
-        bypass: Bypass,
-        predictor: PredictorConfig,
-    ) -> Self {
-        if let Err(e) = predictor.validate() {
-            panic!("invalid predictor configuration: {e}");
-        }
-        OutOfOrder::queue(config, entries, bypass, Some(predictor))
-    }
-
-    /// The RUU, predicting unresolved branches if given a `predictor`.
-    fn queue(
-        config: MachineConfig,
-        entries: usize,
-        bypass: Bypass,
-        predictor: Option<PredictorConfig>,
-    ) -> Self {
-        assert!(entries > 0, "the RUU needs at least one entry");
-        OutOfOrder {
-            config,
-            stations: Stations::Queue {
-                entries,
-                bypass,
-                predictor,
-            },
-        }
-    }
-
-    /// Runs `program` from zeroed registers, injecting an exception on the
-    /// dynamic instruction `fault_seq` (0-based over *all* dynamic
-    /// instructions, branches included). The interrupt is taken when that
-    /// instruction reaches the point where it would update state: the head
-    /// of the RUU, where the frame is precise, or completion on the tagged
-    /// machines, where younger instructions may already have completed
-    /// while older ones are in flight (see `ruu_precise::imprecision`). A
-    /// branch never reaches that point, nor does a `Nop` on the tagged
-    /// machines, so faulting one runs to completion.
-    ///
-    /// # Errors
-    /// As for [`IssueSimulator::run`].
-    pub fn run_with_exception(
-        &self,
-        program: &Program,
-        mem: Memory,
-        limit: u64,
-        fault_seq: u64,
-    ) -> Result<RunOutcome, SimError> {
-        let (state, obs) = (ArchState::new(), &mut NullObserver);
-        Machine::new(&self.config, self.stations, state, mem, program, limit, obs)
-            .run(Some(fault_seq))
-    }
-}
-
-/// Unwraps the result of a run that had no fault injected.
-fn expect_completed(outcome: RunOutcome) -> RunResult {
-    match outcome {
-        RunOutcome::Completed(r) => r,
-        RunOutcome::Interrupted(_) => unreachable!("no fault was injected"),
-    }
+pub(crate) struct OutOfOrder {
+    pub(crate) config: MachineConfig,
+    pub(crate) stations: Stations,
 }
 
 /// Unobserved runs are compiled against [`NullObserver`], so its no-op
@@ -315,9 +139,9 @@ impl IssueSimulator for OutOfOrder {
         limit: u64,
         obs: &mut dyn PipelineObserver,
     ) -> Result<RunResult, SimError> {
-        Machine::new(&self.config, self.stations, state, mem, program, limit, obs)
-            .run(None)
-            .map(expect_completed)
+        let mut m = Machine::new(&self.config, self.stations, state, mem, program, limit, obs);
+        m.run(None)?;
+        Ok(m.result())
     }
 
     fn run_from(
@@ -328,9 +152,25 @@ impl IssueSimulator for OutOfOrder {
         limit: u64,
     ) -> Result<RunResult, SimError> {
         let obs = &mut NullObserver;
-        Machine::new(&self.config, self.stations, state, mem, program, limit, obs)
-            .run(None)
-            .map(expect_completed)
+        let mut m = Machine::new(&self.config, self.stations, state, mem, program, limit, obs);
+        m.run(None)?;
+        Ok(m.result())
+    }
+
+    fn run_with_fault(
+        &self,
+        state: ArchState,
+        mem: Memory,
+        program: &Program,
+        limit: u64,
+        fault: u64,
+        obs: &mut dyn PipelineObserver,
+    ) -> Result<RunOutcome, SimError> {
+        let mut m = Machine::new(&self.config, self.stations, state, mem, program, limit, obs);
+        Ok(match m.run(Some(fault))? {
+            Some(seq) => RunOutcome::Interrupted(m.interrupt_frame(seq)),
+            None => RunOutcome::Completed(m.result()),
+        })
     }
 }
 
@@ -735,11 +575,13 @@ struct BranchRecord {
 
 /// Per-run state of the out-of-order core, reporting to an observer of
 /// type `O`.
-pub struct Machine<'a, O: PipelineObserver + ?Sized> {
+pub(crate) struct Machine<'a, O: PipelineObserver + ?Sized> {
     cfg: &'a MachineConfig,
     program: &'a Program,
     stations: Stations,
     limit: u64,
+    /// The entry the fault hook fires on: the core's sequence number of
+    /// the golden instruction the fault names (see [`Machine::squash`]).
     fault_seq: Option<u64>,
     /// Built from the queue's predictor configuration, fresh for each
     /// run, so the runs of one simulator stay independent and repeatable.
@@ -804,7 +646,7 @@ pub struct Machine<'a, O: PipelineObserver + ?Sized> {
 
 impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     /// A machine about to run `program` from `state`.
-    pub fn new(
+    pub(crate) fn new(
         cfg: &'a MachineConfig,
         stations: Stations,
         state: ArchState,
@@ -899,7 +741,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     /// (the only kind of tag a consumer is handed at issue).
     fn producer_of(&self, tag: Tag) -> u64 {
         match self.stations {
-            Stations::Tagged(_) => tag.instance,
+            Stations::Tagged { .. } => tag.instance,
             Stations::Queue { .. } => self.producer[tag.reg.index()],
         }
     }
@@ -945,7 +787,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         self.gate(producer, tag, value);
         let r = tag.reg;
         match self.stations {
-            Stations::Tagged(_) => {
+            Stations::Tagged { .. } => {
                 if self.reg_latest[r.index()] == Some(tag) {
                     self.arch.set_reg(r, value);
                     self.reg_latest[r.index()] = None;
@@ -972,24 +814,15 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         }
     }
 
-    /// The fault hook: `true` if entry `seq` is the designated faulting
-    /// instruction. It fires where the instruction would update state,
-    /// before it does; the run then stops with [`Machine::interrupt_frame`].
-    #[inline]
-    fn faults(&self, seq: u64) -> bool {
-        self.fault_seq == Some(seq)
-    }
-
     /// The state an interrupt taken on entry `seq` sees.
-    #[cold]
-    fn interrupt_frame(&self, seq: u64) -> InterruptFrame {
-        let e = self.window.entry(seq);
-        let mut state = self.arch.clone();
-        state.pc = e.pc;
+    pub(crate) fn interrupt_frame(self, seq: u64) -> InterruptFrame {
+        let pc = self.window.entry(seq).pc;
+        let mut state = self.arch;
+        state.pc = pc;
         InterruptFrame {
             state,
-            memory: self.mem.clone(),
-            resume_pc: e.pc,
+            memory: self.mem,
+            resume_pc: pc,
             committed: self.committed,
             cycle: self.cycle,
         }
@@ -1033,7 +866,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         let at_completion = !self.commits();
         for &ev in &evs {
             let seq = ev.seq();
-            if at_completion && self.faults(seq) {
+            if at_completion && self.fault_seq == Some(seq) {
                 return Some(seq);
             }
             self.obs.complete(self.cycle, seq);
@@ -1171,9 +1004,9 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         // Distributed organisations have a private path from each unit's
         // stations; the others share `dispatch_paths` ports.
         let mut paths = match self.stations {
-            Stations::Tagged(
-                WindowKind::Distributed { .. } | WindowKind::TagUnitDistributed { .. },
-            ) => u32::MAX,
+            Stations::Tagged {
+                rs: Rs::PerUnit(_), ..
+            } => u32::MAX,
             _ => self.cfg.dispatch_paths,
         };
         // Decided once, before anything dispatches this cycle.
@@ -1290,7 +1123,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             if !head.executed || spec_boundary.is_some_and(|b| seq > b) {
                 break;
             }
-            if self.faults(seq) {
+            if self.fault_seq == Some(seq) {
                 // Precise interrupt: the faulting instruction does not
                 // update any state; everything older already has.
                 return Some(seq);
@@ -1358,6 +1191,11 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
             }
         }
         self.obs.flush(self.cycle, squashed);
+        // Sequence numbers are never reused, so the golden instruction a
+        // fault names moves past the ones squashed here.
+        if let Some(f) = self.fault_seq.filter(|&f| f > b.seq) {
+            self.fault_seq = Some(f + self.seq - b.seq - 1);
+        }
         let younger = |list: &mut Vec<u64>| list.truncate(list.partition_point(|&s| s <= b.seq));
         younger(&mut self.mem_ready);
         younger(&mut self.alu_ready);
@@ -1430,18 +1268,13 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     fn issue_blocked(&self, inst: &Inst) -> Option<StallReason> {
         let full = match self.stations {
             Stations::Queue { entries, .. } => self.window.len() >= entries,
-            Stations::Tagged(kind) => {
+            Stations::Tagged { tags, rs } => {
                 // A Nop occupies no station.
-                kind.tag_capacity().is_some_and(|t| self.window.len() >= t)
-                    || inst.fu_class().is_some_and(|fu| match kind {
-                        WindowKind::Distributed { rs_per_fu }
-                        | WindowKind::TagUnitDistributed { rs_per_fu, .. } => {
-                            self.busy_stations[fu.index()] >= rs_per_fu
-                        }
-                        WindowKind::Pooled { rs, .. } => {
-                            self.busy_stations.iter().sum::<usize>() >= rs
-                        }
-                        WindowKind::Merged { .. } => false, // covered by the tags
+                self.window.len() >= tags
+                    || inst.fu_class().is_some_and(|fu| match rs {
+                        Rs::PerUnit(n) => self.busy_stations[fu.index()] >= n,
+                        Rs::Pooled(n) => self.busy_stations.iter().sum::<usize>() >= n,
+                        Rs::Merged => false, // covered by the tags
                     })
             }
         };
@@ -1462,7 +1295,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
     /// Acquires a fresh instance of destination register `d`.
     fn rename(&mut self, d: Reg, seq: u64) -> Tag {
         match self.stations {
-            Stations::Tagged(_) => {
+            Stations::Tagged { .. } => {
                 let tag = Tag {
                     reg: d,
                     instance: seq,
@@ -1626,7 +1459,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         let dst_tag = inst.dst.map(|d| self.rename(d, seq));
         let is_mem = inst.is_mem();
         let fu = inst.fu_class();
-        if fu.is_none() && matches!(self.stations, Stations::Tagged(_)) {
+        if fu.is_none() && matches!(self.stations, Stations::Tagged { .. }) {
             // A tagged Nop takes no station and has nothing to update.
             self.committed += 1;
         } else {
@@ -1745,16 +1578,15 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
         (until > self.cycle).then_some(until)
     }
 
-    /// Runs to completion, or until dynamic instruction `fault_seq`
-    /// reaches the point where it would update state (the fault hook).
-    pub fn run(mut self, fault_seq: Option<u64>) -> Result<RunOutcome, SimError> {
-        self.fault_seq = fault_seq;
+    /// Runs until the machine drains (`None`), or until golden dynamic
+    /// instruction `fault` reaches the point where it would update state
+    /// (the fault hook): `Some` of its entry.
+    pub(crate) fn run(&mut self, fault: Option<u64>) -> Result<Option<u64>, SimError> {
+        self.fault_seq = fault;
         loop {
             let occ = self.window.len() as u32;
             let stall = match self.step()? {
-                ControlFlow::Break(seq) => {
-                    return Ok(RunOutcome::Interrupted(self.interrupt_frame(seq)))
-                }
+                ControlFlow::Break(seq) => return Ok(Some(seq)),
                 ControlFlow::Continue(stall) => stall,
             };
 
@@ -1770,7 +1602,7 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
 
             end_cycle(self.obs, &mut self.stats, &mut self.cycle, occ);
             if self.drained() {
-                break;
+                return Ok(None);
             }
             let Some(reason) = stall else { continue };
             if let Some(until) = self.idle_until(reason) {
@@ -1787,20 +1619,24 @@ impl<'a, O: PipelineObserver + ?Sized> Machine<'a, O> {
                 );
             }
         }
-        let mut state = self.arch.clone();
-        state.pc = self.frontend.pc();
+    }
+
+    /// The result of a run that drained.
+    pub(crate) fn result(mut self) -> RunResult {
         let cs = self.dcache.stats();
         self.stats.dcache_accesses = cs.accesses;
         self.stats.dcache_hits = cs.hits;
         self.stats.dcache_misses = cs.misses;
-        let result = RunResult {
+        let instructions = self.completed();
+        let mut state = self.arch;
+        state.pc = self.frontend.pc();
+        RunResult {
             cycles: self.cycle,
-            instructions: self.completed(),
+            instructions,
             state,
             memory: self.mem,
             stats: self.stats,
-        };
-        Ok(RunOutcome::Completed(result))
+        }
     }
 }
 
@@ -1961,7 +1797,11 @@ mod tests {
         a.s_add(Reg::s(3), Reg::s(1), Reg::s(1)); // seq 4
         a.halt();
         let program = a.assemble().unwrap();
-        let sim = OutOfOrder::ruu(MachineConfig::paper(), 10, bypass);
+        let sim = crate::Mechanism::Ruu {
+            entries: 10,
+            bypass,
+        }
+        .build(&MachineConfig::paper());
         let mut t = Timeline::default();
         let r = sim
             .run_observed(ArchState::new(), Memory::new(16), &program, 100, &mut t)

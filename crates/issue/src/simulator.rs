@@ -14,6 +14,35 @@ use ruu_sim_core::{MachineConfig, NullObserver, PipelineObserver, RunResult};
 
 use crate::SimError;
 
+/// The machine state when an injected interrupt is taken: on a precise
+/// mechanism, updated by every instruction before the faulting one and by
+/// none after it (nor by it).
+#[derive(Debug, Clone)]
+pub struct InterruptFrame {
+    /// The register state, with `pc` at the faulting instruction.
+    pub state: ArchState,
+    /// The memory.
+    pub memory: Memory,
+    /// Program counter of the faulting instruction (restart point).
+    pub resume_pc: u32,
+    /// Dynamic instructions that updated state before the interrupt
+    /// (branches excluded; they resolve without updating state).
+    pub committed: u64,
+    /// Cycle at which the interrupt was taken.
+    pub cycle: u64,
+}
+
+/// Outcome of [`IssueSimulator::run_with_fault`].
+#[derive(Debug, Clone)]
+pub enum RunOutcome {
+    /// The program ran to completion: the designated instruction never
+    /// reached its update point (it was a branch, or never reached).
+    Completed(RunResult),
+    /// The designated instruction reached the point where it would update
+    /// state, and the interrupt was taken with this frame.
+    Interrupted(InterruptFrame),
+}
+
 /// A configured, runnable issue-mechanism simulator.
 ///
 /// Implementations are cheap to construct (configuration only — no
@@ -58,6 +87,32 @@ pub trait IssueSimulator: Send {
         limit: u64,
     ) -> Result<RunResult, SimError> {
         self.run_observed(state, mem, program, limit, &mut NullObserver)
+    }
+
+    /// As [`IssueSimulator::run_observed`], with an exception injected on
+    /// dynamic instruction `fault` (0-based over the golden instruction
+    /// stream, branches included). The interrupt is taken where that
+    /// instruction would update state, before it does: at commit on the
+    /// precise mechanisms, at completion on the others. A branch never
+    /// updates state, and a Nop does only on the RUU, so faulting either
+    /// elsewhere runs to completion.
+    ///
+    /// Both cores override this; the provided method injects nothing.
+    ///
+    /// # Errors
+    /// As for [`IssueSimulator::run_observed`].
+    fn run_with_fault(
+        &self,
+        state: ArchState,
+        mem: Memory,
+        program: &Program,
+        limit: u64,
+        fault: u64,
+        obs: &mut dyn PipelineObserver,
+    ) -> Result<RunOutcome, SimError> {
+        let _ = fault;
+        let r = self.run_observed(state, mem, program, limit, obs)?;
+        Ok(RunOutcome::Completed(r))
     }
 
     /// Runs `program` to completion from zeroed registers.

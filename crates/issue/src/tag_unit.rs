@@ -9,10 +9,11 @@
 //! | Tag number | Register number | Tag free | Latest copy |
 //! |---|---|---|---|
 //!
-//! This model is didactic — the tagged machines of
-//! [`crate::OutOfOrder::tagged`] implement the same bookkeeping inline —
-//! and exists to reproduce the paper's Figure 3 walkthrough exactly (see
-//! the `figure3` bench target and `examples/tag_unit_walkthrough.rs`).
+//! This model is didactic — the out-of-order core behind
+//! [`crate::Mechanism::TagUnitDistributed`] and [`crate::Mechanism::RsPool`]
+//! implements the same bookkeeping inline — and exists to reproduce the
+//! paper's Figure 3 walkthrough exactly (see the `figure3` bench target
+//! and `examples/tag_unit_walkthrough.rs`).
 
 use std::fmt;
 

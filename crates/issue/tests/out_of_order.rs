@@ -1,4 +1,4 @@
-//! The out-of-order mechanisms through their public faces: the RUU and
+//! The out-of-order mechanisms, built by `Mechanism::build`: the RUU and
 //! its bypass policies (paper §5–6), the tagged machines (§3), the
 //! speculative RUU (§7), fault injection, and the sizes no instruction
 //! could issue through.
@@ -7,10 +7,8 @@ use std::panic::catch_unwind;
 
 use ruu_exec::{golden_state_at, ArchState, Memory, Trace};
 use ruu_isa::{Asm, Program, Reg};
-use ruu_issue::{
-    Bypass, IssueSimulator, Mechanism, OutOfOrder, PredictorConfig, RunOutcome, WindowKind,
-};
-use ruu_sim_core::{FlushAccountant, MachineConfig, RunResult, StallReason};
+use ruu_issue::{Bypass, IssueSimulator, Mechanism, PredictorConfig, RunOutcome};
+use ruu_sim_core::{FlushAccountant, MachineConfig, NullObserver, RunResult, StallReason};
 
 fn cfg() -> MachineConfig {
     MachineConfig::paper()
@@ -280,8 +278,9 @@ fn precise_interrupt_state_matches_golden_boundary() {
     a.halt();
     let p = a.assemble().unwrap();
     // Fault on seq 4 (the s_imm S3).
-    let outcome = OutOfOrder::ruu(cfg(), 16, Bypass::Full)
-        .run_with_exception(&p, Memory::new(1 << 12), 1_000_000, 4)
+    let mem = Memory::new(1 << 12);
+    let outcome = ruu(16, Bypass::Full)
+        .run_with_fault(ArchState::new(), mem, &p, 1_000_000, 4, &mut NullObserver)
         .unwrap();
     let RunOutcome::Interrupted(frame) = outcome else {
         panic!("expected an interrupt");
@@ -317,9 +316,10 @@ fn resume_after_interrupt_reaches_golden_final_state() {
     };
     let p = prog().assemble().unwrap();
     let g = golden(&prog);
-    let sim = OutOfOrder::ruu(cfg(), 10, Bypass::Full);
+    let sim = ruu(10, Bypass::Full);
+    let mem = Memory::new(1 << 12);
     let outcome = sim
-        .run_with_exception(&p, Memory::new(1 << 12), 1_000_000, 12)
+        .run_with_fault(ArchState::new(), mem, &p, 1_000_000, 12, &mut NullObserver)
         .unwrap();
     let RunOutcome::Interrupted(frame) = outcome else {
         panic!("expected an interrupt");
@@ -362,8 +362,9 @@ fn interrupt_never_taken_completes() {
     a.a_imm(Reg::a(1), 1);
     a.halt();
     let p = a.assemble().unwrap();
-    let outcome = OutOfOrder::ruu(cfg(), 8, Bypass::Full)
-        .run_with_exception(&p, Memory::new(1 << 12), 1_000_000, 999)
+    let mem = Memory::new(1 << 12);
+    let outcome = ruu(8, Bypass::Full)
+        .run_with_fault(ArchState::new(), mem, &p, 1_000_000, 999, &mut NullObserver)
         .unwrap();
     assert!(matches!(outcome, RunOutcome::Completed(_)));
 }
@@ -489,8 +490,10 @@ fn interrupt_state_differs_from_every_program_order_boundary() {
     a.st_s(Reg::s(2), Reg::a(1), 0); // seq 3: fast store
     a.halt();
     let p = a.assemble().unwrap();
-    let outcome = OutOfOrder::tagged(cfg(), WindowKind::Merged { entries: 8 })
-        .run_with_exception(&p, Memory::new(1 << 12), 1_000_000, 3)
+    let mem = Memory::new(1 << 12);
+    let outcome = Mechanism::Rstu { entries: 8 }
+        .build(&cfg())
+        .run_with_fault(ArchState::new(), mem, &p, 1_000_000, 3, &mut NullObserver)
         .unwrap();
     let RunOutcome::Interrupted(frame) = outcome else {
         panic!("the store completes");
@@ -536,6 +539,20 @@ fn windows_without_a_station_or_tag_are_rejected() {
         Mechanism::TagUnitDistributed {
             rs_per_fu: 2,
             tags: 0,
+        },
+        Mechanism::Ruu {
+            entries: 0,
+            bypass: Bypass::Full,
+        },
+        Mechanism::InOrderPrecise {
+            scheme: ruu_issue::PreciseScheme::HistoryBuffer,
+            entries: 0,
+        },
+        // Nor may a predictor table that fails validation.
+        Mechanism::SpecRuu {
+            entries: 8,
+            bypass: Bypass::Full,
+            predictor: PredictorConfig::TwoBit { entries: 63 },
         },
     ] {
         assert!(catch_unwind(|| m.build(&cfg())).is_err(), "{m} built");
@@ -588,9 +605,14 @@ fn matches_golden_with_every_predictor() {
         PredictorConfig::Btfn,
         PredictorConfig::default(),
     ] {
-        let r = OutOfOrder::spec_ruu(cfg(), 16, Bypass::Full, predictor)
-            .run(&p, Memory::new(1 << 12), 1_000_000)
-            .unwrap();
+        let r = Mechanism::SpecRuu {
+            entries: 16,
+            bypass: Bypass::Full,
+            predictor,
+        }
+        .build(&cfg())
+        .run(&p, Memory::new(1 << 12), 1_000_000)
+        .unwrap();
         assert_eq!(&r.state, g.final_state(), "{predictor}");
         assert_eq!(&r.memory, g.final_memory(), "{predictor}");
         assert_eq!(r.instructions, g.len() as u64, "{predictor}");

@@ -9,7 +9,8 @@
 //! This crate turns that claim into executable checks:
 //!
 //! * [`PrecisionCheck`] — inject an exception at an arbitrary dynamic
-//!   instruction of any program running on the RUU; verify the recovered
+//!   instruction of any program running on any mechanism (precise ones:
+//!   the RUU, the speculative RUU, the §4 schemes); verify the recovered
 //!   state equals the golden interpreter's state at that exact boundary;
 //!   then *resume* from the recovered state and verify the final state is
 //!   unchanged by the interruption (full restartability, the virtual-

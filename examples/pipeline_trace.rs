@@ -11,7 +11,7 @@ use std::collections::HashSet;
 
 use ruu::exec::{ArchState, Memory};
 use ruu::isa::{Asm, FuClass, Program, Reg};
-use ruu::issue::{Bypass, IssueSimulator, OutOfOrder};
+use ruu::issue::{Bypass, Mechanism};
 use ruu::sim::{MachineConfig, PipelineObserver};
 
 /// One cycle of activity on the RUU's ports.
@@ -111,7 +111,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mem = Memory::new(1 << 8);
     mem.write_f64(64, 4.0);
 
-    let ruu = OutOfOrder::ruu(MachineConfig::paper(), 8, Bypass::Full);
+    let ruu = Mechanism::Ruu {
+        entries: 8,
+        bypass: Bypass::Full,
+    }
+    .build(&MachineConfig::paper());
     let mut log = PortLog::new(&program, 64);
     let result = ruu.run_observed(ArchState::new(), mem, &program, 10_000, &mut log)?;
 

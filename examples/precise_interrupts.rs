@@ -7,7 +7,7 @@
 //! cargo run --release --example precise_interrupts
 //! ```
 
-use ruu::issue::{Bypass, WindowKind};
+use ruu::issue::{Bypass, Mechanism};
 use ruu::precise::{fault_points, imprecision, FaultKind, PrecisionCheck};
 use ruu::sim::MachineConfig;
 use ruu::workloads::livermore;
@@ -25,7 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.len()
     );
 
-    let check = PrecisionCheck::new(15, Bypass::Full);
+    let check = PrecisionCheck::new(Mechanism::Ruu {
+        entries: 15,
+        bypass: Bypass::Full,
+    });
     let report = check.run(&w.program, &w.memory, fault_seq)?;
     println!("interrupt taken at cycle {}", report.interrupt_cycle);
     println!(
@@ -48,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!();
     println!("The same machine *without* the in-order commit constraint (the RSTU):");
-    let e = imprecision::demonstrate(&MachineConfig::paper(), WindowKind::Merged { entries: 8 })?;
+    let e = imprecision::demonstrate(&MachineConfig::paper(), Mechanism::Rstu { entries: 8 })?;
     println!(
         "  at the moment a young store executed, the machine state matched a \
          program-order boundary: {}",

@@ -7,7 +7,7 @@
 
 use ruu::exec::{Memory, Trace};
 use ruu::isa::{Asm, Reg};
-use ruu::issue::{Bypass, IssueSimulator, OutOfOrder};
+use ruu::issue::{Bypass, Mechanism};
 use ruu::sim::MachineConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,7 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("instruction mix:\n{}", trace.mix());
 
     // Timing run on the paper's machine with a 15-entry RUU.
-    let ruu = OutOfOrder::ruu(MachineConfig::paper(), 15, Bypass::Full);
+    let ruu = Mechanism::Ruu {
+        entries: 15,
+        bypass: Bypass::Full,
+    }
+    .build(&MachineConfig::paper());
     let r = ruu.run(&program, mem, 100_000)?;
     assert_eq!(&r.state.regs, &trace.final_state().regs);
     println!(

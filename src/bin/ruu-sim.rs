@@ -340,7 +340,8 @@ fn run_suite(args: &[String]) -> Result<(), String> {
     let mut flags = Flags::parse(args, "--entries --predictor --paths --loadregs", "", 2)?;
     // The first positional names the mechanism; any second one, the workload.
     let first = flags.0.iter().position(|(f, _)| f.is_empty());
-    let (_, name) = flags.0.remove(first.ok_or_else(usage)?);
+    let first = first.ok_or_else(|| format!("missing mechanism\n{}", usage()))?;
+    let (_, name) = flags.0.remove(first);
     let cfg = machine_config(&flags)?;
     let suite = flags.workloads()?;
     let sim = mechanism_by_name(&name, flags.entries()?, flags.predictor()?)?.build(&cfg);
@@ -765,7 +766,9 @@ fn run() -> Result<(), String> {
         println!("{}", usage());
         return Ok(());
     }
-    let (sub, rest) = args.split_first().ok_or_else(usage)?;
+    let Some((sub, rest)) = args.split_first() else {
+        return run_suite(&args);
+    };
     let subcommand: fn(&[String]) -> Result<(), String> = match sub.as_str() {
         "sweep" => run_sweep,
         "trace" => run_trace,

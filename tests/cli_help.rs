@@ -40,8 +40,10 @@ fn help_prints_usage_and_succeeds_everywhere() {
 
 /// Malformed command lines and bad values, each with the text its error
 /// message must contain.
-const BAD_COMMAND_LINES: [(&[&str], &str); 20] = [
+const BAD_COMMAND_LINES: [(&[&str], &str); 22] = [
     (&["ruu", "LLL1", "--bogus"], "unknown option --bogus"),
+    (&[], "missing mechanism"),
+    (&["--entries", "4"], "missing mechanism"),
     (&["sweep", "--bogus"], "unknown option --bogus"),
     (&["cachesim", "--bogus"], "unknown option --bogus"),
     (&["cbp", "--bogus"], "unknown option --bogus"),
