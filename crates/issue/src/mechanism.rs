@@ -32,7 +32,7 @@ use crate::simulator::IssueSimulator;
 /// assert_eq!(r.state.reg(Reg::a(2)), 6);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mechanism {
     /// In-order blocking issue (paper Table 1 baseline).
     Simple,

@@ -13,7 +13,12 @@ pub enum FaultKind {
     PageFault,
     /// An arithmetic exception: faults on floating-point operations.
     Arithmetic,
-    /// Any non-branch instruction may fault (the most general check).
+    /// Any non-branch instruction that uses a functional unit may fault
+    /// (the most general check). A `Nop` is left out, and the machines
+    /// differ on it: the §4 schemes give it no buffer slot, so it never
+    /// reaches their commit and a fault on it is never taken
+    /// ([`CheckError::FaultNeverTaken`](crate::harness::CheckError::FaultNeverTaken)),
+    /// while the RUU commits it and takes the fault precisely.
     Any,
 }
 

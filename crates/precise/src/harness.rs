@@ -92,7 +92,9 @@ impl PrecisionCheck {
 
     /// Runs `program` with an exception injected at dynamic instruction
     /// `fault_seq`, checks the recovered state against the golden
-    /// boundary, resumes, and checks the final state.
+    /// boundary, resumes, and checks the final state against `golden`,
+    /// the caller's trace of `program` from `mem` (captured once for
+    /// every machine and fault point it checks).
     ///
     /// # Errors
     /// See [`CheckError`].
@@ -100,6 +102,7 @@ impl PrecisionCheck {
         &self,
         program: &Program,
         mem: &Memory,
+        golden: &Trace,
         fault_seq: u64,
     ) -> Result<PrecisionReport, CheckError> {
         let sim = self.mechanism.build(&self.config);
@@ -120,11 +123,9 @@ impl PrecisionCheck {
         let resumed = sim
             .run_from(frame.state, frame.memory, program, self.inst_limit)
             .map_err(CheckError::Sim)?;
-        let golden_final =
-            Trace::capture(program, mem.clone(), self.inst_limit).map_err(CheckError::Golden)?;
-        let resume_exact = resumed.state.regs == golden_final.final_state().regs
-            && &resumed.memory == golden_final.final_memory();
-        let before = golden_final.events().take(fault_seq as usize);
+        let resume_exact = resumed.state.regs == golden.final_state().regs
+            && &resumed.memory == golden.final_memory();
+        let before = golden.events().take(fault_seq as usize);
         let branches = before.filter(|e| e.inst.is_branch()).count() as u64;
 
         Ok(PrecisionReport {
@@ -152,8 +153,11 @@ mod tests {
             entries: 12,
             bypass: Bypass::Full,
         });
+        let golden = w.golden_trace().unwrap();
         for fault_seq in [10, 57, 333] {
-            let r = check.run(&w.program, &w.memory, fault_seq).unwrap();
+            let r = check
+                .run(&w.program, &w.memory, &golden, fault_seq)
+                .unwrap();
             assert!(r.all_precise(), "fault at {fault_seq}: {r:?}");
         }
     }
@@ -161,9 +165,10 @@ mod tests {
     #[test]
     fn all_bypass_modes_are_precise() {
         let w = livermore::lll12();
+        let golden = w.golden_trace().unwrap();
         for bypass in [Bypass::Full, Bypass::None, Bypass::LimitedA] {
             let check = PrecisionCheck::new(Mechanism::Ruu { entries: 8, bypass });
-            let r = check.run(&w.program, &w.memory, 101).unwrap();
+            let r = check.run(&w.program, &w.memory, &golden, 101).unwrap();
             assert!(r.all_precise(), "{bypass:?}: {r:?}");
         }
     }
@@ -211,9 +216,48 @@ mod tests {
         let trace = Trace::capture(&p, mem.clone(), 1_000).unwrap();
         let check = PrecisionCheck::new(spec);
         for fault_seq in fault_points(&trace, FaultKind::Any) {
-            let r = check.run(&p, &mem, fault_seq).unwrap();
+            let r = check.run(&p, &mem, &trace, fault_seq).unwrap();
             assert!(r.all_precise(), "fault at {fault_seq}: {r:?}");
         }
+    }
+
+    #[test]
+    fn a_fault_on_a_nop_is_taken_by_the_ruu_only() {
+        // A Nop takes no slot in a §4 buffer, so it never reaches the
+        // commit where those machines take a fault; the RUU commits it
+        // like any other instruction. `FaultKind::Any` leaves Nops out.
+        use crate::FaultKind;
+        use ruu_isa::{Asm, Reg};
+        use ruu_issue::PreciseScheme;
+        let mut a = Asm::new("t");
+        a.a_imm(Reg::a(1), 3);
+        a.nop(); // dynamic index 1
+        a.a_add(Reg::a(2), Reg::a(1), Reg::a(1));
+        a.halt();
+        let p = a.assemble().unwrap();
+        let mem = Memory::new(1 << 8);
+        let golden = Trace::capture(&p, mem.clone(), 100).unwrap();
+        let nop = golden.events().nth(1).unwrap().inst;
+        assert!(!FaultKind::Any.applies_to(&nop));
+        for scheme in [
+            PreciseScheme::ReorderBuffer,
+            PreciseScheme::HistoryBuffer,
+            PreciseScheme::FutureFile,
+        ] {
+            let check = PrecisionCheck::new(Mechanism::InOrderPrecise { scheme, entries: 8 });
+            let err = check.run(&p, &mem, &golden, 1).unwrap_err();
+            assert_eq!(
+                err,
+                CheckError::FaultNeverTaken { fault_seq: 1 },
+                "{scheme:?}"
+            );
+        }
+        let check = PrecisionCheck::new(Mechanism::Ruu {
+            entries: 8,
+            bypass: Bypass::Full,
+        });
+        let r = check.run(&p, &mem, &golden, 1).unwrap();
+        assert!(r.all_precise(), "{r:?}");
     }
 
     #[test]
@@ -231,7 +275,9 @@ mod tests {
             entries: 8,
             bypass: Bypass::Full,
         });
-        let err = check.run(&p, &Memory::new(1 << 8), 2).unwrap_err();
+        let mem = Memory::new(1 << 8);
+        let golden = Trace::capture(&p, mem.clone(), 100).unwrap();
+        let err = check.run(&p, &mem, &golden, 2).unwrap_err();
         assert!(matches!(err, CheckError::FaultNeverTaken { fault_seq: 2 }));
     }
 }

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         entries: 15,
         bypass: Bypass::Full,
     });
-    let report = check.run(&w.program, &w.memory, fault_seq)?;
+    let report = check.run(&w.program, &w.memory, &trace, fault_seq)?;
     println!("interrupt taken at cycle {}", report.interrupt_cycle);
     println!(
         "  recovered registers match golden boundary: {}",

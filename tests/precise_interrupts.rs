@@ -81,7 +81,7 @@ fn check_the_suite(kind: FaultKind, entries: usize) -> Vec<&'static str> {
             let check = PrecisionCheck::new(m);
             for seq in picks {
                 let r = check
-                    .run(&w.program, &w.memory, seq)
+                    .run(&w.program, &w.memory, &trace, seq)
                     .unwrap_or_else(|e| panic!("{m} on {} at {seq}: {e}", w.name));
                 assert!(r.all_precise(), "{m} on {} at {seq}: {r:?}", w.name);
             }
@@ -140,7 +140,7 @@ proptest! {
         for m in precise_machines(entries) {
             let mut check = PrecisionCheck::new(m);
             check.inst_limit = 500_000;
-            let r = check.run(&program, &mem, seq)
+            let r = check.run(&program, &mem, &trace, seq)
                 .unwrap_or_else(|e| panic!("{m}, seed {seed}, fault {seq}: {e}"));
             prop_assert!(r.all_precise(), "{} seed {} fault {}: {:?}", m, seed, seq, r);
         }
