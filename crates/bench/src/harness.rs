@@ -4,8 +4,8 @@
 //! Since the `ruu-engine` rewire, all sweeps execute on a shared
 //! [`SweepEngine`]: the Livermore suite is assembled once per process,
 //! jobs fan out across a scoped worker pool (one worker per hardware
-//! thread), and simple-issue baseline cycles are memoized per machine
-//! configuration. Numbers are bit-identical for any worker count.
+//! thread), and each distinct simulation unit, baselines included, runs
+//! once per process. Numbers are bit-identical for any worker count.
 //!
 //! Every entry point that runs returns `Result<_, EngineError>`:
 //! simulator, verification and golden-trace failures are typed, not
@@ -19,8 +19,8 @@ use ruu_issue::Mechanism;
 use ruu_sim_core::{DCacheConfig, MachineConfig, RunStats};
 use ruu_workloads::livermore;
 
-/// The process-wide sweep engine: Livermore suite assembled once,
-/// baseline cycles memoized across every table and ablation target.
+/// The process-wide sweep engine: Livermore suite assembled once, unit
+/// results memoized across every table and ablation target.
 pub fn engine() -> &'static SweepEngine {
     static ENGINE: OnceLock<SweepEngine> = OnceLock::new();
     ENGINE.get_or_init(SweepEngine::livermore)

@@ -44,8 +44,8 @@ pub const STORE_EXEC_LATENCY: u64 = 1;
 /// [`COMMIT_WIDTH`], [`FORWARD_LATENCY`], [`STORE_EXEC_LATENCY`],
 /// [`SPEC_TAKEN_BUBBLE`] and [`MISPREDICT_PENALTY`].
 ///
-/// `Hash`/`Eq` let sweep engines key memoization caches (e.g. the
-/// per-config baseline-cycles cache in `ruu-engine`) by configuration.
+/// `Hash`/`Eq` let sweep engines key memoization caches (e.g. the unit
+/// memo in `ruu-engine`) by configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MachineConfig {
     /// Latency (clock periods from dispatch to result-bus appearance) per
